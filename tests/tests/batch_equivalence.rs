@@ -20,20 +20,8 @@ use engine::{
 use moea::{Evaluation, Problem};
 use proptest::prelude::*;
 
-/// Deterministic pseudo-random unit-cube batch (no RNG dependency so the
-/// fixtures are stable across toolchains).
-fn pseudo_batch(n: usize, salt: u64) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|i| {
-            (0..15)
-                .map(|j| {
-                    let x = (i as f64 + 1.0) * 12.9898 + j as f64 * 78.233 + salt as f64 * 0.517;
-                    (x.sin() * 43758.5453).fract().abs()
-                })
-                .collect()
-        })
-        .collect()
-}
+mod common;
+use common::pseudo_batch;
 
 /// Stats with wall-clock fields zeroed: everything else must match
 /// exactly between the scalar and batch paths.

@@ -60,3 +60,18 @@ pub fn scratch_dir(prefix: &str, name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
+
+/// Deterministic pseudo-random unit-cube batch of 15-gene candidates (no
+/// RNG dependency, so fixtures are stable across toolchains).
+pub fn pseudo_batch(n: usize, salt: u64) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|i| {
+            (0..15)
+                .map(|j| {
+                    let x = (i as f64 + 1.0) * 12.9898 + j as f64 * 78.233 + salt as f64 * 0.517;
+                    (x.sin() * 43758.5453).fract().abs()
+                })
+                .collect()
+        })
+        .collect()
+}
