@@ -1,7 +1,8 @@
 //! Cost of the circuit-analysis stack, bottom-up: device operating point,
-//! op-amp DC + small-signal analysis, integrator performance equations,
-//! corner/mismatch robustness, and the two full problem evaluations
-//! (fixed-load and drivable-load with bisection).
+//! op-amp DC + small-signal analysis, integrator performance equations
+//! (whole, and split into the per-design stage and the per-load finish),
+//! the drivable-load search, corner/mismatch robustness, and the two full
+//! problem evaluations (fixed-load and drivable-load with bisection).
 
 use analog_circuits::integrator::{self, ClockContext};
 use analog_circuits::mosfet::Mosfet;
@@ -35,6 +36,22 @@ fn bench_stack(c: &mut Criterion) {
 
     c.bench_function("integrator_analyze", |b| {
         b.iter(|| integrator::analyze(black_box(&dv), &process, &clock));
+    });
+
+    // The two halves of `integrator_analyze`: the once-per-design stage
+    // (op-amp solve included) and the per-load finish a load search loops.
+    c.bench_function("integrator_prepare", |b| {
+        b.iter(|| integrator::prepare(black_box(&dv), &process, &clock));
+    });
+
+    c.bench_function("integrator_at_load", |b| {
+        let stage = integrator::prepare(&dv, &process, &clock);
+        b.iter(|| stage.at_load(black_box(dv.cl)));
+    });
+
+    c.bench_function("drivable_load", |b| {
+        let p = DrivableLoadProblem::new(Spec::featured());
+        b.iter(|| p.drivable_load(black_box(&dv)));
     });
 
     c.bench_function("robustness_9_samples", |b| {

@@ -20,7 +20,7 @@
 //! [`DesignVector`] plus the input common-mode voltage (gene 15).
 
 use crate::batch::DesignBatch;
-use crate::integrator::{self, ClockContext, IntegratorReport};
+use crate::integrator::{self, ClockContext, IntegratorReport, IntegratorStage};
 use crate::problem::IntegratorProblem;
 use crate::process::Process;
 use crate::sizing::{DesignVector, CL_RANGE, NUM_PARAMS};
@@ -125,10 +125,20 @@ impl DrivableLoadProblem {
     /// search therefore anchors on a coarse top-down scan before bisecting
     /// the upper feasibility edge.
     ///
-    /// Returns the load together with the report *at* that load.
+    /// Returns the load together with the report *at* that load. The
+    /// op-amp is solved once; every probe reuses the prepared stage.
     pub fn drivable_load(&self, dv: &DesignVector) -> Option<(f64, IntegratorReport)> {
-        let at = |cl: f64| integrator::analyze(&dv.with_cl(cl), &self.process, &self.clock);
-        let report_max = at(CL_RANGE.1);
+        self.search_load(&self.prepare(dv))
+    }
+
+    fn prepare(&self, dv: &DesignVector) -> IntegratorStage {
+        integrator::prepare(dv, &self.process, &self.clock)
+    }
+
+    /// The [`drivable_load`](Self::drivable_load) search on a prepared
+    /// stage: ≤ 18 load probes, none of which re-solves the op-amp.
+    fn search_load(&self, stage: &IntegratorStage) -> Option<(f64, IntegratorReport)> {
+        let report_max = stage.at_load(CL_RANGE.1);
         if self.load_ok(&report_max) {
             return Some((CL_RANGE.1, report_max));
         }
@@ -139,7 +149,7 @@ impl DrivableLoadProblem {
         let mut infeasible_above = CL_RANGE.1;
         for k in (0..SCAN).rev() {
             let cl = CL_RANGE.0 + k as f64 * step;
-            let r = at(cl);
+            let r = stage.at_load(cl);
             if self.load_ok(&r) {
                 anchor = Some((cl, r));
                 break;
@@ -150,7 +160,7 @@ impl DrivableLoadProblem {
         let mut hi = infeasible_above;
         for _ in 0..BISECTION_STEPS {
             let mid = 0.5 * (lo + hi);
-            let r = at(mid);
+            let r = stage.at_load(mid);
             if self.load_ok(&r) {
                 lo = mid;
                 best = r;
@@ -161,14 +171,21 @@ impl DrivableLoadProblem {
         Some((lo, best))
     }
 
+    /// The load a prepared design is graded at and its report there: the
+    /// drivable load, or `0.0` with the report at the minimum load
+    /// `CL_RANGE.0` when nothing is drivable, so the GA keeps a gradient
+    /// toward drivability. Both [`report`](Self::report) and evaluation
+    /// go through here, so the diagnostic report is what evaluation grades.
+    fn graded_load(&self, stage: &IntegratorStage) -> (f64, IntegratorReport) {
+        self.search_load(stage)
+            .unwrap_or_else(|| (0.0, stage.at_load(CL_RANGE.0)))
+    }
+
     /// Full diagnostic report at the drivable load (minimum-load report
     /// when nothing is drivable).
     pub fn report(&self, genes: &[f64]) -> IntegratorReport {
         let dv = DesignVector::from_sizing_genes(genes).quantize();
-        match self.drivable_load(&dv) {
-            Some((_, r)) => r,
-            None => integrator::analyze(&dv.with_cl(CL_RANGE.0), &self.process, &self.clock),
-        }
+        self.graded_load(&self.prepare(&dv)).1
     }
 
     /// Converts internal objectives to the paper axes; delegates to
@@ -205,24 +222,16 @@ impl DrivableLoadProblem {
     ) -> Evaluation {
         let spec = &self.spec;
 
-        let (cl, report) = match self.drivable_load(dv) {
-            Some((cl, report)) => (cl, report),
-            None => {
-                // Cannot drive even the minimum load: grade the violations
-                // at the minimum load so the GA has a gradient toward
-                // drivability.
-                let report =
-                    integrator::analyze(&dv.with_cl(CL_RANGE.0), &self.process, &self.clock);
-                (0.0, report)
-            }
-        };
+        let (cl, report) = self.graded_load(&self.prepare(dv));
         let drivable = cl > 0.0;
 
         // Robustness at the claimed operating point (full, unmargined
-        // spec): corner headroom must come from the LOAD_MARGIN.
-        let dv_at = dv.with_cl(if drivable { cl } else { CL_RANGE.0 });
+        // spec): corner headroom must come from the LOAD_MARGIN. `report`
+        // is the nominal analysis at that load, so it stands in for the
+        // TT sample.
+        let dv_at = dv.with_cl(report.cl);
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(&dv_at, plan, &self.clock, spec).0
+            yield_est::robustness_prepared(&dv_at, plan, &self.clock, spec, Some(&report)).0
         } else {
             0.0
         };

@@ -107,7 +107,41 @@ impl IntegratorReport {
 /// Like [`opamp::analyze`], this never panics on pathological sizing — the
 /// report degrades gracefully (enormous ST/SE, zero DR) so constraint
 /// machinery can grade arbitrary GA candidates.
+///
+/// This is [`prepare`] followed by [`IntegratorStage::at_load`] at
+/// `dv.cl`; analyses of one design at many loads should prepare once.
 pub fn analyze(dv: &DesignVector, process: &Process, clock: &ClockContext) -> IntegratorReport {
+    prepare(dv, process, clock).at_load(dv.cl)
+}
+
+/// The load-independent half of the integrator analysis of one design at
+/// one process point: the op-amp DC solve and every quantity that does not
+/// read `C_L`. [`IntegratorStage::at_load`] finishes the analysis for a
+/// load, so a search over loads solves the op-amp once.
+#[derive(Debug, Clone)]
+pub struct IntegratorStage {
+    amp: OpampReport,
+    beta: f64,
+    omega_c: f64,
+    zero: f64,
+    dynamic_range_db: f64,
+    output_range: f64,
+    power: f64,
+    area: f64,
+    // Load-independent operands of the per-load equations.
+    feedback_load: f64,
+    cs_bottom: f64,
+    c1: f64,
+    cc: f64,
+    v_step: f64,
+    half_t: f64,
+    eps: f64,
+    static_error: f64,
+}
+
+/// Prepares the load-independent half of [`analyze`] for `dv` in `process`
+/// under `clock`. Never reads `dv.cl`.
+pub fn prepare(dv: &DesignVector, process: &Process, clock: &ClockContext) -> IntegratorStage {
     let amp = opamp::analyze(dv, process);
 
     let cs = IntegratedCapacitor::new(dv.cs);
@@ -120,55 +154,25 @@ pub fn analyze(dv: &DesignVector, process: &Process, clock: &ClockContext) -> In
     // Feedback factor of the integration phase.
     let beta = (dv.cf / (dv.cf + c_sum)).clamp(1e-6, 1.0);
 
-    // Effective output load: external load + amp output parasitics + the
-    // series feedback network + sampling-cap bottom plate on the output
-    // side of Cf.
+    // The output load's fixed parts: the series feedback network and the
+    // sampling-cap bottom plate on the output side of Cf.
     let feedback_load = dv.cf * c_sum / (dv.cf + c_sum);
-    let cl_total = dv.cl + amp.cout + feedback_load + cs.bottom_plate(process);
+    let cs_bottom = cs.bottom_plate(process);
 
     // Loop dynamics.
     let omega_u = amp.gm1 / amp.cc_eff.max(1e-18);
     let omega_c = beta * omega_u;
     let c1 = amp.c1.max(1e-18);
     let cc = amp.cc_eff.max(1e-18);
-    let p2 = amp.gm6 * cc / (c1 * cc + c1 * cl_total + cc * cl_total).max(1e-30);
     let zero = amp.gm6 / cc;
-
-    // Two-pole-plus-RHP-zero damping approximation: the zero erodes phase
-    // margin, reducing the effective damping.
-    let zeta_raw = 0.5 * (p2 / omega_c.max(1e-3)).sqrt() * (1.0 - omega_c / zero.max(1e-3));
-    let zeta = zeta_raw.clamp(0.02, 5.0);
-    let omega_n = (omega_c * p2).max(0.0).sqrt();
-
-    // --- Settling.
-    let half_t = clock.half_period();
-    let eps = clock.settle_tolerance;
 
     // Worst-case output step per integration: the sampled charge
     // transferred onto Cf with a quarter-supply differential input.
     let v_step = (dv.cs / dv.cf) * (process.vdd / 4.0);
-    let sr_out = 2.0 * amp.i2 / cl_total.max(1e-18);
-    let sr = amp.sr_internal.min(sr_out).max(1e-3);
-    let t_slew = (v_step / sr - 1.0 / omega_c.max(1e-3)).max(0.0);
 
-    let t_linear = if amp.is_biased() {
-        linear_settling_time(zeta, omega_n, eps)
-    } else {
-        1.0 // a full second: effectively never settles
-    };
-    let settling_time = t_slew + t_linear;
-
-    // --- Settling error: static gain error + dynamic residue at the end of
-    // the half-period.
+    // Static part of the settling error.
     let loop_gain = beta * amp.a0;
     let static_error = 1.0 / (1.0 + loop_gain.max(0.0));
-    let t_lin_avail = (half_t - t_slew).max(0.0);
-    let dynamic_error = if amp.is_biased() {
-        (-zeta * omega_n * t_lin_avail).exp().min(1.0)
-    } else {
-        1.0
-    };
-    let settling_error = static_error + dynamic_error;
 
     // --- Dynamic range.
     let swing = amp.swing;
@@ -197,23 +201,89 @@ pub fn analyze(dv: &DesignVector, process: &Process, clock: &ClockContext) -> In
     let cap_area = 2.0 * (cs.area(process) + cf.area(process) + coc.area(process));
     let area = amp.area + cap_area;
 
-    IntegratorReport {
-        opamp: amp,
+    IntegratorStage {
+        amp,
         beta,
-        cl_total,
         omega_c,
-        p2,
         zero,
-        zeta,
-        t_slew,
-        t_linear,
-        settling_time,
-        settling_error,
         dynamic_range_db,
         output_range,
         power,
         area,
-        cl: dv.cl,
+        feedback_load,
+        cs_bottom,
+        c1,
+        cc,
+        v_step,
+        half_t: clock.half_period(),
+        eps: clock.settle_tolerance,
+        static_error,
+    }
+}
+
+impl IntegratorStage {
+    /// Finishes the analysis at load capacitance `cl` (F): the load-
+    /// dependent settling and stability figures, bit-identical to
+    /// [`analyze`] of the same design with `C_L = cl`.
+    pub fn at_load(&self, cl: f64) -> IntegratorReport {
+        let amp = &self.amp;
+        let (omega_c, c1, cc) = (self.omega_c, self.c1, self.cc);
+
+        // Effective output load: external load + amp output parasitics + the
+        // series feedback network + sampling-cap bottom plate on the output
+        // side of Cf. Summed left to right starting from `cl`: pre-adding
+        // the fixed terms in `prepare` would reassociate the sum and change
+        // result bits.
+        let cl_total = cl + amp.cout + self.feedback_load + self.cs_bottom;
+        let p2 = amp.gm6 * cc / (c1 * cc + c1 * cl_total + cc * cl_total).max(1e-30);
+
+        // Two-pole-plus-RHP-zero damping approximation: the zero erodes phase
+        // margin, reducing the effective damping.
+        let zeta_raw =
+            0.5 * (p2 / omega_c.max(1e-3)).sqrt() * (1.0 - omega_c / self.zero.max(1e-3));
+        let zeta = zeta_raw.clamp(0.02, 5.0);
+        let omega_n = (omega_c * p2).max(0.0).sqrt();
+
+        // --- Settling.
+        let sr_out = 2.0 * amp.i2 / cl_total.max(1e-18);
+        let sr = amp.sr_internal.min(sr_out).max(1e-3);
+        let t_slew = (self.v_step / sr - 1.0 / omega_c.max(1e-3)).max(0.0);
+
+        let t_linear = if amp.is_biased() {
+            linear_settling_time(zeta, omega_n, self.eps)
+        } else {
+            1.0 // a full second: effectively never settles
+        };
+        let settling_time = t_slew + t_linear;
+
+        // --- Settling error: static gain error + dynamic residue at the end
+        // of the half-period.
+        let t_lin_avail = (self.half_t - t_slew).max(0.0);
+        let dynamic_error = if amp.is_biased() {
+            (-zeta * omega_n * t_lin_avail).exp().min(1.0)
+        } else {
+            1.0
+        };
+        let settling_error = self.static_error + dynamic_error;
+
+        IntegratorReport {
+            opamp: amp.clone(),
+            beta: self.beta,
+            cl_total,
+            omega_c,
+            p2,
+            zero: self.zero,
+            zeta,
+            t_slew,
+            t_linear,
+            settling_time,
+            settling_error,
+            dynamic_range_db: self.dynamic_range_db,
+            output_range: self.output_range,
+            power: self.power,
+            area: self.area,
+            cl,
+        }
     }
 }
 

@@ -50,6 +50,11 @@ pub fn effective_overdrive(vov: f64) -> f64 {
     scale * q
 }
 
+/// [`Mosfet::vdsat`] from the effective overdrive and velocity factor.
+fn saturation_voltage(vov_eff: f64, velocity: f64) -> f64 {
+    (vov_eff / velocity).max(3.0 * V_THERMAL)
+}
+
 /// Operating regions of a MOSFET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
@@ -115,22 +120,26 @@ impl Mosfet {
     /// the velocity-saturation-reduced effective overdrive, floored at the
     /// weak-inversion saturation voltage `≈ 3V_T`.
     pub fn vdsat(&self, process: &Process, vov: f64) -> f64 {
+        let (vov_eff, velocity) = self.overdrive_terms(self.params(process), vov);
+        saturation_voltage(vov_eff, velocity)
+    }
+
+    /// The EKV effective overdrive at `vov` and the velocity-saturation
+    /// factor `1 + V_ov,eff/(E_sat·L)`, shared by the saturation voltage
+    /// and the drain current so [`Mosfet::id`] computes them once.
+    fn overdrive_terms(&self, p: &TransistorParams, vov: f64) -> (f64, f64) {
         let vov_eff = effective_overdrive(vov);
-        let esat_l = self.params(process).esat * self.l;
-        (vov_eff / (1.0 + vov_eff / esat_l)).max(3.0 * V_THERMAL)
+        let esat_l = p.esat * self.l;
+        (vov_eff, 1.0 + vov_eff / esat_l)
     }
 
     /// Saturation drain current per eqn (1) with the EKV inversion
-    /// interpolation, *without* channel-length modulation (A).
-    fn id_sat_core(&self, process: &Process, vgs: f64) -> f64 {
-        let p = self.params(process);
-        let vov = vgs - p.vt0;
-        let vov_eff = effective_overdrive(vov);
+    /// interpolation, *without* channel-length modulation (A), from the
+    /// [`overdrive_terms`](Self::overdrive_terms) at `vgs`.
+    fn id_sat_core(&self, p: &TransistorParams, vgs: f64, vov_eff: f64, velocity: f64) -> f64 {
         if vov_eff <= 0.0 {
             return 0.0;
         }
-        let esat_l = p.esat * self.l;
-        let velocity = 1.0 + vov_eff / esat_l;
         // Mobility degradation: the argument V_GS + V_T − V_K of the paper.
         let x = (vgs + p.vt0 - p.vk).max(0.0);
         let n = self.device.mobility_exponent();
@@ -187,9 +196,10 @@ impl Mosfet {
         if vds <= 0.0 {
             return 0.0;
         }
-        let vdsat = self.vdsat(process, vov);
+        let (vov_eff, velocity) = self.overdrive_terms(p, vov);
+        let vdsat = saturation_voltage(vov_eff, velocity);
         let lambda = self.lambda_eff(process);
-        let core = self.id_sat_core(process, vgs);
+        let core = self.id_sat_core(p, vgs, vov_eff, velocity);
         if vds >= vdsat {
             core * (1.0 + lambda * (vds - vdsat))
         } else {
@@ -202,6 +212,15 @@ impl Mosfet {
     /// Solves for the `V_GS` magnitude that conducts `target_id` in
     /// saturation at `vds` (bisection; `None` when the device cannot carry
     /// the current below `vgs_max`).
+    ///
+    /// The bisection always runs its 44 steps: stopping early would change
+    /// the result's bits, for two reasons. After `k` steps the bracket is
+    /// still `(vgs_max − 0.01 V)/2^k` wide, ≥ 1.79 V/2^44 ≈ 1e-13 V at the
+    /// op-amp's 1.8 V — about 900 ulp of a sub-volt `V_GS` — so every step
+    /// still moves `lo` or `hi`, and with them the returned midpoint. And an
+    /// exact `f(mid) == 0` only sets `hi = mid`; the remaining steps keep
+    /// moving `lo`, so returning `mid` there would differ from the final
+    /// midpoint.
     pub fn vgs_for_current(
         &self,
         process: &Process,

@@ -111,10 +111,11 @@ impl IntegratorProblem {
     ) -> Evaluation {
         let report = integrator::analyze(dv, &self.process, &self.clock);
 
-        // Robustness: skip the 8 extra corner analyses when the nominal
-        // point is not even biased — it cannot pass anywhere.
+        // Robustness: the nominal report stands in for the TT sample; skip
+        // the 8 corner analyses when the nominal point is not even biased —
+        // it cannot pass anywhere.
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(dv, plan, &self.clock, &self.spec).0
+            yield_est::robustness_prepared(dv, plan, &self.clock, &self.spec, Some(&report)).0
         } else {
             0.0
         };

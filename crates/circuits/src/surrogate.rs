@@ -1,8 +1,9 @@
 //! Analytic surrogate pre-screen: answer *obvious losers* from first-stage
 //! hand analysis before the full integrator model runs.
 //!
-//! The full evaluation of one candidate costs a drivable-load bisection
-//! (up to 18 integrator analyses) plus a nine-point robustness sweep. A
+//! The full evaluation of one candidate costs an op-amp solve, a
+//! drivable-load bisection (up to 18 per-load finishes of the integrator
+//! analysis) and eight more solves for the robustness sweep. A
 //! large fraction of uniformly-drawn candidates, however, fail for a
 //! reason visible in two one-line estimates: the first-stage
 //! transconductance cannot produce a usable gain-bandwidth, or the tail

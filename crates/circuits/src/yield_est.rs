@@ -28,6 +28,18 @@ pub struct SamplePoint {
     pub dkp: f64,
 }
 
+impl SamplePoint {
+    /// `true` for the TT corner with zero mismatch. Every skew that sample
+    /// applies multiplies by exactly 1.0 or adds exactly 0.0, so its
+    /// process in [`prepared_plan`] is the nominal process bit for bit
+    /// (the lone exception, a −0.0 threshold turning into +0.0, is not a
+    /// process anyone builds), and an analysis the caller already holds
+    /// at the nominal process stands in for it exactly.
+    pub fn is_nominal(&self) -> bool {
+        self.corner == Corner::Tt && self.dvt_n == 0.0 && self.dvt_p == 0.0 && self.dkp == 0.0
+    }
+}
+
 /// The deterministic sample plan used by [`robustness`]: the five corners
 /// at zero mismatch, plus four mismatch-heavy TT points arranged on a
 /// low-discrepancy cross (±12 mV thresholds, ∓6 % mobility).
@@ -102,17 +114,26 @@ pub fn prepared_plan(nominal: &Process) -> Vec<(SamplePoint, Process)> {
 /// Robustness of a design against a pre-built sample table (see
 /// [`prepared_plan`]): the fraction of points at which all performance
 /// constraints of `spec` hold, plus the per-sample verdicts.
+///
+/// `nominal`, when given, must be the [`integrator::analyze`] report of
+/// `dv` at the process `plan` was built from. The
+/// [`SamplePoint::is_nominal`] sample then takes its verdict from that
+/// report instead of solving the design again: one analysis fewer, the
+/// same verdicts.
 pub fn robustness_prepared(
     dv: &DesignVector,
     plan: &[(SamplePoint, Process)],
     clock: &ClockContext,
     spec: &Spec,
+    nominal: Option<&IntegratorReport>,
 ) -> (f64, Vec<(SamplePoint, bool)>) {
     let mut outcomes = Vec::with_capacity(plan.len());
     let mut passed = 0usize;
     for (sp, process) in plan {
-        let report = integrator::analyze(dv, process, clock);
-        let ok = passes_performance(&report, spec);
+        let ok = match nominal {
+            Some(report) if sp.is_nominal() => passes_performance(report, spec),
+            _ => passes_performance(&integrator::analyze(dv, process, clock), spec),
+        };
         if ok {
             passed += 1;
         }
@@ -130,7 +151,7 @@ pub fn robustness_detailed(
     clock: &ClockContext,
     spec: &Spec,
 ) -> (f64, Vec<(SamplePoint, bool)>) {
-    robustness_prepared(dv, &prepared_plan(nominal), clock, spec)
+    robustness_prepared(dv, &prepared_plan(nominal), clock, spec, None)
 }
 
 /// Robustness of a design (just the fraction). See [`robustness_detailed`].
@@ -189,7 +210,7 @@ mod tests {
         let nominal = Process::nominal();
         let clock = ClockContext::standard();
         let plan = prepared_plan(&nominal);
-        let (a, da) = robustness_prepared(&dv, &plan, &clock, &spec);
+        let (a, da) = robustness_prepared(&dv, &plan, &clock, &spec, None);
         let (b, db) = robustness_detailed(&dv, &nominal, &clock, &spec);
         assert_eq!(a, b);
         assert_eq!(da, db);

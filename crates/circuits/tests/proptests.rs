@@ -1,9 +1,10 @@
 //! Property-based tests of the circuit-model invariants.
 
-use analog_circuits::integrator::{analyze, ClockContext};
+use analog_circuits::integrator::{analyze, prepare, ClockContext};
 use analog_circuits::mosfet::{effective_overdrive, Mosfet, SLOPE_FACTOR, V_THERMAL};
-use analog_circuits::process::{Corner, DeviceType, Process};
+use analog_circuits::process::{Corner, DeviceType, Process, TransistorParams};
 use analog_circuits::sizing::DesignVector;
+use analog_circuits::yield_est;
 use analog_circuits::{DrivableLoadProblem, IntegratorProblem, Spec};
 use moea::Problem;
 use proptest::prelude::*;
@@ -17,7 +18,117 @@ fn device() -> impl Strategy<Value = Mosfet> {
         .prop_map(|(d, w, l)| Mosfet::new(d, w, l))
 }
 
+/// Finite `f64`s of either sign across ±60 binary orders of magnitude.
+fn finite() -> impl Strategy<Value = f64> {
+    (-1.0f64..1.0, -60i32..60).prop_map(|(m, e)| m * 2f64.powi(e))
+}
+
+/// A process with every field an arbitrary finite value.
+fn any_process() -> impl Strategy<Value = Process> {
+    prop::collection::vec(finite(), 28).prop_map(|v| {
+        let device = |f: &[f64]| TransistorParams {
+            vt0: f[0],
+            kp: f[1],
+            esat: f[2],
+            lambda: f[3],
+            theta1: f[4],
+            theta2: f[5],
+            vk: f[6],
+            c_overlap: f[7],
+            cj: f[8],
+            cjsw: f[9],
+            l_diff: f[10],
+        };
+        Process {
+            vdd: v[0],
+            cox: v[1],
+            nmos: device(&v[2..13]),
+            pmos: device(&v[13..24]),
+            cap_density: v[24],
+            bottom_plate_fraction: v[25],
+            l_min: v[26],
+        }
+    })
+}
+
+/// Bit-level identity of finite-valued reports and processes: `Debug`
+/// prints each `f64` in its shortest round-trip form (and keeps the sign
+/// of zero), so two renderings match exactly when every field's bits do.
+fn bits<T: std::fmt::Debug>(value: &T) -> String {
+    format!("{value:?}")
+}
+
+/// A drivable-load design: unit-cube genes, or the reference sizing with
+/// each gene moved by at most ±0.1, so many candidates are biased.
+fn design() -> impl Strategy<Value = DesignVector> {
+    (prop::collection::vec(0.0f64..1.0, 15), 0u8..2).prop_map(|(genes, near)| {
+        let genes: Vec<f64> = if near == 1 {
+            let mut reference = DesignVector::reference().to_genes();
+            reference[14] = 0.5;
+            reference
+                .iter()
+                .zip(&genes)
+                .map(|(&r, &g)| (r + 0.2 * (g - 0.5)).clamp(0.0, 1.0))
+                .collect()
+        } else {
+            genes
+        };
+        DesignVector::from_sizing_genes(&genes).quantize()
+    })
+}
+
 proptest! {
+    #[test]
+    fn prepared_stage_never_reads_the_load(
+        dv in design(),
+        a in finite(),
+        b in finite(),
+        x in 0.0f64..6e-12,
+        corner in 0usize..5,
+    ) {
+        let process = Process::nominal().at_corner(Corner::ALL[corner]);
+        let clock = ClockContext::standard();
+        let sa = prepare(&dv.with_cl(a), &process, &clock);
+        let sb = prepare(&dv.with_cl(b), &process, &clock);
+        prop_assert_eq!(bits(&sa.at_load(x)), bits(&sb.at_load(x)));
+        // And `analyze` is the stage finished at the design's own load.
+        prop_assert_eq!(
+            bits(&sa.at_load(x)),
+            bits(&analyze(&dv.with_cl(x), &process, &clock))
+        );
+    }
+
+    #[test]
+    fn nominal_sample_reproduces_the_nominal_process(p in any_process()) {
+        let plan = yield_est::prepared_plan(&p);
+        let nominal: Vec<&Process> = plan
+            .iter()
+            .filter(|(sp, _)| sp.is_nominal())
+            .map(|(_, process)| process)
+            .collect();
+        prop_assert_eq!(nominal.len(), 1, "exactly one identity sample");
+        prop_assert_eq!(bits(nominal[0]), bits(&p));
+    }
+
+    #[test]
+    fn reusing_the_nominal_report_keeps_robustness(
+        dv in design(),
+        cl in 0.02e-12f64..5e-12,
+        corner in 0usize..5,
+        relaxed in 0u8..2,
+    ) {
+        let spec = if relaxed == 1 { Spec::relaxed() } else { Spec::featured() };
+        let nominal = Process::nominal().at_corner(Corner::ALL[corner]);
+        let clock = ClockContext::standard();
+        let dv = dv.with_cl(cl);
+        let report = analyze(&dv, &nominal, &clock);
+        let plan = yield_est::prepared_plan(&nominal);
+        let reused = yield_est::robustness_prepared(&dv, &plan, &clock, &spec, Some(&report));
+        let full = yield_est::robustness_detailed(&dv, &nominal, &clock, &spec);
+        prop_assert_eq!(reused.0.to_bits(), full.0.to_bits());
+        prop_assert_eq!(reused.1, full.1);
+    }
+
     #[test]
     fn effective_overdrive_is_monotone_positive(
         v1 in -1.0f64..1.0,

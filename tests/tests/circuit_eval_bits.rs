@@ -96,7 +96,7 @@ fn render_mosfet() -> String {
         Mosfet::new(DeviceType::Pmos, 20e-6, 0.5e-6),
         Mosfet::new(DeviceType::Pmos, 260e-6, 1.2e-6),
     ];
-    let vds: Vec<f64> = [-0.1, 0.0, 1e-3, 0.02, 0.05, 0.1, 0.2, 0.4, 0.9, 1.8].to_vec();
+    let vds = [-0.1, 0.0, 1e-3, 0.02, 0.05, 0.1, 0.2, 0.4, 0.9, 1.8];
     let mut out = String::new();
     for (d, m) in devices.iter().enumerate() {
         for k in 0..=20 {
