@@ -70,7 +70,7 @@ fn bench_stack(c: &mut Criterion) {
     });
 }
 
-/// Deterministic unit-cube batch matching the `batch_equivalence` and
+/// Deterministic unit-cube batch matching the `tests/tests/common` and
 /// `bench_eval` fixtures, so all three measure the same designs.
 fn pseudo_batch(n: usize, salt: u64) -> Vec<Vec<f64>> {
     #[allow(clippy::cast_precision_loss)]
@@ -86,10 +86,9 @@ fn pseudo_batch(n: usize, salt: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Scalar loop vs struct-of-arrays `evaluate_all` over a generation-
-/// sized batch; the equivalence suite pins the two bit-identical, so
-/// any gap here is pure kernel overhead or win.
-fn bench_batch_kernels(c: &mut Criterion) {
+/// The scalar evaluation loop over a generation-sized batch of both
+/// circuit problems.
+fn bench_batch_scalar(c: &mut Criterion) {
     let batch = pseudo_batch(64, 42);
     let drivable = DrivableLoadProblem::new(Spec::featured());
     let integrator = IntegratorProblem::new(Spec::featured());
@@ -102,9 +101,6 @@ fn bench_batch_kernels(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("drivable_evaluate_all", |b| {
-        b.iter(|| black_box(drivable.evaluate_all(black_box(&batch))));
-    });
     group.bench_function("integrator_scalar", |b| {
         b.iter(|| {
             for genes in &batch {
@@ -112,11 +108,8 @@ fn bench_batch_kernels(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("integrator_evaluate_all", |b| {
-        b.iter(|| black_box(integrator.evaluate_all(black_box(&batch))));
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_stack, bench_batch_kernels);
+criterion_group!(benches, bench_stack, bench_batch_scalar);
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 
 use analog_circuits::{DrivableLoadProblem, Spec};
 use criterion::{criterion_group, criterion_main, Criterion};
-use engine::{EngineConfig, Evaluator, ExecutionEngine, ParallelEvaluator, SerialEvaluator};
+use engine::{EngineConfig, EvaluatorKind, ExecutionEngine, ParallelEvaluator, SerialEvaluator};
 use moea::{Evaluation, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,14 +24,18 @@ fn bench_engine(c: &mut Criterion) {
     let eval = |genes: &[f64]| problem.evaluate(genes);
     let batch = gene_batch();
 
-    c.bench_function("engine_batch100_serial", |b| {
-        b.iter(|| SerialEvaluator.eval_batch(&eval, black_box(&batch)));
-    });
-
-    c.bench_function("engine_batch100_parallel", |b| {
-        let par = ParallelEvaluator::default();
-        b.iter(|| par.eval_batch(&eval, black_box(&batch)));
-    });
+    let serial: EvaluatorKind = SerialEvaluator.into();
+    let parallel: EvaluatorKind = ParallelEvaluator::default().into();
+    for (name, evaluator) in [
+        ("engine_batch100_serial", serial),
+        ("engine_batch100_parallel", parallel),
+    ] {
+        c.bench_function(name, |b| {
+            let mut exec: ExecutionEngine<Evaluation> =
+                ExecutionEngine::new(EngineConfig::default().evaluator(evaluator));
+            b.iter(|| exec.evaluate_batch(black_box(&batch), &eval));
+        });
+    }
 
     c.bench_function("engine_batch100_cached_warm", |b| {
         let mut exec: ExecutionEngine<Evaluation> =

@@ -4,18 +4,16 @@
 //! bench_eval [--quick]
 //! ```
 //!
-//! Measures the scalar `Problem::evaluate` loop against the
-//! struct-of-arrays `evaluate_all` batch kernels for both circuit
-//! problems, over a fixed deterministic batch of designs, and reports
-//! evals/sec plus the batch-over-scalar speedup. Also measures the
-//! scheduling arm: a heterogeneous-cost (bimodal spin) workload pushed
-//! through a 4-worker engine both generationally (barrier batches) and
-//! through a steady [`engine::EvaluationSession`] (windowed submission,
-//! quantum drains), reporting the steady-over-barrier speedup that the
+//! Measures the scalar `Problem::evaluate` loop of both circuit
+//! problems over a fixed deterministic batch of designs and reports
+//! evals/sec. Also measures the scheduling arm: a heterogeneous-cost
+//! (bimodal spin) workload pushed through a 4-worker engine both
+//! generationally (barrier batches) and through a steady
+//! [`engine::EvaluationSession`] (windowed submission, quantum drains),
+//! reporting the steady-over-barrier speedup that the
 //! `bench_gate --eval` CI gate pins. `--quick` shrinks the per-routine
-//! budget for CI smoke runs. The evaluation paths are pinned
-//! bit-identical by the `batch_equivalence` and session suites, so
-//! this binary only cares about throughput.
+//! budget for CI smoke runs. The values are pinned by the golden and
+//! session suites, so this binary only cares about throughput.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -24,10 +22,10 @@ use analog_circuits::{DrivableLoadProblem, IntegratorProblem, Spec};
 use engine::{EngineConfig, EvaluatorKind, ExecutionEngine};
 use moea::{Evaluation, Problem};
 
-/// Designs per measured repetition (also the kernel batch size).
+/// Designs per measured repetition.
 const BATCH: usize = 256;
 
-/// One kernel's measurement.
+/// One routine's measurement.
 struct Sample {
     label: &'static str,
     evals: u64,
@@ -42,7 +40,7 @@ impl Sample {
     }
 }
 
-/// Deterministic unit-cube batch (same recipe as the equivalence
+/// Deterministic unit-cube batch (same recipe as the integration
 /// tests, so the measured designs are reproducible across runs).
 fn pseudo_batch(n: usize, salt: u64) -> Vec<Vec<f64>> {
     #[allow(clippy::cast_precision_loss)]
@@ -122,7 +120,6 @@ fn bench_scheduling(budget: Duration) -> (Sample, Sample, f64) {
         std::thread::sleep(hetero_cost(genes));
         Evaluation::new(vec![genes[0]], vec![])
     };
-    let batch_eval = |chunk: &[Vec<f64>]| chunk.iter().map(|g| eval(g)).collect::<Vec<_>>();
     let engine_config =
         || EngineConfig::default().evaluator(EvaluatorKind::ParallelWith(SCHED_WORKERS));
 
@@ -135,7 +132,7 @@ fn bench_scheduling(budget: Duration) -> (Sample, Sample, f64) {
 
     let mut steady_engine: ExecutionEngine<Evaluation> = ExecutionEngine::new(engine_config());
     let steady = measure_n("hetero_steady", SCHED_TOTAL, budget, || {
-        steady_engine.with_session(&eval, &batch_eval, |session| {
+        steady_engine.with_session(&eval, |session| {
             let mut submitted = 0;
             let mut drained = 0;
             while drained < SCHED_TOTAL {
@@ -165,24 +162,15 @@ fn bench_problem<P: Problem>(
     problem: &P,
     batch: &[Vec<f64>],
     budget: Duration,
-    scalar_label: &'static str,
-    batch_label: &'static str,
-) -> (Sample, Sample, f64) {
-    let scalar = measure(scalar_label, budget, || {
+    label: &'static str,
+) -> Sample {
+    let scalar = measure(label, budget, || {
         for genes in batch {
             black_box(problem.evaluate(black_box(genes)));
         }
     });
-    let kernel = measure(batch_label, budget, || {
-        black_box(problem.evaluate_all(black_box(batch)));
-    });
-    let speedup = kernel.evals_per_sec() / scalar.evals_per_sec();
-    println!(
-        "{name:<12} scalar {:>9.0} evals/s | batch {:>9.0} evals/s | {speedup:.2}x",
-        scalar.evals_per_sec(),
-        kernel.evals_per_sec(),
-    );
-    (scalar, kernel, speedup)
+    println!("{name:<12} scalar {:>9.0} evals/s", scalar.evals_per_sec());
+    scalar
 }
 
 fn main() {
@@ -195,51 +183,35 @@ fn main() {
     let batch = pseudo_batch(BATCH, 42);
 
     let drivable = DrivableLoadProblem::new(Spec::featured());
-    let (d_scalar, d_batch, d_speedup) = bench_problem(
-        "drivable",
-        &drivable,
-        &batch,
-        budget,
-        "drivable_scalar",
-        "drivable_batch",
-    );
+    let d_scalar = bench_problem("drivable", &drivable, &batch, budget, "drivable_scalar");
     let integrator = IntegratorProblem::new(Spec::featured());
-    let (i_scalar, i_batch, i_speedup) = bench_problem(
+    let i_scalar = bench_problem(
         "integrator",
         &integrator,
         &batch,
         budget,
         "integrator_scalar",
-        "integrator_batch",
     );
 
     let (generational, steady, sched_speedup) = bench_scheduling(budget);
 
-    let kernels = [
-        &d_scalar,
-        &d_batch,
-        &i_scalar,
-        &i_batch,
-        &generational,
-        &steady,
-    ]
-    .map(|s| {
-        format!(
-            "{{\"label\":{:?},\"evals\":{},\"wall_s\":{:?},\"evals_per_sec\":{:?}}}",
-            s.label,
-            s.evals,
-            s.wall_s,
-            s.evals_per_sec()
-        )
-    })
-    .join(",");
+    let rows = [&d_scalar, &i_scalar, &generational, &steady]
+        .map(|s| {
+            format!(
+                "{{\"label\":{:?},\"evals\":{},\"wall_s\":{:?},\"evals_per_sec\":{:?}}}",
+                s.label,
+                s.evals,
+                s.wall_s,
+                s.evals_per_sec()
+            )
+        })
+        .join(",");
     // Host parallelism contextualizes the numbers: a 1.1x scheduling
     // speedup on a 2-core CI box is not comparable to one on 32 cores.
     let host_workers = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
     let doc = format!(
-        "{{\"schema\":3,\"batch\":{BATCH},\"host_workers\":{host_workers},\
-         \"kernels\":[{kernels}],\
-         \"speedup\":{{\"drivable\":{d_speedup:?},\"integrator\":{i_speedup:?}}},\
+        "{{\"schema\":4,\"batch\":{BATCH},\"host_workers\":{host_workers},\
+         \"rows\":[{rows}],\
          \"scheduling\":{{\"total\":{SCHED_TOTAL},\"workers\":{SCHED_WORKERS},\
          \"gen_batch\":{SCHED_GEN_BATCH},\"window\":{SCHED_WINDOW},\
          \"quantum\":{SCHED_QUANTUM},\"steady_speedup\":{sched_speedup:?}}}}}\n"

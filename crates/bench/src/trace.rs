@@ -471,8 +471,8 @@ fn json_number_field(obj: &str, key: &str) -> Result<Option<f64>, String> {
 
 /// A fresh run may be this many times slower than the baseline before
 /// the gate fails. Generous on purpose: CI machines vary widely, and
-/// the gate exists to catch order-of-magnitude regressions (a dropped
-/// batch kernel, an accidentally quadratic stage), not jitter.
+/// the gate exists to catch order-of-magnitude regressions (a disabled
+/// cache, an accidentally quadratic stage), not jitter.
 pub const GATE_MIN_THROUGHPUT_FACTOR: f64 = 8.0;
 
 /// Absolute slack allowed on each stage's share of timed wall-clock.
@@ -551,8 +551,10 @@ pub fn gate_runtime_report(fresh: &[RuntimeRun], baseline: &[RuntimeRun]) -> Vec
 pub const EVAL_SCHEMA_MIN: f64 = 2.0;
 
 /// Newest schema this build understands (schema 3 added
-/// `host_workers`). `bench_eval` and this constant move together.
-pub const EVAL_SCHEMA_CURRENT: f64 = 3.0;
+/// `host_workers`; schema 4 dropped the batch-kernel rows and their
+/// `speedup` block and renamed `kernels` to `rows`). `bench_eval` and
+/// this constant move together.
+pub const EVAL_SCHEMA_CURRENT: f64 = 4.0;
 
 /// The fields the `bench_gate --eval` gate reads out of a
 /// `BENCH_eval.json` report.
@@ -833,6 +835,12 @@ mod tests {
 
     #[test]
     fn eval_report_parses_current_and_previous_schemas() {
+        let v4 = "{\"schema\":4,\"batch\":256,\"host_workers\":2,\"rows\":[],\
+                  \"scheduling\":{\"steady_speedup\":1.5}}";
+        let r = parse_eval_report(v4).unwrap();
+        assert_eq!(r.schema, 4.0);
+        assert_eq!(r.steady_speedup, 1.5);
+        assert_eq!(r.host_workers, Some(2.0));
         let v3 = "{\"schema\":3,\"batch\":256,\"host_workers\":4,\
                   \"scheduling\":{\"steady_speedup\":1.42}}";
         let r = parse_eval_report(v3).unwrap();

@@ -19,7 +19,6 @@
 //! The 15 decision parameters are the 14 sizing parameters of
 //! [`DesignVector`] plus the input common-mode voltage (gene 15).
 
-use crate::batch::DesignBatch;
 use crate::integrator::{self, ClockContext, IntegratorReport, IntegratorStage};
 use crate::problem::IntegratorProblem;
 use crate::process::Process;
@@ -63,6 +62,9 @@ pub struct DrivableLoadProblem {
     clock: ClockContext,
     bounds: Bounds,
     name: String,
+    /// The robustness sweep's corner/mismatch processes, built from
+    /// `process` once (see [`yield_est::prepared_plan`]).
+    plan: Vec<(SamplePoint, Process)>,
 }
 
 impl DrivableLoadProblem {
@@ -70,17 +72,20 @@ impl DrivableLoadProblem {
     /// and standard clock.
     pub fn new(spec: Spec) -> Self {
         let name = format!("integrator-drivable-load({})", spec.name);
+        let process = Process::nominal();
         DrivableLoadProblem {
             spec,
-            process: Process::nominal(),
+            plan: yield_est::prepared_plan(&process),
+            process,
             clock: ClockContext::standard(),
             bounds: DesignVector::gene_bounds(),
             name,
         }
     }
 
-    /// Replaces the process description.
+    /// Replaces the process description (and rebuilds the corner plan).
     pub fn with_process(mut self, process: Process) -> Self {
+        self.plan = yield_est::prepared_plan(&process);
         self.process = process;
         self
     }
@@ -206,20 +211,8 @@ impl DrivableLoadProblem {
         (-CL_RANGE.1, 0.0)
     }
 
-    /// Evaluates one already-decoded, already-quantized design against a
-    /// pre-built robustness sample table.
-    ///
-    /// This is the single evaluation body shared by the scalar
-    /// [`Problem::evaluate`] path and the batch kernel
-    /// ([`Problem::evaluate_all`]): the scalar path builds a fresh table
-    /// per call, the batch path builds it once per generation. Because
-    /// both paths execute this exact function, they are bit-for-bit
-    /// identical by construction.
-    pub(crate) fn evaluate_quantized(
-        &self,
-        dv: &DesignVector,
-        plan: &[(SamplePoint, Process)],
-    ) -> Evaluation {
+    /// Evaluates one already-decoded, already-quantized design.
+    fn evaluate_quantized(&self, dv: &DesignVector) -> Evaluation {
         let spec = &self.spec;
 
         let (cl, report) = self.graded_load(&self.prepare(dv));
@@ -231,7 +224,7 @@ impl DrivableLoadProblem {
         // TT sample.
         let dv_at = dv.with_cl(report.cl);
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(&dv_at, plan, &self.clock, spec, Some(&report)).0
+            yield_est::robustness_prepared(&dv_at, &self.plan, &self.clock, spec, Some(&report)).0
         } else {
             0.0
         };
@@ -295,18 +288,7 @@ impl Problem for DrivableLoadProblem {
         // Designs are evaluated as they would be drawn: unit fingers, unit
         // capacitors, bias-DAC steps (see [`DesignVector::quantize`]).
         let dv = DesignVector::from_sizing_genes(x).quantize();
-        self.evaluate_quantized(&dv, &yield_est::prepared_plan(&self.process))
-    }
-
-    fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
-        // Struct-of-arrays fast path: decode the whole generation into
-        // contiguous per-parameter columns, quantize column-wise, and hoist
-        // the corner/mismatch process table out of the per-candidate loop.
-        let db = DesignBatch::decode_sizing(batch).quantize();
-        let plan = yield_est::prepared_plan(&self.process);
-        (0..db.len())
-            .map(|i| self.evaluate_quantized(&db.design(i), &plan))
-            .collect()
+        self.evaluate_quantized(&dv)
     }
 
     fn cache_canonicalizer(&self) -> Option<engine::CacheCanonicalizer> {
@@ -417,21 +399,6 @@ mod tests {
         let p = DrivableLoadProblem::new(Spec::featured());
         let r = p.report(&[0.0; 15]);
         assert!(r.power.is_finite());
-    }
-
-    #[test]
-    fn batch_evaluate_all_is_bit_identical_to_scalar() {
-        let p = DrivableLoadProblem::new(Spec::featured());
-        let batch: Vec<Vec<f64>> = (0..7)
-            .map(|i| {
-                (0..15)
-                    .map(|j| ((i * 15 + j) as f64 * 0.173).fract())
-                    .collect()
-            })
-            .collect();
-        let fast = p.evaluate_all(&batch);
-        let slow: Vec<_> = batch.iter().map(|g| p.evaluate(g)).collect();
-        assert_eq!(fast, slow);
     }
 
     #[test]

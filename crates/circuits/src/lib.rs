@@ -30,8 +30,6 @@
 //!   specifications of the paper;
 //! * [`problem`] — the [`moea::Problem`] implementation: minimize power,
 //!   maximize drivable load capacitance, under the full constraint set;
-//! * [`batch`] — struct-of-arrays generation decoding behind the
-//!   bit-identical `Problem::evaluate_all` fast paths;
 //! * [`surrogate`] — the opt-in analytic pre-screen that answers obvious
 //!   losers before the full model runs.
 //!
@@ -52,7 +50,6 @@
 //! assert_eq!(ev.objectives().len(), 2);
 //! ```
 
-pub mod batch;
 pub mod capacitor;
 pub mod drivable;
 pub mod frequency;

@@ -6,7 +6,6 @@
 //! reporting helpers convert to the paper's axes (C_L in pF on x, power in
 //! W on y) and to the paper's hypervolume units (0.1 mW · pF).
 
-use crate::batch::DesignBatch;
 use crate::integrator::{self, ClockContext, IntegratorReport};
 use crate::process::Process;
 use crate::sizing::{DesignVector, NUM_PARAMS};
@@ -39,6 +38,9 @@ pub struct IntegratorProblem {
     clock: ClockContext,
     bounds: Bounds,
     name: String,
+    /// The robustness sweep's corner/mismatch processes, built from
+    /// `process` once (see [`yield_est::prepared_plan`]).
+    plan: Vec<(SamplePoint, Process)>,
 }
 
 impl IntegratorProblem {
@@ -46,17 +48,20 @@ impl IntegratorProblem {
     /// standard clock.
     pub fn new(spec: Spec) -> Self {
         let name = format!("integrator-sizing({})", spec.name);
+        let process = Process::nominal();
         IntegratorProblem {
             spec,
-            process: Process::nominal(),
+            plan: yield_est::prepared_plan(&process),
+            process,
             clock: ClockContext::standard(),
             bounds: DesignVector::gene_bounds(),
             name,
         }
     }
 
-    /// Replaces the process description.
+    /// Replaces the process description (and rebuilds the corner plan).
     pub fn with_process(mut self, process: Process) -> Self {
+        self.plan = yield_est::prepared_plan(&process);
         self.process = process;
         self
     }
@@ -96,26 +101,13 @@ impl IntegratorProblem {
 
     /// Evaluates a decoded design (shared by [`Problem::evaluate`]).
     pub fn evaluate_design(&self, dv: &DesignVector) -> Evaluation {
-        self.evaluate_design_prepared(dv, &yield_est::prepared_plan(&self.process))
-    }
-
-    /// Evaluates a decoded design against a pre-built robustness sample
-    /// table (see [`yield_est::prepared_plan`]). The scalar path builds a
-    /// fresh table per call; the batch kernel ([`Problem::evaluate_all`])
-    /// builds one per generation. Both paths execute this same body, so
-    /// they are bit-for-bit identical by construction.
-    pub(crate) fn evaluate_design_prepared(
-        &self,
-        dv: &DesignVector,
-        plan: &[(SamplePoint, Process)],
-    ) -> Evaluation {
         let report = integrator::analyze(dv, &self.process, &self.clock);
 
         // Robustness: the nominal report stands in for the TT sample; skip
         // the 8 corner analyses when the nominal point is not even biased —
         // it cannot pass anywhere.
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(dv, plan, &self.clock, &self.spec, Some(&report)).0
+            yield_est::robustness_prepared(dv, &self.plan, &self.clock, &self.spec, Some(&report)).0
         } else {
             0.0
         };
@@ -233,16 +225,6 @@ impl Problem for IntegratorProblem {
         let dv = DesignVector::from_genes(x);
         self.evaluate_design(&dv)
     }
-
-    fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
-        // Struct-of-arrays fast path: column-wise gene decode plus one
-        // corner/mismatch process table for the whole generation.
-        let db = DesignBatch::decode(batch);
-        let plan = yield_est::prepared_plan(&self.process);
-        (0..db.len())
-            .map(|i| self.evaluate_design_prepared(&db.design(i), &plan))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -345,21 +327,6 @@ mod tests {
         let report = p.report(&genes);
         let ev = p.evaluate(&genes);
         assert!((report.power - ev.objectives()[1]).abs() < 1e-15);
-    }
-
-    #[test]
-    fn batch_evaluate_all_is_bit_identical_to_scalar() {
-        let p = IntegratorProblem::new(Spec::featured());
-        let batch: Vec<Vec<f64>> = (0..5)
-            .map(|i| {
-                (0..15)
-                    .map(|j| ((i * 15 + j) as f64 * 0.219).fract())
-                    .collect()
-            })
-            .collect();
-        let fast = p.evaluate_all(&batch);
-        let slow: Vec<_> = batch.iter().map(|g| p.evaluate(g)).collect();
-        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -94,9 +94,7 @@ pub const C_UNIT: f64 = 0.25e-12;
 pub const I_UNIT: f64 = 0.5e-6;
 
 /// `(min, max, log?)` for each of the 15 parameters, in gene order.
-/// Shared with the struct-of-arrays batch decoder (`crate::batch`), which
-/// must reproduce [`DesignVector::from_genes`] bit for bit.
-pub(crate) const PARAM_RANGES: [(f64, f64, bool); NUM_PARAMS] = [
+const PARAM_RANGES: [(f64, f64, bool); NUM_PARAMS] = [
     (1.0e-6, 400.0e-6, true),        // w1
     (0.18e-6, 1.5e-6, true),         // l1
     (1.0e-6, 400.0e-6, true),        // w3
@@ -114,7 +112,7 @@ pub(crate) const PARAM_RANGES: [(f64, f64, bool); NUM_PARAMS] = [
     (CL_RANGE.0, CL_RANGE.1, false), // cl — linear
 ];
 
-pub(crate) fn map_gene(u: f64, (lo, hi, log): (f64, f64, bool)) -> f64 {
+fn map_gene(u: f64, (lo, hi, log): (f64, f64, bool)) -> f64 {
     let u = u.clamp(0.0, 1.0);
     if log {
         (lo.ln() + u * (hi.ln() - lo.ln())).exp()
@@ -124,9 +122,8 @@ pub(crate) fn map_gene(u: f64, (lo, hi, log): (f64, f64, bool)) -> f64 {
 }
 
 /// Snaps `v` to whole multiples of `unit` (at least one unit) — the
-/// quantization step used by [`DesignVector::quantize`] and the batch
-/// decoder's column-wise quantization.
-pub(crate) fn snap_to_unit(v: f64, unit: f64) -> f64 {
+/// quantization step used by [`DesignVector::quantize`].
+fn snap_to_unit(v: f64, unit: f64) -> f64 {
     (v / unit).round().max(1.0) * unit
 }
 

@@ -96,9 +96,9 @@ pub fn passes_performance(report: &IntegratorReport, spec: &Spec) -> bool {
 
 /// The [`sample_plan`] with the skewed [`Process`] of every sample point
 /// already built. Deriving the nine corner/mismatch process descriptions
-/// is design-independent, so a batch sweep prepares this table once and
-/// amortizes it across every candidate in the generation; the scalar path
-/// uses the identical table so both paths are bit-for-bit interchangeable.
+/// is design-independent, so the circuit problems build this table once,
+/// when they are constructed or given a new process, and every
+/// evaluation reads it.
 pub fn prepared_plan(nominal: &Process) -> Vec<(SamplePoint, Process)> {
     sample_plan()
         .into_iter()

@@ -412,26 +412,24 @@ impl<P: Problem + Sync> CellularGa<P> {
         }
         let bounds = problem.bounds().clone();
         let eval = |genes: &[f64]| problem.evaluate(genes);
-        let batch_eval = |chunk: &[Vec<f64>]| problem.evaluate_all(chunk);
-        exec.with_session(&eval, &batch_eval, |session| {
+        exec.with_session(&eval, |session| {
             self.run_loop(launch, stop_after, sink, session, bounds)
         })
     }
 
     /// The cellular loop proper, generic over the session's evaluation
-    /// closures.
+    /// closure.
     #[allow(clippy::too_many_lines)]
-    fn run_loop<F, B>(
+    fn run_loop<F>(
         &self,
         launch: CellularLaunch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
-        session: &mut EvaluationSession<'_, Evaluation, F, B>,
+        session: &mut EvaluationSession<'_, Evaluation, F>,
         bounds: Bounds,
     ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError>
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         let cfg = &self.config;
         let topo = &cfg.topology;

@@ -300,14 +300,13 @@ impl<P: Problem> IslandGa<P> {
             .exec
             .build_engine(self.problem.cache_canonicalizer());
         let eval_fn = |genes: &[f64]| self.problem.evaluate(genes);
-        let batch_fn = |chunk: &[Vec<f64>]| self.problem.evaluate_all(chunk);
 
         // Draw every island's genes first (sole RNG consumer), then
         // batch-evaluate the whole archipelago in one engine call.
         let init_genes: Vec<Vec<f64>> = (0..self.config.islands * per_island)
             .map(|_| random_vector(&mut rng, &bounds))
             .collect();
-        let init_evals = exec.try_evaluate_batch_with(&init_genes, &eval_fn, &batch_fn)?;
+        let init_evals = exec.try_evaluate_batch(&init_genes, &eval_fn)?;
         let mut members = init_genes
             .into_iter()
             .zip(init_evals)
@@ -355,7 +354,7 @@ impl<P: Problem> IslandGa<P> {
                     }
                 }
                 timer.start(Stage::Evaluation);
-                let evals = exec.try_evaluate_batch_with(&child_genes, &eval_fn, &batch_fn)?;
+                let evals = exec.try_evaluate_batch(&child_genes, &eval_fn)?;
                 timer.start(Stage::Selection);
                 let offspring: Vec<Individual> = child_genes
                     .into_iter()

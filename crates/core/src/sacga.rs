@@ -606,11 +606,7 @@ impl<'p, P: Problem + Sync> Engine<'p, P> {
         let init_genes: Vec<Vec<f64>> = (0..config.population_size)
             .map(|_| random_vector(rng, &bounds))
             .collect();
-        let init_evals = exec.try_evaluate_batch_with(
-            &init_genes,
-            &|genes| problem.evaluate(genes),
-            &|chunk: &[Vec<f64>]| problem.evaluate_all(chunk),
-        )?;
+        let init_evals = exec.try_evaluate_batch(&init_genes, &|genes| problem.evaluate(genes))?;
         let initial: Vec<Individual> = init_genes
             .into_iter()
             .zip(init_evals)
@@ -873,11 +869,9 @@ impl<'p, P: Problem + Sync> Engine<'p, P> {
             }
         }
         self.timer.start(Stage::Evaluation);
-        let evals = self.exec.try_evaluate_batch_with(
-            &child_genes,
-            &|genes| problem.evaluate(genes),
-            &|chunk: &[Vec<f64>]| problem.evaluate_all(chunk),
-        )?;
+        let evals = self
+            .exec
+            .try_evaluate_batch(&child_genes, &|genes| problem.evaluate(genes))?;
         self.timer.stop();
         Ok(child_genes
             .into_iter()

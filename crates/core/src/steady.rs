@@ -418,25 +418,23 @@ impl<P: Problem + Sync> SteadySacga<P> {
         }
         let bounds = problem.bounds().clone();
         let eval = |genes: &[f64]| problem.evaluate(genes);
-        let batch_eval = |chunk: &[Vec<f64>]| problem.evaluate_all(chunk);
-        exec.with_session(&eval, &batch_eval, |session| {
+        exec.with_session(&eval, |session| {
             self.run_loop(launch, stop_after, sink, session, bounds)
         })
     }
 
     /// The steady loop proper, generic over the session's evaluation
-    /// closures.
-    fn run_loop<F, B>(
+    /// closure.
+    fn run_loop<F>(
         &self,
         launch: SteadyLaunch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
-        session: &mut EvaluationSession<'_, Evaluation, F, B>,
+        session: &mut EvaluationSession<'_, Evaluation, F>,
         bounds: Bounds,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError>
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         let base = &self.config.base;
         let n = base.population_size;
@@ -846,10 +844,9 @@ impl Flow {
     /// Submits offspring pairs from the current selection basis until
     /// the look-ahead window is full or the run's production budget
     /// (`generations × population_size`) is spent.
-    fn top_up<F, B>(&mut self, session: &mut EvaluationSession<'_, Evaluation, F, B>)
+    fn top_up<F>(&mut self, session: &mut EvaluationSession<'_, Evaluation, F>)
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         let budget = self.generations * self.n;
         self.timer.start(Stage::Variation);
@@ -883,14 +880,13 @@ impl Flow {
     /// only for the oldest outstanding completions — and folds it into
     /// the partitioned population: absorb, local elitist truncation,
     /// local re-ranking.
-    fn merge<F, B>(
+    fn merge<F>(
         &mut self,
-        session: &mut EvaluationSession<'_, Evaluation, F, B>,
+        session: &mut EvaluationSession<'_, Evaluation, F>,
         target: usize,
     ) -> Result<(), OptimizeError>
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         let want = self
             .quantum
@@ -931,13 +927,12 @@ impl Flow {
 
     /// Drains resolved fault episodes and, for executed generations,
     /// emits the [`RunEvent::GenerationEnd`] (and stage-timing) records.
-    fn emit_boundary<F, B>(
+    fn emit_boundary<F>(
         &mut self,
-        session: &mut EvaluationSession<'_, Evaluation, F, B>,
+        session: &mut EvaluationSession<'_, Evaluation, F>,
         sink: &mut dyn Sink,
     ) where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         let faults = session.take_fault_events();
         if sink.wants(EventKind::EvaluationFault) {
@@ -989,14 +984,13 @@ impl Flow {
     /// list; the rescue drain's batch accounting is rolled back so a
     /// resumed run counts those merges exactly as an uninterrupted one
     /// would.
-    fn suspend<F, B>(
+    fn suspend<F>(
         &mut self,
-        session: &mut EvaluationSession<'_, Evaluation, F, B>,
+        session: &mut EvaluationSession<'_, Evaluation, F>,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError>
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         if sink.wants(EventKind::CheckpointWritten) {
             sink.record(&RunEvent::CheckpointWritten {
@@ -1052,10 +1046,9 @@ impl Flow {
     }
 
     /// Final global competition and result assembly.
-    fn finish<F, B>(self, session: &mut EvaluationSession<'_, Evaluation, F, B>) -> RunOutcome
+    fn finish<F>(self, session: &mut EvaluationSession<'_, Evaluation, F>) -> RunOutcome
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<Evaluation>,
     {
         let mut population = self.pop.flatten();
         rank_and_crowd(&mut population);

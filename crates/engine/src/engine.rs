@@ -8,7 +8,6 @@ use crate::screen::SurrogateScreen;
 use crate::session::EvaluationSession;
 use crate::shared::SharedCache;
 use crate::stats::EngineStats;
-use std::time::Instant;
 
 /// Configuration of an [`ExecutionEngine`].
 ///
@@ -117,23 +116,6 @@ pub(crate) fn push_fault_event(events: &mut Vec<FaultEvent>, event: FaultEvent) 
     }
 }
 
-/// Spreads one batch call's wall time over its `n` candidates in the
-/// attached latency histogram (kernel batches have no per-candidate
-/// timings, so each candidate is charged the mean).
-pub(crate) fn observe_amortized(
-    metrics: Option<&EngineMetrics>,
-    elapsed: std::time::Duration,
-    n: usize,
-) {
-    if let Some(m) = metrics {
-        if n > 0 {
-            #[allow(clippy::cast_precision_loss)]
-            m.eval_latency
-                .observe_n(elapsed.as_secs_f64() / n as f64, n as u64);
-        }
-    }
-}
-
 impl<T: Clone + Send> ExecutionEngine<T> {
     /// Builds an engine from its configuration.
     pub fn new(config: EngineConfig) -> Self {
@@ -220,44 +202,6 @@ impl<T: Clone + Send> ExecutionEngine<T> {
         self.metrics.as_ref()
     }
 
-    /// Whether any memoization layer (private or shared) is active.
-    fn caching_enabled(&self) -> bool {
-        self.shared.is_some() || self.config.cache.capacity > 0
-    }
-
-    /// Quantized key of `genes` under the active cache layer's grid,
-    /// after canonicalization (when a canonicalizer is installed).
-    fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        let canonical;
-        let genes = match self.canonicalize {
-            Some(f) => {
-                canonical = f(genes);
-                &canonical[..]
-            }
-            None => genes,
-        };
-        match &self.shared {
-            Some(shared) => shared.key_of(genes),
-            None => self.cache.key_of(genes),
-        }
-    }
-
-    /// Looks `key` up in the active cache layer.
-    fn cache_get(&mut self, key: &[i64]) -> Option<T> {
-        match &self.shared {
-            Some(shared) => shared.get(key),
-            None => self.cache.get(key),
-        }
-    }
-
-    /// Stores `value` in the active cache layer.
-    fn cache_put(&mut self, key: Vec<i64>, value: T) {
-        match &self.shared {
-            Some(shared) => shared.insert(key, value),
-            None => self.cache.insert(key, value),
-        }
-    }
-
     /// Drains the fault episodes resolved since the previous drain
     /// (recovered or quarantined candidates, in batch order). Run loops
     /// call this once per generation to forward the episodes into their
@@ -293,195 +237,38 @@ impl<T: Clone + Send> ExecutionEngine<T> {
     pub fn into_stats(self) -> EngineStats {
         self.stats
     }
+}
 
+impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
     /// Evaluates a batch of gene vectors, returning results in input
     /// order.
     ///
-    /// With caching enabled, previously seen candidates (and duplicates
-    /// within the batch) are answered from the cache; only genuinely new
-    /// candidates reach `eval`. Without a cache this is a pure fan-out
-    /// through the configured evaluator.
+    /// This is [`try_evaluate_batch`](ExecutionEngine::try_evaluate_batch)
+    /// for callers that treat an aborted batch as a bug: the same cache,
+    /// screen, fault policy and injection plan apply, and tainted
+    /// results are never cached.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`EvalFailure`] when a candidate exhausts its
+    /// retry budget and the configured [`FaultPolicy`] aborts — under
+    /// the default single-attempt policy, whenever `eval` panics.
     pub fn evaluate_batch<F>(&mut self, batch: &[Vec<f64>], eval: &F) -> Vec<T>
     where
         F: Fn(&[f64]) -> T + Sync,
     {
-        self.evaluate_batch_with(batch, eval, &|chunk: &[Vec<f64>]| {
-            chunk.iter().map(|genes| eval(genes)).collect()
-        })
+        self.try_evaluate_batch(batch, eval)
+            .unwrap_or_else(|failure| panic!("{failure}"))
     }
 
-    /// [`evaluate_batch`](ExecutionEngine::evaluate_batch) with an
-    /// explicit batch kernel.
+    /// Evaluates a batch of gene vectors under the configured
+    /// [`FaultPolicy`] (panics contained, bounded retries, optional
+    /// quarantine of non-finite results), with faults injected when the
+    /// configuration carries a [`FaultPlan`].
     ///
-    /// `batch_eval` must be observationally identical to mapping `eval`
-    /// over the chunk (same values, bit for bit) — it exists so problems
-    /// with a struct-of-arrays fast path can evaluate a whole miss set in
-    /// one call. The kernel is used only under the serial evaluator; the
-    /// parallel evaluator keeps the per-candidate fan-out so a batch
-    /// still spreads across threads.
-    pub fn evaluate_batch_with<F, B>(
-        &mut self,
-        batch: &[Vec<f64>],
-        eval: &F,
-        batch_eval: &B,
-    ) -> Vec<T>
-    where
-        F: Fn(&[f64]) -> T + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<T>,
-    {
-        self.stats.candidates += batch.len() as u64;
-        self.stats.batches += 1;
-        self.stats.max_batch = self.stats.max_batch.max(batch.len() as u64);
-        if let Some(m) = &self.metrics {
-            m.candidates.add(batch.len() as u64);
-            #[allow(clippy::cast_precision_loss)]
-            m.batch_size.observe(batch.len() as f64);
-        }
-
-        if !self.caching_enabled() {
-            let (values, _screened) = self.run_values_with(batch, eval, batch_eval);
-            return values;
-        }
-
-        // Resolve each candidate to a cached result or a miss slot. A
-        // candidate whose key already appeared earlier in this batch is
-        // also a hit: it aliases the earlier miss's future result.
-        let mut resolved: Vec<Option<T>> = Vec::with_capacity(batch.len());
-        resolved.resize_with(batch.len(), || None);
-        let mut miss_genes: Vec<Vec<f64>> = Vec::new();
-        let mut miss_keys: Vec<Vec<i64>> = Vec::new();
-        // position in batch -> index into miss_genes
-        let mut miss_of: Vec<Option<usize>> = vec![None; batch.len()];
-        let mut pending: std::collections::HashMap<Vec<i64>, usize> =
-            std::collections::HashMap::new();
-
-        let hits_before = self.stats.cache_hits;
-        for (i, genes) in batch.iter().enumerate() {
-            let key = self.cache_key(genes);
-            if let Some(value) = self.cache_get(&key) {
-                self.stats.cache_hits += 1;
-                resolved[i] = Some(value);
-            } else if let Some(&m) = pending.get(&key) {
-                self.stats.cache_hits += 1;
-                miss_of[i] = Some(m);
-            } else {
-                let m = miss_genes.len();
-                miss_genes.push(genes.clone());
-                pending.insert(key.clone(), m);
-                miss_keys.push(key);
-                miss_of[i] = Some(m);
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.cache_hits.add(self.stats.cache_hits - hits_before);
-        }
-
-        let (miss_results, screened) = self.run_values_with(&miss_genes, eval, batch_eval);
-
-        for ((key, value), &was_screened) in miss_keys
-            .into_iter()
-            .zip(miss_results.iter())
-            .zip(&screened)
-        {
-            if !was_screened {
-                self.cache_put(key, value.clone());
-            }
-        }
-
-        resolved
-            .into_iter()
-            .zip(miss_of)
-            .map(|(hit, miss)| match (hit, miss) {
-                (Some(v), _) => v,
-                (None, Some(m)) => miss_results[m].clone(),
-                (None, None) => unreachable!("every candidate is a hit or a miss"),
-            })
-            .collect()
-    }
-
-    /// Evaluates a miss set for the plain (non-fault-tolerant) path:
-    /// screened candidates are answered by the surrogate, the rest go
-    /// through the batch kernel (serial evaluator) or the scalar fan-out
-    /// (parallel evaluators). Returns values in miss order plus the
-    /// screened mask (screened values must not be cached).
-    fn run_values_with<F, B>(
-        &mut self,
-        miss: &[Vec<f64>],
-        eval: &F,
-        batch_eval: &B,
-    ) -> (Vec<T>, Vec<bool>)
-    where
-        F: Fn(&[f64]) -> T + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<T>,
-    {
-        let mut slots: Vec<Option<T>> = vec![None; miss.len()];
-        let mut screened = vec![false; miss.len()];
-        if let Some(screen) = self.screen.clone() {
-            for (i, genes) in miss.iter().enumerate() {
-                if let Some(value) = screen.screen(genes) {
-                    self.stats.screened += 1;
-                    screened[i] = true;
-                    slots[i] = Some(value);
-                }
-            }
-        }
-        let live: Vec<usize> = (0..miss.len()).filter(|&i| !screened[i]).collect();
-        self.stats.evaluations += live.len() as u64;
-        if let Some(m) = &self.metrics {
-            m.screened.add((miss.len() - live.len()) as u64);
-            m.evaluations.add(live.len() as u64);
-        }
-        let serial = matches!(self.config.evaluator, EvaluatorKind::Serial);
-        let t0 = Instant::now();
-        if live.len() == miss.len() {
-            // Nothing screened: evaluate the miss set in place.
-            let values = if serial {
-                batch_eval(miss)
-            } else {
-                self.config.evaluator.eval_batch(eval, miss)
-            };
-            let dt = t0.elapsed();
-            self.stats.eval_time += dt;
-            observe_amortized(self.metrics.as_ref(), dt, live.len());
-            assert_eq!(
-                values.len(),
-                miss.len(),
-                "batch kernel mis-sized its output"
-            );
-            return (values, screened);
-        }
-        let live_genes: Vec<Vec<f64>> = live.iter().map(|&i| miss[i].clone()).collect();
-        let values = if serial {
-            batch_eval(&live_genes)
-        } else {
-            self.config.evaluator.eval_batch(eval, &live_genes)
-        };
-        let dt = t0.elapsed();
-        self.stats.eval_time += dt;
-        observe_amortized(self.metrics.as_ref(), dt, live.len());
-        assert_eq!(
-            values.len(),
-            live_genes.len(),
-            "batch kernel mis-sized its output"
-        );
-        for (&i, value) in live.iter().zip(values) {
-            slots[i] = Some(value);
-        }
-        let out = slots
-            .into_iter()
-            .map(|slot| slot.expect("every miss slot is screened or evaluated"))
-            .collect();
-        (out, screened)
-    }
-}
-
-impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
-    /// Fault-tolerant variant of
-    /// [`evaluate_batch`](ExecutionEngine::evaluate_batch): every
-    /// candidate is evaluated under the configured [`FaultPolicy`]
-    /// (panics contained, bounded retries, optional quarantine of
-    /// non-finite results) with faults injected when the configuration
-    /// carries a [`FaultPlan`].
+    /// With caching enabled, previously seen candidates (and duplicates
+    /// within the batch) are answered from the cache; only genuinely new
+    /// candidates reach `eval`, through the configured evaluator.
     ///
     /// Returns the results in input order, or the first [`EvalFailure`]
     /// (by batch position) when a candidate exhausts its retry budget
@@ -489,6 +276,12 @@ impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
     /// [`EngineStats`] in input order, so they are identical under
     /// serial and parallel evaluation. Tainted (non-finite) and
     /// quarantined results are never stored in the memoization cache.
+    ///
+    /// This is a thin wrapper over the incremental submission API: the
+    /// whole batch is submitted to an [`EvaluationSession`] and drained
+    /// to a barrier, which gives one-shot semantics (hit/alias
+    /// resolution in batch order, fault accounting in batch order,
+    /// misses cached in first-occurrence order).
     pub fn try_evaluate_batch<F>(
         &mut self,
         batch: &[Vec<f64>],
@@ -497,40 +290,7 @@ impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
     where
         F: Fn(&[f64]) -> T + Sync,
     {
-        self.try_evaluate_batch_with(batch, eval, &|chunk: &[Vec<f64>]| {
-            chunk.iter().map(|genes| eval(genes)).collect()
-        })
-    }
-
-    /// [`try_evaluate_batch`](ExecutionEngine::try_evaluate_batch) with
-    /// an explicit batch kernel.
-    ///
-    /// `batch_eval` must be observationally identical to mapping `eval`
-    /// over the chunk (same values, bit for bit). Under the serial
-    /// evaluator, cache misses that are neither screened nor scheduled
-    /// for fault injection run through the kernel in one call;
-    /// fault-scheduled candidates keep the scalar guarded path so
-    /// injection, retry, and quarantine accounting stay bit-identical to
-    /// a scalar sweep. A kernel that panics (or mis-sizes its output)
-    /// demotes the affected candidates to the scalar guarded path, so
-    /// the fault policy still contains per-candidate panics.
-    ///
-    /// This is a thin wrapper over the incremental submission API: the
-    /// whole batch is submitted to an [`EvaluationSession`] and drained
-    /// to a barrier, which reproduces the historical one-shot semantics
-    /// (hit/alias resolution in batch order, fault accounting in batch
-    /// order, misses cached in first-occurrence order) bit for bit.
-    pub fn try_evaluate_batch_with<F, B>(
-        &mut self,
-        batch: &[Vec<f64>],
-        eval: &F,
-        batch_eval: &B,
-    ) -> Result<Vec<T>, EvalFailure>
-    where
-        F: Fn(&[f64]) -> T + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<T>,
-    {
-        self.with_session(eval, batch_eval, |session| {
+        self.with_session(eval, |session| {
             for genes in batch {
                 session.submit(genes);
             }
@@ -548,17 +308,15 @@ impl<T: Clone + Send + Quarantine> ExecutionEngine<T> {
     /// submissions evaluate concurrently with the caller's own work
     /// between drains; see the [`session`](crate::session) module docs
     /// for the full semantics.
-    pub fn with_session<F, B, R>(
+    pub fn with_session<F, R>(
         &mut self,
         eval: &F,
-        batch_eval: &B,
-        f: impl FnOnce(&mut EvaluationSession<'_, T, F, B>) -> R,
+        f: impl FnOnce(&mut EvaluationSession<'_, T, F>) -> R,
     ) -> R
     where
         F: Fn(&[f64]) -> T + Sync,
-        B: Fn(&[Vec<f64>]) -> Vec<T>,
     {
-        crate::session::run_session(self, eval, batch_eval, f)
+        crate::session::run_session(self, eval, f)
     }
 }
 
@@ -731,6 +489,14 @@ mod tests {
         engine.try_evaluate_batch(&batch, &f).unwrap();
         // [2.0] cached after the first batch; [1.0] re-evaluated.
         assert_eq!(calls.load(Ordering::SeqCst), 3);
+        // The panicking form keeps the guarantee: [1.0] is evaluated
+        // again on every call, [2.0] stays a hit.
+        for expected_calls in [4, 5] {
+            let out = engine.evaluate_batch(&batch, &f);
+            assert!(out[0].is_nan());
+            assert_eq!(out[1], 2.0);
+            assert_eq!(calls.load(Ordering::SeqCst), expected_calls);
+        }
     }
 
     #[test]
@@ -739,7 +505,7 @@ mod tests {
         let cfg = EngineConfig::default()
             .fault_policy(crate::FaultPolicy::tolerant(3))
             .inject_faults(plan);
-        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(cfg);
+        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(cfg.clone());
         let mut clean: ExecutionEngine<f64> = ExecutionEngine::new(EngineConfig::default());
         let f = |genes: &[f64]| genes[0] * 2.0;
         let batch: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64]).collect();
@@ -752,6 +518,14 @@ mod tests {
         assert_eq!(s.retries, s.failures);
         assert_eq!(s.recovered, s.failures);
         assert_eq!(s.quarantined, 0);
+
+        // The panicking form runs under the same policy and plan.
+        let mut plain: ExecutionEngine<f64> = ExecutionEngine::new(cfg);
+        assert_eq!(plain.evaluate_batch(&batch, &f), reference);
+        let s = plain.stats();
+        assert!(s.failures > 0, "plan should schedule some faults");
+        assert_eq!(s.failures, s.injected_panics + s.injected_nonfinite);
+        assert_eq!(s.recovered, s.failures);
     }
 
     #[test]
@@ -789,87 +563,6 @@ mod tests {
         assert_eq!(err.index, 0);
         assert_eq!(err.attempts, 1);
         assert_eq!(err.kind, crate::FaultKind::Panic);
-    }
-
-    #[test]
-    fn batch_kernel_is_used_for_serial_misses() {
-        let kernel_calls = AtomicU64::new(0);
-        let scalar_calls = AtomicU64::new(0);
-        let mut engine: ExecutionEngine<f64> =
-            ExecutionEngine::new(EngineConfig::default().cache_capacity(16));
-        let eval = |genes: &[f64]| {
-            scalar_calls.fetch_add(1, Ordering::SeqCst);
-            genes[0] * 2.0
-        };
-        let kernel = |chunk: &[Vec<f64>]| {
-            kernel_calls.fetch_add(1, Ordering::SeqCst);
-            chunk.iter().map(|g| g[0] * 2.0).collect::<Vec<f64>>()
-        };
-        let batch = vec![vec![1.0], vec![2.0], vec![1.0]];
-        let out = engine
-            .try_evaluate_batch_with(&batch, &eval, &kernel)
-            .unwrap();
-        assert_eq!(out, vec![2.0, 4.0, 2.0]);
-        assert_eq!(kernel_calls.load(Ordering::SeqCst), 1);
-        assert_eq!(scalar_calls.load(Ordering::SeqCst), 0);
-        assert_eq!(engine.stats().evaluations, 2);
-        assert_eq!(engine.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn batch_kernel_panic_demotes_to_scalar_path() {
-        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(EngineConfig::default());
-        let eval = |genes: &[f64]| genes[0] + 1.0;
-        let kernel = |_chunk: &[Vec<f64>]| -> Vec<f64> { panic!("kernel exploded") };
-        let batch = vec![vec![1.0], vec![2.0]];
-        let out = engine
-            .try_evaluate_batch_with(&batch, &eval, &kernel)
-            .unwrap();
-        assert_eq!(out, vec![2.0, 3.0]);
-        // The scalar fallback succeeds on the first attempt, so the
-        // kernel panic leaves no failure accounting behind.
-        assert_eq!(engine.stats().failures, 0);
-    }
-
-    #[test]
-    fn mis_sized_kernel_demotes_to_scalar_path() {
-        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(EngineConfig::default());
-        let eval = |genes: &[f64]| genes[0] + 1.0;
-        let kernel = |_chunk: &[Vec<f64>]| -> Vec<f64> { vec![0.0] };
-        let batch = vec![vec![1.0], vec![2.0]];
-        let out = engine
-            .try_evaluate_batch_with(&batch, &eval, &kernel)
-            .unwrap();
-        assert_eq!(out, vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn kernel_and_injection_compose_bit_identically() {
-        let plan = crate::FaultPlan::seeded(13).panics(0.2).nonfinite(0.2);
-        let cfg = EngineConfig::default()
-            .fault_policy(crate::FaultPolicy::tolerant(3))
-            .inject_faults(plan);
-        let mut with_kernel: ExecutionEngine<f64> = ExecutionEngine::new(cfg.clone());
-        let mut scalar: ExecutionEngine<f64> = ExecutionEngine::new(cfg);
-        let eval = |genes: &[f64]| genes[0] * 2.0;
-        let kernel = |chunk: &[Vec<f64>]| chunk.iter().map(|g| g[0] * 2.0).collect::<Vec<f64>>();
-        let batch: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64]).collect();
-        let a = with_kernel
-            .try_evaluate_batch_with(&batch, &eval, &kernel)
-            .unwrap();
-        let b = scalar.try_evaluate_batch(&batch, &eval).unwrap();
-        assert_eq!(a, b);
-        let mut sa = with_kernel.stats().clone();
-        let mut sb = scalar.stats().clone();
-        sa.eval_time = std::time::Duration::ZERO;
-        sb.eval_time = std::time::Duration::ZERO;
-        sa.backoff_time = sb.backoff_time;
-        assert_eq!(sa, sb);
-        assert_eq!(
-            with_kernel.take_fault_events(),
-            scalar.take_fault_events(),
-            "fault episodes must land on the same candidates"
-        );
     }
 
     #[test]

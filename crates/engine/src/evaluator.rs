@@ -1,25 +1,11 @@
-//! Evaluation fan-out strategies: serial loop or scoped-thread pool.
-
-use crate::pool;
-
-/// A strategy for evaluating a batch of candidate gene vectors.
-///
-/// Implementations must preserve input order: `eval_batch(f, batch)[i]`
-/// is `f(&batch[i])` regardless of how the work is scheduled. Combined
-/// with the fact that evaluation functions in this workspace consume no
-/// randomness, this makes a seeded optimizer run reproduce bit-for-bit
-/// under any evaluator.
-pub trait Evaluator {
-    /// A short human-readable name for logs and stats.
-    fn label(&self) -> &'static str;
-
-    /// Evaluates every gene vector in `batch`, returning results in input
-    /// order.
-    fn eval_batch<T, F>(&self, eval: &F, batch: &[Vec<f64>]) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> T + Sync;
-}
+//! Evaluation strategies: the serial default or a scoped-thread pool.
+//!
+//! These types only *name* a strategy for
+//! [`EngineConfig::evaluator`](crate::EngineConfig::evaluator); the
+//! [`EvaluationSession`](crate::EvaluationSession) carries it out. Every
+//! strategy hands results back in submission order, and evaluation
+//! functions in this workspace consume no randomness, so a seeded
+//! optimizer run reproduces bit-for-bit under any of them.
 
 /// Evaluates candidates one at a time on the calling thread.
 ///
@@ -28,25 +14,10 @@ pub trait Evaluator {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SerialEvaluator;
 
-impl Evaluator for SerialEvaluator {
-    fn label(&self) -> &'static str {
-        "serial"
-    }
-
-    fn eval_batch<T, F>(&self, eval: &F, batch: &[Vec<f64>]) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        batch.iter().map(|genes| eval(genes)).collect()
-    }
-}
-
-/// Evaluates candidates across scoped OS threads.
+/// Evaluates candidates on a pool of scoped OS threads.
 ///
-/// Work is distributed through the shared [`pool`] helper: workers
-/// claim candidates off a shared counter and write each result into
-/// that candidate's output slot, so the result order is identical to
+/// Workers take candidates one at a time as they are submitted; results
+/// still come back in submission order, so they are identical to
 /// [`SerialEvaluator`]'s no matter how the threads are scheduled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelEvaluator {
@@ -58,36 +29,6 @@ impl ParallelEvaluator {
     /// A parallel evaluator capped at `threads` workers (`0` = automatic).
     pub fn with_threads(threads: usize) -> Self {
         ParallelEvaluator { threads }
-    }
-
-    fn resolve_threads(&self, batch_len: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let cap = if self.threads == 0 {
-            auto
-        } else {
-            self.threads
-        };
-        cap.min(batch_len).max(1)
-    }
-}
-
-impl Evaluator for ParallelEvaluator {
-    fn label(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn eval_batch<T, F>(&self, eval: &F, batch: &[Vec<f64>]) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        let workers = self.resolve_threads(batch.len());
-        if workers <= 1 || batch.len() <= 1 {
-            return SerialEvaluator.eval_batch(eval, batch);
-        }
-        pool::map_indexed(workers, batch.len(), |i| eval(&batch[i]))
     }
 }
 
@@ -114,26 +55,8 @@ impl EvaluatorKind {
     /// A short human-readable name for logs and stats.
     pub fn label(&self) -> &'static str {
         match self {
-            EvaluatorKind::Serial => SerialEvaluator.label(),
-            EvaluatorKind::Parallel | EvaluatorKind::ParallelWith(_) => {
-                ParallelEvaluator::default().label()
-            }
-        }
-    }
-
-    /// Evaluates a batch with the selected strategy (input order
-    /// preserved).
-    pub fn eval_batch<T, F>(&self, eval: &F, batch: &[Vec<f64>]) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        match self {
-            EvaluatorKind::Serial => SerialEvaluator.eval_batch(eval, batch),
-            EvaluatorKind::Parallel => ParallelEvaluator::default().eval_batch(eval, batch),
-            EvaluatorKind::ParallelWith(n) => {
-                ParallelEvaluator::with_threads(*n).eval_batch(eval, batch)
-            }
+            EvaluatorKind::Serial => "serial",
+            EvaluatorKind::Parallel | EvaluatorKind::ParallelWith(_) => "parallel",
         }
     }
 }
@@ -157,6 +80,7 @@ impl From<ParallelEvaluator> for EvaluatorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineConfig, ExecutionEngine};
 
     fn batch(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64, (2 * i) as f64]).collect()
@@ -166,53 +90,68 @@ mod tests {
         genes.iter().sum()
     }
 
+    /// One batch through a fresh engine running `evaluator`.
+    fn run(evaluator: impl Into<EvaluatorKind>, b: &[Vec<f64>]) -> Vec<f64> {
+        let mut engine: ExecutionEngine<f64> =
+            ExecutionEngine::new(EngineConfig::default().evaluator(evaluator));
+        engine.evaluate_batch(b, &sum)
+    }
+
     #[test]
     fn serial_preserves_order() {
-        let b = batch(7);
-        let out = SerialEvaluator.eval_batch(&sum, &b);
+        let out = run(SerialEvaluator, &batch(7));
         assert_eq!(out, vec![0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0]);
     }
 
     #[test]
     fn parallel_matches_serial() {
         let b = batch(101);
-        let serial = SerialEvaluator.eval_batch(&sum, &b);
+        let serial = run(SerialEvaluator, &b);
         for threads in [0, 1, 2, 3, 8, 200] {
-            let par = ParallelEvaluator::with_threads(threads).eval_batch(&sum, &b);
+            let par = run(ParallelEvaluator::with_threads(threads), &b);
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
 
     #[test]
     fn parallel_handles_empty_and_single() {
-        let e = ParallelEvaluator::default();
-        let empty: Vec<Vec<f64>> = vec![];
-        assert!(e.eval_batch(&sum, &empty).is_empty());
-        assert_eq!(e.eval_batch(&sum, &batch(1)), vec![0.0]);
+        let e = ParallelEvaluator::with_threads(4);
+        assert!(run(e, &[]).is_empty());
+        assert_eq!(run(e, &batch(1)), vec![0.0]);
     }
 
     #[test]
     fn parallel_actually_uses_multiple_threads() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
+        use std::sync::{mpsc, Mutex};
+        use std::time::Duration;
         let ids = Mutex::new(HashSet::new());
-        let b = batch(64);
-        ParallelEvaluator::with_threads(4).eval_batch(
-            &|genes: &[f64]| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                genes[0]
-            },
-            &b,
+        let (tx, rx) = mpsc::channel::<()>();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(
+            EngineConfig::default().evaluator(ParallelEvaluator::with_threads(4)),
         );
+        // Candidate 0 holds its worker until candidate 1 has run, so
+        // candidate 1 must run on another worker (a serial run times out
+        // and records one thread).
+        engine.evaluate_batch(&batch(16), &|genes: &[f64]| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            if genes[0] == 0.0 {
+                let _ = rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
+            } else if genes[0] == 1.0 {
+                tx.lock().unwrap().send(()).unwrap();
+            }
+            genes[0]
+        });
         assert!(ids.into_inner().unwrap().len() > 1);
     }
 
     #[test]
     fn kind_dispatch_and_from() {
         let b = batch(5);
-        let serial = EvaluatorKind::Serial.eval_batch(&sum, &b);
-        assert_eq!(EvaluatorKind::Parallel.eval_batch(&sum, &b), serial);
-        assert_eq!(EvaluatorKind::ParallelWith(2).eval_batch(&sum, &b), serial);
+        let serial = run(EvaluatorKind::Serial, &b);
+        assert_eq!(run(EvaluatorKind::Parallel, &b), serial);
+        assert_eq!(run(EvaluatorKind::ParallelWith(2), &b), serial);
         assert_eq!(EvaluatorKind::from(SerialEvaluator), EvaluatorKind::Serial);
         assert_eq!(
             EvaluatorKind::from(ParallelEvaluator::default()),

@@ -19,12 +19,11 @@
 //!   the [`ExecutionEngine`](crate::ExecutionEngine) folds outcomes into
 //!   [`EngineStats`](crate::EngineStats) counters in input order, so the
 //!   counters are identical under serial and parallel evaluation.
-//! * [`FaultInjector`] / [`FaultInjectingEvaluator`] inject panics,
-//!   non-finite results, and artificial latency on a seeded, reproducible
-//!   schedule keyed on the candidate's gene bits — the primary test
-//!   harness for the whole layer.
+//! * [`FaultInjector`] injects panics, non-finite results, and
+//!   artificial latency on a seeded, reproducible schedule keyed on the
+//!   candidate's gene bits — the primary test harness for the whole
+//!   layer.
 
-use crate::evaluator::Evaluator;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -551,8 +550,8 @@ impl InjectionCounts {
 ///
 /// Thread-safe: the per-candidate call counters live behind a mutex and
 /// the injection totals are atomics, so the injector can sit inside the
-/// `Sync` closure a [`ParallelEvaluator`](crate::ParallelEvaluator) fans
-/// out. For a scheduled candidate, the first
+/// `Sync` closure an [`EvaluationSession`](crate::EvaluationSession)'s
+/// workers share. For a scheduled candidate, the first
 /// [`faults_per_candidate`](FaultPlan::faults_per_candidate) calls fail
 /// and later calls succeed — which is exactly the transient-fault shape a
 /// bounded [`RetryPolicy`] recovers from, making a fault-injected run
@@ -616,19 +615,6 @@ impl FaultInjector {
         }
     }
 
-    /// `true` when the plan schedules *any* fault for `genes`.
-    ///
-    /// Like the internal fault decision, this is a pure function of
-    /// the gene bits and the plan seed: it never touches the
-    /// per-candidate call counters, so probing a candidate here and then
-    /// routing it around the injected invocation path (the batch
-    /// fast path does this for unscheduled candidates) leaves the
-    /// injector in exactly the state a plain scalar sweep produces —
-    /// `invoke` itself only bumps counters for scheduled candidates.
-    pub fn schedules_fault(&self, genes: &[f64]) -> bool {
-        self.decide(genes).is_some()
-    }
-
     /// Returns the number of previous calls recorded for this candidate
     /// and increments the counter.
     fn bump(&self, genes: &[f64]) -> u32 {
@@ -681,62 +667,9 @@ impl FaultInjector {
     }
 }
 
-/// An [`Evaluator`] wrapper that injects faults into every evaluation it
-/// fans out.
-///
-/// This is the standalone harness form of [`FaultInjector`]: wrap any
-/// evaluator, and each candidate passes through the injector before the
-/// real evaluation closure. Note that an injected panic propagates out of
-/// `eval_batch` unless something above catches it — pair the wrapper with
-/// a [`FaultPolicy`] (as
-/// [`ExecutionEngine::try_evaluate_batch`](crate::ExecutionEngine::try_evaluate_batch)
-/// does) to exercise recovery.
-#[derive(Debug)]
-pub struct FaultInjectingEvaluator<E> {
-    inner: E,
-    injector: FaultInjector,
-}
-
-impl<E: Evaluator + Sync> FaultInjectingEvaluator<E> {
-    /// Wraps `inner` with the fault schedule of `plan`.
-    pub fn new(inner: E, plan: FaultPlan) -> Self {
-        FaultInjectingEvaluator {
-            inner,
-            injector: FaultInjector::new(plan),
-        }
-    }
-
-    /// The injector, for inspecting injection totals.
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
-    }
-
-    /// Unwraps the inner evaluator.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-
-    /// A short human-readable name for logs and stats.
-    pub fn label(&self) -> &'static str {
-        "fault-injecting"
-    }
-
-    /// Evaluates every gene vector in `batch` through the inner
-    /// evaluator with faults injected, returning results in input order.
-    pub fn eval_batch<T, F>(&self, eval: &F, batch: &[Vec<f64>]) -> Vec<T>
-    where
-        T: Send + Quarantine,
-        F: Fn(&[f64]) -> T + Sync,
-    {
-        let injected = |genes: &[f64]| self.injector.invoke(eval, genes);
-        self.inner.eval_batch(&injected, batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{ParallelEvaluator, SerialEvaluator};
     use std::sync::atomic::AtomicU32;
 
     #[test]
@@ -923,27 +856,6 @@ mod tests {
             other => panic!("expected Recovered, got {other:?}"),
         }
         assert_eq!(injector.counts().nonfinite, 1);
-    }
-
-    #[test]
-    fn injecting_evaluator_matches_under_serial_and_parallel() {
-        // With nonfinite-only injection and faults_per_candidate = 0 the
-        // wrapper is a pass-through; with 1 the first call per candidate
-        // corrupts. Either way results are order-preserving.
-        let batch: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64, 0.5]).collect();
-        let eval = |g: &[f64]| g[0] + g[1];
-        let plan = FaultPlan::seeded(5).nonfinite(0.3);
-        let serial = FaultInjectingEvaluator::new(SerialEvaluator, plan);
-        let parallel = FaultInjectingEvaluator::new(ParallelEvaluator::with_threads(4), plan);
-        let a: Vec<f64> = serial.eval_batch(&eval, &batch);
-        let b: Vec<f64> = parallel.eval_batch(&eval, &batch);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!(x == y || (x.is_nan() && y.is_nan()));
-        }
-        assert_eq!(serial.injector().counts(), parallel.injector().counts());
-        assert_eq!(serial.label(), "fault-injecting");
-        let _inner = serial.into_inner();
     }
 
     #[test]

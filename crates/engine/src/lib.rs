@@ -7,10 +7,11 @@
 //! against a (potentially expensive) circuit model, and feed the results
 //! back into selection. This crate owns that evaluation step end-to-end:
 //!
-//! * [`Evaluator`] — the fan-out strategy. [`SerialEvaluator`] evaluates
-//!   in a plain loop; [`ParallelEvaluator`] spreads a batch across scoped
-//!   OS threads while preserving input order, so a seeded run produces
-//!   bit-for-bit identical results under either evaluator.
+//! * [`EvaluatorKind`] — the fan-out strategy. [`SerialEvaluator`]
+//!   evaluates on the calling thread; [`ParallelEvaluator`] spreads
+//!   candidates across scoped OS threads while preserving input order,
+//!   so a seeded run produces bit-for-bit identical results under
+//!   either evaluator.
 //! * [`MemoCache`] — an LRU memoization cache keyed by gene vectors
 //!   quantized to a configurable grid, so re-visited (or near-identical)
 //!   candidates skip the expensive model call. [`SharedCache`] promotes
@@ -22,11 +23,7 @@
 //!   and wall-clock time spent inside evaluation.
 //! * [`ExecutionEngine`] — ties the three together behind one
 //!   [`evaluate_batch`](ExecutionEngine::evaluate_batch) call, configured
-//!   by an [`EngineConfig`]. Problems with a struct-of-arrays fast path
-//!   hand a batch kernel to
-//!   [`evaluate_batch_with`](ExecutionEngine::evaluate_batch_with) /
-//!   [`try_evaluate_batch_with`](ExecutionEngine::try_evaluate_batch_with),
-//!   which must be bit-identical to the scalar closure; an opt-in
+//!   by an [`EngineConfig`]; an opt-in
 //!   [`SurrogateScreen`] can answer obvious losers before the full model
 //!   runs (counted in [`EngineStats::screened`], never cached), and a
 //!   cache canonicalizer
@@ -39,16 +36,15 @@
 //!   order on a worker pool, and drain back in deterministic submission
 //!   order — the engine API behind steady-state (asynchronous)
 //!   evolution. The one-shot batch calls are thin submit-all/drain-all
-//!   wrappers over it.
+//!   wrappers over it, so every evaluation takes this one path.
 //! * The fault layer — [`FaultPolicy`]/[`RetryPolicy`] contain evaluator
 //!   panics, retry within a bounded deterministic budget, and quarantine
 //!   non-finite results ([`Quarantine`]); per-candidate verdicts
 //!   ([`EvalOutcome`]) surface through
 //!   [`try_evaluate_batch`](ExecutionEngine::try_evaluate_batch) as
 //!   values or typed [`EvalFailure`]s, with failure/retry/recovery
-//!   counters in [`EngineStats`]. [`FaultInjector`] and
-//!   [`FaultInjectingEvaluator`] inject panics, NaN results, and
-//!   artificial latency on a seeded reproducible schedule
+//!   counters in [`EngineStats`]. [`FaultInjector`] injects panics, NaN
+//!   results, and artificial latency on a seeded reproducible schedule
 //!   ([`FaultPlan`]) — the test harness for the whole layer.
 //!
 //! The crate is deliberately dependency-free and generic over the
@@ -90,11 +86,11 @@ mod timing;
 
 pub use cache::{CacheConfig, MemoCache};
 pub use engine::{CacheCanonicalizer, EngineConfig, ExecutionEngine};
-pub use evaluator::{Evaluator, EvaluatorKind, ParallelEvaluator, SerialEvaluator};
+pub use evaluator::{EvaluatorKind, ParallelEvaluator, SerialEvaluator};
 pub use fault::{
-    silence_injected_panics, EvalFailure, EvalOutcome, ExhaustedAction, FaultEvent,
-    FaultInjectingEvaluator, FaultInjector, FaultKind, FaultPlan, FaultPolicy, FaultResolution,
-    InjectedPanic, InjectionCounts, Quarantine, RetryPolicy,
+    silence_injected_panics, EvalFailure, EvalOutcome, ExhaustedAction, FaultEvent, FaultInjector,
+    FaultKind, FaultPlan, FaultPolicy, FaultResolution, InjectedPanic, InjectionCounts, Quarantine,
+    RetryPolicy,
 };
 pub use metrics::{
     CellMetrics, CellSeries, Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, PoolMetrics,

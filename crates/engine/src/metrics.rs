@@ -137,37 +137,6 @@ impl Histogram {
         self.observe(d.as_secs_f64());
     }
 
-    /// Records `n` observations of the same value in one shot — used to
-    /// amortize a batch kernel's wall time over its candidates.
-    pub fn observe_n(&self, v: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let core = &*self.0;
-        let slot = core
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(core.bounds.len());
-        core.buckets[slot].fetch_add(n, Ordering::Relaxed);
-        core.count.fetch_add(n, Ordering::Relaxed);
-        #[allow(clippy::cast_precision_loss)]
-        let add = v * n as f64;
-        let mut cur = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + add).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -538,7 +507,9 @@ pub struct EngineMetrics {
     /// Candidates quarantined (`dse_engine_fault_quarantined_total`).
     pub fault_quarantined: Counter,
     /// Per-evaluation wall latency in seconds
-    /// (`dse_engine_eval_latency_seconds`; kernel batches amortize).
+    /// (`dse_engine_eval_latency_seconds`): every guarded call is timed
+    /// on its own, by the worker or, without a pool, by the draining
+    /// thread.
     pub eval_latency: Histogram,
     /// Engine batch sizes (`dse_engine_batch_size`).
     pub batch_size: Histogram,

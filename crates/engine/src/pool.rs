@@ -4,12 +4,10 @@
 //! slots, so the output order is the input order no matter how the
 //! threads are scheduled.
 //!
-//! This is the one implementation of the "spawn N workers, steal work,
-//! order results deterministically" pattern that used to be duplicated
-//! by [`ParallelEvaluator`](crate::ParallelEvaluator) (batch
-//! evaluation) and the campaign runner (cell execution); the
-//! optimization server's worker pool drives its job loops through it
-//! as well.
+//! The campaign runner (cell execution) and the optimization server's
+//! worker pool (job loops) both run on it. Candidate evaluation does
+//! not: an [`EvaluationSession`](crate::EvaluationSession) feeds its own
+//! workers one submission at a time.
 //!
 //! Guarantees:
 //!
@@ -177,25 +175,23 @@ where
         .collect())
 }
 
-/// Infallible variant of [`try_map_indexed`]: runs `work(0..count)`
-/// across at most `threads` workers, returning results in index order.
-pub fn map_indexed<T, F>(threads: usize, count: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_map_indexed(threads, count, |i| {
-        Ok::<T, std::convert::Infallible>(work(i))
-    }) {
-        Ok(out) => out,
-        Err(e) => match e {},
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
     use std::sync::atomic::AtomicU64;
+
+    /// [`try_map_indexed`] over work that cannot fail.
+    fn map_indexed<T: Send>(
+        threads: usize,
+        count: usize,
+        work: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        match try_map_indexed(threads, count, |i| Ok::<T, Infallible>(work(i))) {
+            Ok(out) => out,
+            Err(e) => match e {},
+        }
+    }
 
     #[test]
     fn results_are_in_index_order() {

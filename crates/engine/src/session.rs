@@ -10,14 +10,15 @@
 //! that makes seeded steady-state runs bit-identical whether the session
 //! runs serial or over any number of workers.
 //!
-//! The session preserves every semantic of the one-shot batch calls:
+//! The one-shot batch calls are submit-all/drain-all over a session, so
+//! these are the semantics of every evaluation:
 //!
 //! * **Cache/canonicalizer**: each submission is resolved against the
 //!   active memoization layer at submit time, on the control thread, in
 //!   submission order. A duplicate of an earlier *undrained* submission
 //!   aliases that submission's future result (counted as a cache hit),
 //!   exactly like within-batch duplicates in
-//!   [`try_evaluate_batch_with`](crate::ExecutionEngine::try_evaluate_batch_with).
+//!   [`try_evaluate_batch`](crate::ExecutionEngine::try_evaluate_batch).
 //!   Completed results enter the cache at drain time, in submission
 //!   order; tainted and screened values are never cached.
 //! * **Screen**: cache-miss submissions are offered to the surrogate
@@ -33,19 +34,19 @@
 //!   holds at every drain boundary. Each drain counts one batch;
 //!   `max_batch` tracks the largest drain.
 //!
-//! Under the serial evaluator, evaluation is deferred to the drain so
-//! the whole outstanding miss set still goes through the problem's batch
-//! kernel in one call (fault-scheduled candidates keep the scalar
-//! guarded path, as in the one-shot API). Under a parallel evaluator,
-//! misses are dispatched to scoped worker threads at submit time and
-//! overlap with selection — the steady-state payoff.
+//! Under the serial evaluator (or a parallel one that resolves to a
+//! single worker), evaluation is deferred to the drain, which runs each
+//! queued miss on the calling thread in submission order, through the
+//! same guarded call a worker makes. Under a parallel evaluator, misses
+//! are dispatched to scoped worker threads at submit time and overlap
+//! with selection — the steady-state payoff.
 //!
 //! A session that returns an error from a drain is poisoned: the failed
-//! drain's submissions are lost and further use is unsupported (the
-//! one-shot API loses the whole batch in the same way).
+//! drain's submissions are lost and further use is unsupported (a
+//! one-shot batch call loses its whole batch in the same way).
 
 use crate::cache::MemoCache;
-use crate::engine::{observe_amortized, push_fault_event, CacheCanonicalizer, ExecutionEngine};
+use crate::engine::{push_fault_event, CacheCanonicalizer, ExecutionEngine};
 use crate::evaluator::EvaluatorKind;
 use crate::fault::{
     EvalFailure, EvalOutcome, FaultEvent, FaultInjector, FaultPolicy, FaultResolution,
@@ -56,7 +57,6 @@ use crate::screen::SurrogateScreen;
 use crate::shared::SharedCache;
 use crate::stats::EngineStats;
 use std::collections::HashMap;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -71,7 +71,7 @@ enum Slot<T> {
     Alias(usize),
     /// Dispatched to the worker pool; its outcome has not arrived yet.
     InFlight,
-    /// Buffered for drain-time evaluation (serial / inline modes).
+    /// Buffered for drain-time evaluation (no worker pool).
     Queued(Vec<f64>),
     /// Outcome available but not yet folded into stats.
     Arrived(EvalOutcome<T>),
@@ -135,11 +135,8 @@ struct WorkerLink<T> {
 
 /// How dispatched candidates are evaluated.
 enum Backend<T> {
-    /// Serial evaluator: drain-time evaluation through the batch kernel.
-    Kernel,
-    /// Parallel evaluator resolved to a single worker: drain-time scalar
-    /// guarded evaluation (matches the one-shot API's serial fallback,
-    /// which never uses the kernel for parallel configurations).
+    /// No worker pool: drain-time guarded evaluation on the calling
+    /// thread, in submission order.
     Inline,
     /// Live worker pool fed at submit time.
     Workers(WorkerLink<T>),
@@ -149,7 +146,7 @@ enum Backend<T> {
 /// [`ExecutionEngine`] — see the module docs.
 /// Created by [`ExecutionEngine::with_session`]; borrows the engine
 /// exclusively until the callback returns.
-pub struct EvaluationSession<'a, T, F, B> {
+pub struct EvaluationSession<'a, T, F> {
     policy: FaultPolicy,
     stats: &'a mut EngineStats,
     fault_events: &'a mut Vec<FaultEvent>,
@@ -158,7 +155,6 @@ pub struct EvaluationSession<'a, T, F, B> {
     screen: Option<SurrogateScreen<T>>,
     cache: CacheView<'a, T>,
     eval: &'a F,
-    batch_eval: &'a B,
     backend: Backend<T>,
     entries: Vec<Entry<T>>,
     /// Cache key → submission index of the pending miss that owns it.
@@ -170,7 +166,7 @@ pub struct EvaluationSession<'a, T, F, B> {
 }
 
 /// One candidate evaluation under the fault policy (and the injector,
-/// when armed) — the same guarded call the one-shot API makes.
+/// when armed) — the call every backend makes.
 fn guarded_eval<T, F>(
     policy: FaultPolicy,
     injector: Option<&FaultInjector>,
@@ -187,11 +183,10 @@ where
     }
 }
 
-impl<'a, T, F, B> EvaluationSession<'a, T, F, B>
+impl<'a, T, F> EvaluationSession<'a, T, F>
 where
     T: Clone + Send + Quarantine,
     F: Fn(&[f64]) -> T + Sync,
-    B: Fn(&[Vec<f64>]) -> Vec<T>,
 {
     /// Total submissions so far (including drained ones).
     pub fn submitted(&self) -> usize {
@@ -227,8 +222,8 @@ where
     /// The candidate is resolved against the cache (and offered to the
     /// screen) immediately, on the calling thread; genuinely new
     /// candidates are dispatched to the worker pool (parallel) or
-    /// buffered for the next drain's kernel call (serial). Its result is
-    /// returned by the drain that covers this index.
+    /// buffered for the next drain (serial). Its result is returned by
+    /// the drain that covers this index.
     pub fn submit(&mut self, genes: &[f64]) -> usize {
         let idx = self.entries.len();
         self.stats.candidates += 1;
@@ -260,8 +255,8 @@ where
                 return idx;
             }
             // A genuinely new candidate: later duplicates alias it even
-            // when the screen answers it (the one-shot API resolves
-            // duplicates before screening).
+            // when the screen answers it (duplicates are resolved before
+            // screening).
             self.pending.insert(key.clone(), idx);
             if self.screen_submission(genes) {
                 return idx;
@@ -322,7 +317,7 @@ where
                     .expect("session worker pool hung up");
                 Slot::InFlight
             }
-            Backend::Kernel | Backend::Inline => Slot::Queued(genes.to_vec()),
+            Backend::Inline => Slot::Queued(genes.to_vec()),
         };
         self.entries.push(Entry { slot, key });
     }
@@ -361,8 +356,7 @@ where
 
         match &self.backend {
             Backend::Workers(_) => self.await_arrivals(lo, hi),
-            Backend::Kernel => self.evaluate_queued(lo, hi, true),
-            Backend::Inline => self.evaluate_queued(lo, hi, false),
+            Backend::Inline => self.evaluate_queued(lo, hi),
         }
 
         // Fold arrived outcomes into the stats in submission order. The
@@ -393,8 +387,8 @@ where
         }
 
         // Success: store completed misses in the cache and emit values,
-        // both in submission order (misses enter the cache in the same
-        // order the one-shot API inserts them).
+        // both in submission order (misses enter the cache in
+        // first-occurrence order).
         let mut out = Vec::with_capacity(count);
         for i in lo..hi {
             let value = match &self.entries[i].slot {
@@ -453,67 +447,27 @@ where
     }
 
     /// Evaluates the queued submissions in `[lo, hi)` on the calling
-    /// thread. With `kernel` set (serial evaluator), fault-scheduled
-    /// candidates take the scalar guarded path and the clean rest go
-    /// through the batch kernel in one call, with taint-replay and
-    /// panic/mis-size demotion exactly as in the one-shot API; without
-    /// it, every candidate runs scalar guarded in submission order.
-    fn evaluate_queued(&mut self, lo: usize, hi: usize, kernel: bool) {
-        let policy = self.policy;
-        let injector = self.injector;
-        let eval = self.eval;
-        let guarded = |genes: &[f64]| guarded_eval(policy, injector, eval, genes);
+    /// thread, in submission order, each through the guarded call and
+    /// timed on its own when metrics are attached (as the workers do).
+    fn evaluate_queued(&mut self, lo: usize, hi: usize) {
         let t0 = Instant::now();
-        let mut evaluated = 0usize;
-        let mut clean: Vec<(usize, Vec<f64>)> = Vec::new();
         for i in lo..hi {
-            if matches!(self.entries[i].slot, Slot::Queued(_)) {
-                evaluated += 1;
-                let Slot::Queued(genes) =
-                    std::mem::replace(&mut self.entries[i].slot, Slot::Done(None))
-                else {
-                    unreachable!()
-                };
-                if kernel && !injector.is_some_and(|inj| inj.schedules_fault(&genes)) {
-                    clean.push((i, genes));
-                } else {
-                    self.entries[i].slot = Slot::Arrived(guarded(&genes));
-                }
+            let Slot::Queued(genes) = &self.entries[i].slot else {
+                continue;
+            };
+            let t = self.metrics.as_ref().map(|_| Instant::now());
+            let outcome = guarded_eval(self.policy, self.injector, self.eval, genes);
+            if let (Some(m), Some(t)) = (&self.metrics, t) {
+                m.eval_latency.observe_duration(t.elapsed());
             }
+            self.entries[i].slot = Slot::Arrived(outcome);
         }
-        if !clean.is_empty() {
-            let clean_genes: Vec<Vec<f64>> = clean.iter().map(|(_, g)| g.clone()).collect();
-            let batch_eval = self.batch_eval;
-            match panic::catch_unwind(AssertUnwindSafe(|| batch_eval(&clean_genes))) {
-                Ok(values) if values.len() == clean.len() => {
-                    for ((i, genes), value) in clean.into_iter().zip(values) {
-                        if policy.quarantine_nonfinite && value.is_tainted() {
-                            // The scalar path would retry and then
-                            // quarantine or fail this candidate; replay
-                            // it so the accounting matches.
-                            self.entries[i].slot = Slot::Arrived(guarded(&genes));
-                        } else {
-                            self.entries[i].slot = Slot::Arrived(EvalOutcome::Ok(value));
-                        }
-                    }
-                }
-                _ => {
-                    // Kernel panicked or mis-sized its output: demote to
-                    // the scalar guarded path.
-                    for (i, genes) in clean {
-                        self.entries[i].slot = Slot::Arrived(guarded(&genes));
-                    }
-                }
-            }
-        }
-        let dt = t0.elapsed();
-        self.stats.eval_time += dt;
-        observe_amortized(self.metrics.as_ref(), dt, evaluated);
+        self.stats.eval_time += t0.elapsed();
     }
 }
 
-/// Folds one outcome into the stats (mirroring the one-shot API's
-/// absorb step) and returns its value, recording the first failure.
+/// Folds one outcome into the stats and returns its value, recording
+/// the first failure.
 fn fold_outcome<T>(
     stats: &mut EngineStats,
     events: &mut Vec<FaultEvent>,
@@ -607,7 +561,7 @@ pub(crate) fn refresh_injection_stats(
 }
 
 /// Number of pool workers a session opens for the configured evaluator
-/// (`0` means no pool: serial kernel or inline scalar evaluation).
+/// (`0` means no pool: queued candidates evaluate at drain time).
 fn worker_count(kind: EvaluatorKind) -> usize {
     let n = match kind {
         EvaluatorKind::Serial => return 0,
@@ -627,16 +581,14 @@ fn worker_count(kind: EvaluatorKind) -> usize {
 
 /// Opens a session over `engine`'s borrowed internals, spawning the
 /// scoped worker pool when the evaluator is parallel, and runs `f`.
-pub(crate) fn run_session<T, F, B, R>(
+pub(crate) fn run_session<T, F, R>(
     engine: &mut ExecutionEngine<T>,
     eval: &F,
-    batch_eval: &B,
-    f: impl FnOnce(&mut EvaluationSession<'_, T, F, B>) -> R,
+    f: impl FnOnce(&mut EvaluationSession<'_, T, F>) -> R,
 ) -> R
 where
     T: Clone + Send + Quarantine,
     F: Fn(&[f64]) -> T + Sync,
-    B: Fn(&[Vec<f64>]) -> Vec<T>,
 {
     let ExecutionEngine {
         config,
@@ -671,12 +623,7 @@ where
             screen: screen.clone(),
             cache: cache_view,
             eval,
-            batch_eval,
-            backend: if matches!(config.evaluator, EvaluatorKind::Serial) {
-                Backend::Kernel
-            } else {
-                Backend::Inline
-            },
+            backend: Backend::Inline,
             entries: Vec::new(),
             pending: HashMap::new(),
             drained: 0,
@@ -687,8 +634,7 @@ where
     let (job_tx, job_rx) = std::sync::mpsc::channel::<(usize, Vec<f64>)>();
     let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, EvalOutcome<T>)>();
     let job_rx = Mutex::new(job_rx);
-    // Workers time each evaluation individually — genuine per-candidate
-    // latency, unlike the kernel paths' amortized charge.
+    // Workers time each evaluation individually, like the inline drain.
     let eval_latency = metrics.as_ref().map(|m| m.eval_latency.clone());
     std::thread::scope(|scope| {
         let job_rx = &job_rx;
@@ -726,7 +672,6 @@ where
             screen: screen.clone(),
             cache: cache_view,
             eval,
-            batch_eval,
             backend: Backend::Workers(WorkerLink {
                 jobs: job_tx,
                 done: done_rx,
@@ -755,22 +700,16 @@ mod tests {
         genes.iter().map(|x| x * 3.0 + 1.0).sum()
     }
 
-    fn kernel(chunk: &[Vec<f64>]) -> Vec<f64> {
-        chunk.iter().map(|g| scalar(g)).collect()
-    }
-
     #[test]
     fn incremental_submit_drain_matches_one_shot_batch() {
         let batch: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 7) as f64, 0.25]).collect();
         let mut one_shot: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().cache_capacity(32));
-        let expect = one_shot
-            .try_evaluate_batch_with(&batch, &scalar, &kernel)
-            .unwrap();
+        let expect = one_shot.try_evaluate_batch(&batch, &scalar).unwrap();
 
         let mut engine: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().cache_capacity(32));
-        let got = engine.with_session(&scalar, &kernel, |session| {
+        let got = engine.with_session(&scalar, |session| {
             let mut got = Vec::new();
             for (i, genes) in batch.iter().enumerate() {
                 session.submit(genes);
@@ -799,7 +738,7 @@ mod tests {
         ] {
             let mut engine: ExecutionEngine<f64> =
                 ExecutionEngine::new(EngineConfig::default().evaluator(kind));
-            let out = engine.with_session(&scalar, &kernel, |session| {
+            let out = engine.with_session(&scalar, |session| {
                 for genes in &batch {
                     session.submit(genes);
                 }
@@ -821,10 +760,9 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             genes[0] * 2.0
         };
-        let k = |chunk: &[Vec<f64>]| chunk.iter().map(|g| eval(g)).collect::<Vec<f64>>();
         let mut engine: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().cache_capacity(16));
-        let out = engine.with_session(&eval, &k, |session| {
+        let out = engine.with_session(&eval, |session| {
             session.submit(&[1.0]); // miss
             let first = session.drain_all().unwrap();
             session.submit(&[1.0]); // cache hit
@@ -848,7 +786,7 @@ mod tests {
         engine.attach_screen(SurrogateScreen::new("negatives", |g: &[f64]| {
             (g[0] < 0.0).then_some(-999.0)
         }));
-        let out = engine.with_session(&scalar, &kernel, |session| {
+        let out = engine.with_session(&scalar, |session| {
             session.submit(&[-1.0]); // screened miss
             session.submit(&[-1.0]); // aliases the screened submission
             session.submit(&[2.0]);
@@ -862,7 +800,7 @@ mod tests {
         assert_eq!(s.evaluations, 1);
         assert_eq!(s.candidates, s.evaluations + s.cache_hits + s.screened);
         // A fresh session re-screens: the placeholder was never cached.
-        let out2 = engine.with_session(&scalar, &kernel, |session| {
+        let out2 = engine.with_session(&scalar, |session| {
             session.submit(&[-1.0]);
             session.drain_all().unwrap()
         });
@@ -873,7 +811,7 @@ mod tests {
     #[test]
     fn primed_completions_replay_without_stats() {
         let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(EngineConfig::default());
-        let out = engine.with_session(&scalar, &kernel, |session| {
+        let out = engine.with_session(&scalar, |session| {
             session.prime(41.5);
             session.prime(7.0);
             session.submit(&[1.0]);
@@ -894,8 +832,7 @@ mod tests {
         let run = |cfg: EngineConfig| {
             let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(cfg);
             let eval = |g: &[f64]| g[0] * 2.0;
-            let k = |chunk: &[Vec<f64>]| chunk.iter().map(|g| g[0] * 2.0).collect::<Vec<f64>>();
-            let out = engine.with_session(&eval, &k, |session| {
+            let out = engine.with_session(&eval, |session| {
                 for genes in &batch {
                     session.submit(genes);
                 }
@@ -922,8 +859,7 @@ mod tests {
         let mut engine: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().inject_faults(plan));
         let eval = |g: &[f64]| g[0];
-        let k = |chunk: &[Vec<f64>]| chunk.iter().map(|g| g[0]).collect::<Vec<f64>>();
-        let err = engine.with_session(&eval, &k, |session| {
+        let err = engine.with_session(&eval, |session| {
             session.submit(&[0.5]);
             session.submit(&[0.7]);
             session.drain_all().unwrap_err()
@@ -935,7 +871,7 @@ mod tests {
     fn undrained_submissions_are_abandoned_cleanly() {
         let mut engine: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().evaluator(EvaluatorKind::ParallelWith(4)));
-        let drained = engine.with_session(&scalar, &kernel, |session| {
+        let drained = engine.with_session(&scalar, |session| {
             for i in 0..16 {
                 session.submit(&[i as f64]);
             }

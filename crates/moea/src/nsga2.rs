@@ -339,12 +339,11 @@ impl<P: Problem> Nsga2<P> {
             .exec
             .build_engine(self.problem.cache_canonicalizer());
         let eval_fn = |genes: &[f64]| self.problem.evaluate(genes);
-        let batch_fn = |chunk: &[Vec<f64>]| self.problem.evaluate_all(chunk);
 
         // Initialization: draw all genes first (sole RNG consumer), then
         // batch-evaluate through the engine.
         let init_genes: Vec<Vec<f64>> = (0..n).map(|_| random_vector(rng, &bounds)).collect();
-        let init_evals = exec.try_evaluate_batch_with(&init_genes, &eval_fn, &batch_fn)?;
+        let init_evals = exec.try_evaluate_batch(&init_genes, &eval_fn)?;
         let mut pop: Vec<Individual> = init_genes
             .into_iter()
             .zip(init_evals)
@@ -379,7 +378,7 @@ impl<P: Problem> Nsga2<P> {
                 }
             }
             timer.start(Stage::Evaluation);
-            let child_evals = exec.try_evaluate_batch_with(&child_genes, &eval_fn, &batch_fn)?;
+            let child_evals = exec.try_evaluate_batch(&child_genes, &eval_fn)?;
             timer.stop();
             let offspring: Vec<Individual> = child_genes
                 .into_iter()

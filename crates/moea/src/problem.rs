@@ -171,19 +171,6 @@ pub trait Problem {
     /// called by the optimizers of this workspace.
     fn evaluate(&self, x: &[f64]) -> Evaluation;
 
-    /// Evaluates a whole batch of decision vectors, returning one
-    /// [`Evaluation`] per input in order.
-    ///
-    /// The default maps [`evaluate`](Problem::evaluate) over the batch;
-    /// problems with a struct-of-arrays fast path override this with a
-    /// batch kernel. Overrides **must** be bit-identical to the default
-    /// (`evaluate_all(&b)[i] == evaluate(&b[i])`, objective for
-    /// objective, bit for bit) — the execution engine treats the two as
-    /// interchangeable and pinned artifacts depend on it.
-    fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
-        batch.iter().map(|x| self.evaluate(x)).collect()
-    }
-
     /// An optional canonicalizer for memoization keys.
     ///
     /// Problems that decode genes through a coarse discretization (e.g.
@@ -247,9 +234,6 @@ impl<P: Problem + ?Sized> Problem for Box<P> {
     fn evaluate(&self, x: &[f64]) -> Evaluation {
         (**self).evaluate(x)
     }
-    fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
-        (**self).evaluate_all(batch)
-    }
     fn cache_canonicalizer(&self) -> Option<CacheCanonicalizer> {
         (**self).cache_canonicalizer()
     }
@@ -272,9 +256,6 @@ impl<P: Problem + ?Sized> Problem for &P {
     }
     fn evaluate(&self, x: &[f64]) -> Evaluation {
         (**self).evaluate(x)
-    }
-    fn evaluate_all(&self, batch: &[Vec<f64>]) -> Vec<Evaluation> {
-        (**self).evaluate_all(batch)
     }
     fn cache_canonicalizer(&self) -> Option<CacheCanonicalizer> {
         (**self).cache_canonicalizer()
@@ -360,29 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn default_evaluate_all_maps_evaluate() {
-        let toy = Toy {
-            bounds: Bounds::uniform(1, 0.0, 1.0).unwrap(),
-        };
-        let batch = vec![vec![0.1], vec![0.9]];
-        let all = toy.evaluate_all(&batch);
-        assert_eq!(all.len(), 2);
-        for (x, ev) in batch.iter().zip(&all) {
-            assert_eq!(ev, &toy.evaluate(x));
-        }
-        // Forwarding impls delegate both batch evaluation and the
-        // canonicalizer.
-        let boxed: Box<dyn Problem> = Box::new(Toy {
-            bounds: Bounds::uniform(1, 0.0, 1.0).unwrap(),
-        });
-        assert_eq!(boxed.evaluate_all(&batch), all);
-        assert!(boxed.cache_canonicalizer().is_none());
-        let by_ref: &Toy = &toy;
-        assert_eq!(Problem::evaluate_all(&by_ref, &batch), all);
-        assert!(Problem::cache_canonicalizer(&by_ref).is_none());
-    }
-
-    #[test]
     fn problem_implemented_for_references() {
         let toy = Toy {
             bounds: Bounds::uniform(1, 0.0, 1.0).unwrap(),
@@ -391,5 +349,14 @@ mod tests {
             p.num_variables()
         }
         assert_eq!(takes_problem(&toy), 1);
+        // Forwarding impls delegate evaluation and the canonicalizer.
+        let boxed: Box<dyn Problem> = Box::new(Toy {
+            bounds: Bounds::uniform(1, 0.0, 1.0).unwrap(),
+        });
+        assert_eq!(boxed.evaluate(&[0.1]), toy.evaluate(&[0.1]));
+        assert!(boxed.cache_canonicalizer().is_none());
+        let by_ref: &Toy = &toy;
+        assert_eq!(Problem::evaluate(&by_ref, &[0.9]), toy.evaluate(&[0.9]));
+        assert!(Problem::cache_canonicalizer(&by_ref).is_none());
     }
 }

@@ -1,8 +1,8 @@
 //! Bit pin of the circuit evaluator against a committed fixture.
 //!
-//! `batch_equivalence` compares two evaluation paths that share one body,
-//! so it cannot notice when that body's arithmetic drifts. This test
-//! records the exact bits of what the evaluator computes — every
+//! Tests that compare two runs of the same evaluator cannot notice when
+//! its arithmetic drifts. This test records the exact bits of what the
+//! evaluator computes — every
 //! objective and constraint violation of both circuit problems, plus the
 //! drain current of the device model over a bias grid — and compares them
 //! with `tests/golden/circuit_eval_bits.txt`. Any reordering of the

@@ -2,7 +2,8 @@
 //! behavior, and the run-level instrumentation surfaced by the optimizers.
 
 use analog_dse::engine::{
-    CacheConfig, EngineConfig, Evaluator, MemoCache, ParallelEvaluator, SerialEvaluator,
+    CacheConfig, EngineConfig, EvaluatorKind, ExecutionEngine, MemoCache, ParallelEvaluator,
+    SerialEvaluator,
 };
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problems::{Schaffer, Zdt1};
@@ -30,8 +31,13 @@ proptest! {
             padded.resize(8, 0.25);
             problem.evaluate(&padded)
         };
-        let serial = SerialEvaluator.eval_batch(&eval, &batch);
-        let parallel = ParallelEvaluator::with_threads(threads).eval_batch(&eval, &batch);
+        let run = |kind: EvaluatorKind| {
+            let mut engine: ExecutionEngine<Evaluation> =
+                ExecutionEngine::new(EngineConfig::default().evaluator(kind));
+            engine.evaluate_batch(&batch, &eval)
+        };
+        let serial = run(EvaluatorKind::Serial);
+        let parallel = run(EvaluatorKind::ParallelWith(threads));
         prop_assert_eq!(serial, parallel);
     }
 }

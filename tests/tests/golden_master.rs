@@ -188,29 +188,6 @@ fn steady_degenerate_window_matches_the_sacga_snapshot() {
     check_golden("sacga_schaffer_seed42.txt", &render_front(&r.front));
 }
 
-/// Delegating wrapper that hides a problem's `evaluate_all` override (and
-/// cache canonicalizer), forcing the default scalar mapping — used to pin
-/// that the batch kernel and the scalar path produce the same fronts.
-struct ForceScalar<P>(P);
-
-impl<P: analog_dse::moea::Problem> analog_dse::moea::Problem for ForceScalar<P> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn bounds(&self) -> &analog_dse::moea::Bounds {
-        self.0.bounds()
-    }
-    fn num_objectives(&self) -> usize {
-        self.0.num_objectives()
-    }
-    fn num_constraints(&self) -> usize {
-        self.0.num_constraints()
-    }
-    fn evaluate(&self, x: &[f64]) -> analog_dse::moea::Evaluation {
-        self.0.evaluate(x)
-    }
-}
-
 fn drivable_config() -> SacgaConfig {
     let (lo, hi) = analog_circuits::DrivableLoadProblem::slice_range();
     SacgaConfig::builder()
@@ -223,23 +200,8 @@ fn drivable_config() -> SacgaConfig {
 }
 
 #[test]
-fn sacga_drivable_kernel_front_matches_snapshot() {
-    // The circuit problem overrides `evaluate_all`, so this run exercises
-    // the struct-of-arrays batch kernel end to end.
+fn sacga_drivable_front_matches_snapshot() {
     let problem = analog_circuits::DrivableLoadProblem::new(analog_circuits::Spec::featured());
-    let r = Sacga::new(problem, drivable_config())
-        .run_seeded(SEED)
-        .unwrap();
-    check_golden("sacga_drivable_seed42.txt", &render_front(&r.front));
-}
-
-#[test]
-fn sacga_drivable_scalar_path_matches_the_same_snapshot() {
-    // Hiding the kernel behind ForceScalar must reproduce the identical
-    // pinned front: the batch path is a pure performance feature.
-    let problem = ForceScalar(analog_circuits::DrivableLoadProblem::new(
-        analog_circuits::Spec::featured(),
-    ));
     let r = Sacga::new(problem, drivable_config())
         .run_seeded(SEED)
         .unwrap();
