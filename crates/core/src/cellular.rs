@@ -20,13 +20,13 @@
 //!   the forward or backward half of its neighborhood with probability
 //!   [`anisotropy`](CellularConfigBuilder::anisotropy).
 //!
-//! **Degenerate contract.** On a [`Topology::FullyConnected`] graph with
-//! `openness == 0.0` the loop is *bit-identical* to
-//! [`IslandGa`](crate::island::IslandGa): the fully-connected adjacency
-//! leads with the island's `(i+1) % k` migration target, migration picks
-//! consume the same RNG draws, and an openness of exactly zero skips the
-//! mate-mixing draw entirely, so the RNG stream never diverges. The
-//! differential test suite pins this against the island golden master.
+//! **The island model.** A [`Topology::FullyConnected`] graph with
+//! `openness == 0.0` *is* the island model, and
+//! [`IslandGa`](crate::island::IslandGa) is this loop on that preset:
+//! the fully-connected adjacency leads with the island ring-migration
+//! target `(i+1) % k`, and an openness of exactly zero skips the
+//! mate-mixing draw entirely, so the RNG stream is the island model's.
+//! The island golden master pins it.
 //!
 //! **Determinism across workers.** Every cell submits its offspring
 //! through one shared [`EvaluationSession`] and a single drain loop
@@ -44,7 +44,6 @@
 //! bit-identical to an uninterrupted one.
 
 use crate::checkpoint::{CellularCheckpoint, SavedIndividual};
-use crate::island::merged_front_objectives;
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use crate::topology::Topology;
 use engine::{EvaluationSession, EvaluatorKind, Stage, StageTimer};
@@ -150,6 +149,12 @@ impl CellularConfigBuilder {
     pub fn topology(mut self, t: Topology) -> Self {
         self.topology = t;
         self
+    }
+
+    /// Places the population on `k` fully-connected islands: another
+    /// spelling of `topology(Topology::FullyConnected { cells: k })`.
+    pub fn islands(self, k: usize) -> Self {
+        self.topology(Topology::FullyConnected { cells: k })
     }
 
     /// Sets how many generations pass between migrations (≥ 1).
@@ -263,8 +268,9 @@ impl CellularConfigBuilder {
     ///
     /// Returns [`OptimizeError::InvalidConfig`] when the topology is
     /// structurally invalid, the per-cell population would drop below 4,
-    /// the interval is zero, migrants reach the cell size, or a mixing
-    /// probability leaves `[0, 1]`.
+    /// the interval is zero, migrants reach the cell size, a mixing
+    /// probability leaves `[0, 1]`, or mating is open on a single cell,
+    /// which has no neighbor to mate with.
     pub fn build(self) -> Result<CellularConfig, OptimizeError> {
         self.topology.validate()?;
         if self.generations == 0 {
@@ -304,6 +310,12 @@ impl CellularConfigBuilder {
                     format!("must be a probability in [0, 1], got {p}"),
                 ));
             }
+        }
+        if self.openness > 0.0 && cells == 1 {
+            return Err(OptimizeError::invalid_config(
+                "openness",
+                "must be 0 on a single cell, which has no neighbor to mate with",
+            ));
         }
         Ok(CellularConfig {
             population_size: self.population_size,
@@ -736,6 +748,17 @@ pub fn migrate(
     (k * migrants, candidates)
 }
 
+/// Feasible globally non-dominated front of the merged cells, computed
+/// on a clone so ranking never disturbs the cells.
+fn merged_front_objectives(cells: &[Vec<Individual>]) -> Vec<Vec<f64>> {
+    let mut pop: Vec<Individual> = cells.iter().flatten().cloned().collect();
+    rank_and_crowd(&mut pop);
+    pop.iter()
+        .filter(|m| m.rank == 0 && m.is_feasible())
+        .map(|m| m.objectives().to_vec())
+        .collect()
+}
+
 /// Picks the neighbor cell an open mating draws its second parent from:
 /// a forward/backward coin weighted by `anisotropy`, then a uniform pick
 /// within the chosen half (falling back to the non-empty half when the
@@ -804,7 +827,7 @@ impl<P: Problem + Sync> Optimizer for CellularGa<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::island::{IslandConfig, IslandGa};
+    use crate::island::IslandConfig;
     use crate::telemetry::MemorySink;
     use moea::problems::{Schaffer, Zdt1};
 
@@ -878,31 +901,28 @@ mod tests {
 
     #[test]
     fn fully_connected_zero_openness_is_the_island_model() {
-        let island_cfg = IslandConfig::builder()
+        let spelled = |cells: usize, pop: usize, gens: usize| {
+            CellularConfig::builder()
+                .population_size(pop)
+                .generations(gens)
+                .topology(Topology::FullyConnected { cells })
+                .migration_interval(20)
+                .migrants(2)
+                .openness(0.0)
+                .build()
+                .unwrap()
+        };
+        assert_eq!(
+            IslandConfig::builder().build().unwrap(),
+            spelled(5, 100, 250)
+        );
+        let preset = IslandConfig::builder()
             .population_size(40)
             .generations(30)
             .islands(4)
-            .migration_interval(10)
-            .migrants(2)
             .build()
             .unwrap();
-        let island = IslandGa::new(Schaffer::new(), island_cfg)
-            .run_seeded(11)
-            .unwrap();
-        let cellular = CellularGa::new(
-            Schaffer::new(),
-            quick(Topology::FullyConnected { cells: 4 }, 10),
-        )
-        .run_seeded(11)
-        .unwrap();
-        assert_eq!(island.front_objectives(), cellular.front_objectives());
-        assert_eq!(island.history, cellular.history);
-        assert_eq!(island.evaluations, cellular.evaluations);
-        assert_eq!(island.migrations, cellular.migrations);
-        let genes = |o: &RunOutcome| -> Vec<Vec<f64>> {
-            o.population.iter().map(|m| m.genes.clone()).collect()
-        };
-        assert_eq!(genes(&island), genes(&cellular));
+        assert_eq!(preset, spelled(4, 40, 30));
     }
 
     #[test]

@@ -7,15 +7,16 @@ use moea::{OptimizeError, RunOutcome, RunStatus};
 use super::event::{EventKind, RunEvent};
 use super::sink::{NullSink, Sink};
 
-/// The checkpoint type of algorithms that cannot suspend (NSGA-II, the
-/// island model). Uninhabited: a `RunStatus<NoCheckpoint>` is provably
+/// The checkpoint type of algorithms that cannot suspend (NSGA-II is
+/// the last one). Uninhabited: a `RunStatus<NoCheckpoint>` is provably
 /// always `Complete`, and `resume` on such algorithms is statically
 /// uncallable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoCheckpoint {}
 
-/// One run API for all five optimization loops (NSGA-II/TPG, local
-/// competition, SACGA, MESACGA, island model).
+/// One run API for every optimization loop (NSGA-II/TPG, local
+/// competition, SACGA, MESACGA, steady-state SACGA, and the cellular GA,
+/// which also runs the island model).
 ///
 /// Every entry point exists in two forms: a `*_with` method taking a
 /// `&mut dyn Sink` that receives the structured [`RunEvent`] stream,
@@ -23,10 +24,9 @@ pub enum NoCheckpoint {}
 /// RNG, so for a given seed the returned [`RunOutcome`] is bit-identical
 /// whichever form is used.
 ///
-/// Bounded runs (`run_until*` / `resume*`) are supported only by the
-/// checkpointable algorithms (SACGA, MESACGA, local competition); the
-/// others set [`Checkpoint`](Optimizer::Checkpoint) to [`NoCheckpoint`]
-/// and reject `run_until` with
+/// Bounded runs (`run_until*` / `resume*`) are supported by every loop
+/// but NSGA-II, which sets [`Checkpoint`](Optimizer::Checkpoint) to
+/// [`NoCheckpoint`] and rejects `run_until` with
 /// [`OptimizeError::InvalidConfig`].
 pub trait Optimizer {
     /// Suspension checkpoint produced by bounded runs ([`NoCheckpoint`]
@@ -259,13 +259,6 @@ pub trait DynOptimizer: Sync {
         self.run_dyn_with(seed, &mut NullSink)
     }
 
-    /// Whether this algorithm can actually suspend at generation
-    /// boundaries. When `false`, the bounded entry points below run to
-    /// completion instead of suspending (cooperative preemption is
-    /// best-effort by design), and the resume entry points reject every
-    /// checkpoint.
-    fn supports_suspension(&self) -> bool;
-
     /// Runs from `seed`, suspending once `stop_after` generations have
     /// completed *if the algorithm supports suspension* — otherwise
     /// runs to completion.
@@ -318,10 +311,6 @@ where
 
     fn run_dyn_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
         self.run_with(seed, sink)
-    }
-
-    fn supports_suspension(&self) -> bool {
-        O::Checkpoint::SUSPENDABLE
     }
 
     fn run_until_dyn_with(

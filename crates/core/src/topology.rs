@@ -54,8 +54,10 @@ pub enum Topology {
         radius: usize,
     },
     /// Every cell sees every other cell — the island model's topology.
+    /// A single cell is the one-island model: it has no neighbors, so it
+    /// never migrates and cannot mate openly.
     FullyConnected {
-        /// Number of cells (≥ 2).
+        /// Number of cells (≥ 1).
         cells: usize,
     },
     /// A ring of the given radius plus `chords` extra random symmetric
@@ -145,10 +147,10 @@ impl Topology {
                 Ok(())
             }
             Topology::FullyConnected { cells } => {
-                if cells < 2 {
+                if cells == 0 {
                     return Err(OptimizeError::invalid_config(
                         "topology",
-                        format!("a fully-connected graph needs at least 2 cells, got {cells}"),
+                        "a fully-connected graph needs at least 1 cell",
                     ));
                 }
                 Ok(())
@@ -351,8 +353,8 @@ mod tests {
         }
         .validate()
         .is_ok());
-        assert!(Topology::FullyConnected { cells: 1 }.validate().is_err());
-        assert!(Topology::FullyConnected { cells: 2 }.validate().is_ok());
+        assert!(Topology::FullyConnected { cells: 0 }.validate().is_err());
+        assert!(Topology::FullyConnected { cells: 1 }.validate().is_ok());
         assert!(Topology::SmallWorld {
             cells: 8,
             radius: 1,

@@ -347,6 +347,10 @@ where
         let count = count.min(self.in_flight());
         let lo = self.drained;
         let hi = lo + count;
+        // Only undrained misses alias; a drained one is the cache's to
+        // keep or drop (capacity, taint), or the session would become a
+        // second, unbounded cache.
+        self.pending.retain(|_, owner| *owner >= hi);
         self.stats.batches += 1;
         self.stats.max_batch = self.stats.max_batch.max(count as u64);
         if let Some(m) = &self.metrics {
@@ -777,6 +781,50 @@ mod tests {
         assert_eq!(engine.stats().cache_hits, 2);
         let s = engine.stats();
         assert_eq!(s.candidates, s.evaluations + s.cache_hits + s.screened);
+    }
+
+    #[test]
+    fn drained_non_finite_results_are_evaluated_again() {
+        let calls = AtomicU64::new(0);
+        let eval = |_: &[f64]| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            f64::NAN
+        };
+        let mut engine: ExecutionEngine<f64> =
+            ExecutionEngine::new(EngineConfig::default().cache_capacity(16));
+        engine.with_session(&eval, |session| {
+            session.submit(&[1.0]);
+            session.drain_all().unwrap();
+            // The tainted value was never cached, so this is a new miss,
+            // not an alias of the drained submission.
+            session.submit(&[1.0]);
+            session.drain_all().unwrap();
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(engine.stats().evaluations, 2);
+        assert_eq!(engine.stats().cache_hits, 0);
+    }
+
+    #[test]
+    fn entries_evicted_from_the_cache_are_evaluated_again() {
+        let calls = AtomicU64::new(0);
+        let eval = |genes: &[f64]| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            genes[0] * 2.0
+        };
+        let mut engine: ExecutionEngine<f64> =
+            ExecutionEngine::new(EngineConfig::default().cache_capacity(1));
+        let out = engine.with_session(&eval, |session| {
+            let mut out = Vec::new();
+            for genes in [[1.0], [2.0], [1.0]] {
+                session.submit(&genes);
+                out.extend(session.drain_all().unwrap());
+            }
+            out
+        });
+        assert_eq!(out, vec![2.0, 4.0, 2.0]);
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
+        assert_eq!(engine.stats().cache_hits, 0);
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub struct RunOutcome {
     /// Feasible global front at the end of each MESACGA phase, in phase
     /// order (empty for single-phase algorithms).
     pub phase_fronts: Vec<Vec<Individual>>,
-    /// Migration events performed (island model only; 0 elsewhere).
+    /// Migration events performed (cellular GA, island model included;
+    /// 0 elsewhere).
     pub migrations: usize,
     /// Evaluation-engine instrumentation (batching, caching, timing,
     /// fault counters).

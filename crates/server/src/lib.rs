@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 //! # dse-server — optimization as a service
 //!
-//! A dependency-free, in-process service that runs the workspace's five
-//! optimizer loops (NSGA-II, local, SACGA, MESACGA, island) as queued
+//! A dependency-free, in-process service that runs the workspace's
+//! optimizer arms (NSGA-II, local, SACGA, MESACGA, steady-state SACGA,
+//! cellular, and island, a cellular preset) as queued
 //! *jobs* with crash-safe persistence, streaming progress and per-job
 //! health, exposed over a line-oriented TCP protocol by the `dse_serve`
 //! bench binary.

@@ -1,8 +1,8 @@
 //! The line-oriented text protocol spoken over TCP.
 //!
-//! Requests are single lines; responses are `ok ...` or `err <message>`
-//! lines, with two multi-line forms (`list`, `stream`) terminated by an
-//! `end` line:
+//! Requests are single lines of at most [`MAX_REQUEST_LINE`] bytes;
+//! responses are `ok ...` or `err <message>` lines, with two multi-line
+//! forms (`list`, `stream`) terminated by an `end` line:
 //!
 //! ```text
 //! ping                      -> ok pong
@@ -40,6 +40,12 @@ use crate::spec::{JobId, JobSpec};
 /// How long a stream poll blocks before re-checking for shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Longest request line a connection may buffer, far above any valid
+/// request (a `submit` line is a few hundred bytes). A client that sends
+/// more without a newline gets one `err` line and is disconnected, so it
+/// cannot grow server memory without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 fn one_line(msg: &str) -> String {
     msg.replace(['\n', '\r'], " ")
 }
@@ -54,12 +60,15 @@ pub fn handle_connection(server: &Server, stream: TcpStream) {
     };
     let mut stream = stream;
     let mut buf: Vec<u8> = Vec::new();
+    // Prefix of `buf` already searched for a newline.
+    let mut scanned = 0usize;
     let mut chunk = [0u8; 4096];
     loop {
         // Extract complete lines before reading more, so a timeout can
         // never drop partially-received bytes.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(pos) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let raw: Vec<u8> = buf.drain(..=scanned + pos).collect();
+            scanned = 0;
             let line = String::from_utf8_lossy(&raw);
             let line = line.trim();
             if line.is_empty() {
@@ -68,6 +77,11 @@ pub fn handle_connection(server: &Server, stream: TcpStream) {
             if !handle_line(server, line, &mut out) {
                 return;
             }
+        }
+        scanned = buf.len();
+        if buf.len() > MAX_REQUEST_LINE {
+            let _ = writeln!(out, "err request line longer than {MAX_REQUEST_LINE} bytes");
+            return;
         }
         if server.is_shutting_down() {
             return;

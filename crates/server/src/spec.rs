@@ -547,8 +547,8 @@ pub struct JobSpec {
     /// Queue priority 0–9; higher pops first, FIFO within a level.
     pub priority: u8,
     /// Cooperative-preemption quantum in generations; `0` runs each
-    /// job to completion in one slice. Ignored by arms that cannot
-    /// checkpoint (NSGA-II, island), which always run to completion.
+    /// job to completion in one slice. Ignored by NSGA-II, the one arm
+    /// that cannot checkpoint, which always runs to completion.
     pub slice: usize,
     /// Stall-detector window in generations; `0` disables the detector.
     pub stall_window: usize,

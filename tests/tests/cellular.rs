@@ -32,7 +32,7 @@ const SEED: u64 = 42;
 
 /// The island reference configuration: 32 individuals over 4 islands,
 /// migrating 2 rank-0 members every 5 generations.
-fn island_config() -> IslandConfig {
+fn island_config() -> CellularConfig {
     IslandConfig::builder()
         .population_size(32)
         .generations(20)

@@ -6,10 +6,12 @@
 //! The crash-safety golden snapshot lives in `tests/golden/` (re-record
 //! with `UPDATE_GOLDEN=1 cargo test -p integration-tests --test server`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::time::Duration;
 
+use dse_server::protocol::MAX_REQUEST_LINE;
 use dse_server::{
     AlgoSpec, JobHealth, JobSpec, JobStatus, ProblemSpec, Server, ServerConfig, ServerError,
 };
@@ -149,9 +151,9 @@ fn torn_state_file_is_reenqueued_and_resumed() {
 fn preemption_determinism_across_all_loops() {
     // A job suspended and resumed K times at arbitrary generation
     // boundaries must produce the same outcome as an unpreempted run —
-    // for every optimizer loop. Loops that cannot checkpoint (NSGA-II,
-    // island) ignore the quantum and run to completion, so the claim
-    // holds trivially for them.
+    // for every optimizer loop. NSGA-II cannot checkpoint: it ignores
+    // the quantum and runs to completion, so the claim holds trivially
+    // for it.
     let arms: Vec<(&str, AlgoSpec)> = vec![
         (
             "sacga",
@@ -185,6 +187,7 @@ fn preemption_determinism_across_all_loops() {
                 .unwrap(),
         ),
     ];
+    let mut island_reference = Vec::new();
     for (label, algo) in arms {
         let mut outcomes = Vec::new();
         for slice in [0usize, 1, 3] {
@@ -212,7 +215,44 @@ fn preemption_determinism_across_all_loops() {
             outcomes[0], outcomes[2],
             "{label}: slice=3 diverged from unpreempted run"
         );
+        if label == "island" {
+            island_reference = outcomes.swap_remove(0);
+        }
     }
+
+    // The island arm is a cellular preset, so a sliced island job really
+    // suspends: killed after two slices it leaves a cellular checkpoint
+    // on disk, and a restarted daemon resumes it to the unpreempted bytes.
+    let root = scratch_dir("preempt-island-kill");
+    let server = Server::open(&root, config(1)).unwrap();
+    let spec = JobSpec::new(
+        "preempt-island",
+        ProblemSpec::Schaffer,
+        AlgoSpec::Island {
+            pop: 32,
+            gens: 10,
+            islands: 2,
+        },
+        42,
+    )
+    .slice(3);
+    let id = server.submit(spec).unwrap();
+    assert!(!server.run_slices_at_most(2).unwrap());
+    let checkpoint = server.store().read_checkpoint(id).unwrap();
+    assert!(
+        checkpoint.starts_with("cellular-checkpoint v1\n"),
+        "{checkpoint}"
+    );
+    assert_eq!(server.status(id).unwrap().generations, 6);
+    drop(server);
+    let server = Server::open(&root, config(1)).unwrap();
+    server.run_until_idle().unwrap();
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+    assert_eq!(
+        std::fs::read(server.store().outcome_path(id)).unwrap(),
+        island_reference
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -561,5 +601,50 @@ fn tcp_protocol_end_to_end() {
         assert_eq!(send("shutdown"), vec!["ok shutting-down"]);
         daemon.join().unwrap().unwrap();
     });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn oversized_request_line_gets_err_and_a_closed_connection() {
+    let root = scratch_dir("tcp-cap");
+    let server = Server::open(&root, config(1)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    // Both exchanges run before the daemon is stopped and are checked
+    // after it is joined, so a failing exchange cannot leave the scope
+    // waiting on a daemon nobody shuts down.
+    let (hostile, pong) = std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| server.serve(listener));
+
+        // A client that never sends a newline, one byte past the cap.
+        // The read timeout turns a server that keeps buffering into an
+        // error instead of a hang.
+        let hostile = (|| -> std::io::Result<String> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+            stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])?;
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply)?;
+            Ok(reply)
+        })();
+
+        // The server keeps serving other connections.
+        let pong = (|| -> std::io::Result<String> {
+            let mut stream = TcpStream::connect(addr)?;
+            writeln!(stream, "ping")?;
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line)?;
+            Ok(line)
+        })();
+
+        server.request_shutdown();
+        daemon.join().unwrap().unwrap();
+        (hostile, pong)
+    });
+    let reply = hostile.expect("the server must answer and close the connection");
+    assert!(reply.starts_with("err "), "{reply:?}");
+    assert_eq!(reply.lines().count(), 1, "{reply:?}");
+    assert_eq!(pong.unwrap(), "ok pong\n");
     let _ = std::fs::remove_dir_all(&root);
 }

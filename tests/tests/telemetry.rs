@@ -14,6 +14,10 @@ use analog_dse::sacga::telemetry::{
     EventKind, FaultRateAlarm, InfeasibilityAlarm, JsonlSink, MemorySink, MetricsSink, Optimizer,
     RunEvent, Sink, StallDetector, Tee,
 };
+use analog_dse::sacga::CellularCheckpoint;
+
+mod common;
+use common::{check_golden, render_front};
 
 const SEED: u64 = 23;
 
@@ -425,14 +429,28 @@ fn suspension_is_rejected_by_algorithms_that_cannot_checkpoint() {
             .unwrap(),
     );
     assert!(nsga2.run_until(SEED, 3).is_err());
+}
+
+#[test]
+fn island_runs_suspend_and_resume_onto_the_island_golden() {
+    // The island model is a cellular preset, so it checkpoints: a run
+    // stopped mid-way, round-tripped through checkpoint text and resumed
+    // reproduces the uninterrupted island snapshot.
     let island = IslandGa::new(
         Schaffer::new(),
         IslandConfig::builder()
             .population_size(32)
-            .generations(5)
-            .islands(2)
+            .generations(20)
+            .islands(4)
+            .migration_interval(5)
+            .migrants(2)
             .build()
             .unwrap(),
     );
-    assert!(island.run_until(SEED, 3).is_err());
+    let RunStatus::Suspended(cp) = island.run_until(42, 7).unwrap() else {
+        panic!("an island run must suspend at generation 7");
+    };
+    let restored = CellularCheckpoint::from_text(&cp.to_text()).unwrap();
+    let resumed = island.resume(&restored).unwrap();
+    check_golden("island_schaffer_seed42.txt", &render_front(&resumed.front));
 }
