@@ -19,6 +19,7 @@
 //! The 15 decision parameters are the 14 sizing parameters of
 //! [`DesignVector`] plus the input common-mode voltage (gene 15).
 
+use crate::bias::BiasMemo;
 use crate::integrator::{self, ClockContext, IntegratorReport, IntegratorStage};
 use crate::problem::IntegratorProblem;
 use crate::process::Process;
@@ -136,8 +137,10 @@ impl DrivableLoadProblem {
         self.search_load(&self.prepare(dv))
     }
 
+    /// The nominal stage of `dv`, its bias solves served by the
+    /// process-wide [`BiasMemo`].
     fn prepare(&self, dv: &DesignVector) -> IntegratorStage {
-        integrator::prepare(dv, &self.process, &self.clock)
+        integrator::prepare_with(dv, &self.process, &self.clock, Some(BiasMemo::shared()))
     }
 
     /// The [`drivable_load`](Self::drivable_load) search on a prepared
@@ -224,7 +227,15 @@ impl DrivableLoadProblem {
         // TT sample.
         let dv_at = dv.with_cl(report.cl);
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(&dv_at, &self.plan, &self.clock, spec, Some(&report)).0
+            yield_est::robustness_prepared(
+                &dv_at,
+                &self.plan,
+                &self.clock,
+                spec,
+                Some(&report),
+                Some(BiasMemo::shared()),
+            )
+            .0
         } else {
             0.0
         };

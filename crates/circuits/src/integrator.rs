@@ -17,6 +17,7 @@
 //! * **Power** — op-amp quiescent power plus capacitor switching power;
 //! * **Area** — op-amp active area plus the sampled-capacitor network.
 
+use crate::bias::BiasMemo;
 use crate::capacitor::IntegratedCapacitor;
 use crate::opamp::{self, OpampReport};
 use crate::process::Process;
@@ -142,7 +143,18 @@ pub struct IntegratorStage {
 /// Prepares the load-independent half of [`analyze`] for `dv` in `process`
 /// under `clock`. Never reads `dv.cl`.
 pub fn prepare(dv: &DesignVector, process: &Process, clock: &ClockContext) -> IntegratorStage {
-    let amp = opamp::analyze(dv, process);
+    prepare_with(dv, process, clock, None)
+}
+
+/// [`prepare`] with the op-amp's bias solves looked up in `memo`, when
+/// given (see [`BiasMemo`]). The stage is bit-identical to [`prepare`]'s.
+pub fn prepare_with(
+    dv: &DesignVector,
+    process: &Process,
+    clock: &ClockContext,
+    memo: Option<&BiasMemo>,
+) -> IntegratorStage {
+    let amp = opamp::analyze_with(dv, process, memo);
 
     let cs = IntegratedCapacitor::new(dv.cs);
     let cf = IntegratedCapacitor::new(dv.cf);

@@ -16,6 +16,8 @@
 //!   (`E_sat·L`), channel-length modulation (λ) and advanced mobility
 //!   degradation (θ₁, θ₂, V_K), with small-signal parameters and parasitic
 //!   capacitances;
+//! * [`bias`] — the exact, process-wide memo of MOSFET bias solves that
+//!   the circuit problems evaluate through;
 //! * [`capacitor`] — integrated capacitors with bottom-plate parasitics;
 //! * [`opamp`] — DC + small-signal analysis of the two-stage Miller op-amp
 //!   (gain, GBW, non-dominant pole, RHP zero, slew rates, swing, noise,
@@ -50,6 +52,7 @@
 //! assert_eq!(ev.objectives().len(), 2);
 //! ```
 
+pub mod bias;
 pub mod capacitor;
 pub mod drivable;
 pub mod frequency;

@@ -22,6 +22,7 @@
 //! output resistances, node capacitances, DC gain, slew limits, swing,
 //! noise and power.
 
+use crate::bias::BiasMemo;
 use crate::capacitor::IntegratedCapacitor;
 use crate::mosfet::Mosfet;
 use crate::process::{DeviceType, Process};
@@ -123,6 +124,16 @@ impl OpampReport {
 /// [`OpampReport::fault`] with pessimistic values filled in so constraint
 /// machinery can still grade the design.
 pub fn analyze(dv: &DesignVector, process: &Process) -> OpampReport {
+    analyze_with(dv, process, None)
+}
+
+/// [`analyze`] with every bias solve looked up in `memo`, when given (see
+/// [`BiasMemo`]). The report is bit-identical to [`analyze`]'s.
+pub(crate) fn analyze_with(
+    dv: &DesignVector,
+    process: &Process,
+    memo: Option<&BiasMemo>,
+) -> OpampReport {
     let vdd = process.vdd;
     let vcm_in = dv.vcm_in;
     let vcm_out = 0.5 * vdd;
@@ -134,12 +145,17 @@ pub fn analyze(dv: &DesignVector, process: &Process) -> OpampReport {
     let m7 = Mosfet::new(DeviceType::Nmos, dv.w7, dv.l7);
 
     let fault_report = |fault: DcFault| pessimistic_report(dv, process, fault);
+    // V_GS of `m` conducting `target_id` in saturation at `vds`.
+    let solve = |m: &Mosfet, target_id: f64, vds: f64| match memo {
+        Some(memo) => memo.vgs_for_current(m, process, target_id, vds, vdd),
+        None => m.vgs_for_current(process, target_id, vds, vdd),
+    };
 
     let id1 = 0.5 * dv.itail;
 
     // --- Input pair bias: V_GS1 for I_tail/2 (V_DS assumed mid-supply,
     // refined below).
-    let vgs1 = match m1.vgs_for_current(process, id1, 0.5 * vdd, vdd) {
+    let vgs1 = match solve(&m1, id1, 0.5 * vdd) {
         Some(v) => v,
         None => return fault_report(DcFault::InputPairCurrent),
     };
@@ -150,7 +166,7 @@ pub fn analyze(dv: &DesignVector, process: &Process) -> OpampReport {
     }
 
     // --- Tail: V_GS5 for I_tail at V_DS = vs1.
-    let vgs5 = match m5.vgs_for_current(process, dv.itail, vs1, vdd) {
+    let vgs5 = match solve(&m5, dv.itail, vs1) {
         Some(v) => v,
         None => return fault_report(DcFault::TailCurrent),
     };
@@ -159,7 +175,7 @@ pub fn analyze(dv: &DesignVector, process: &Process) -> OpampReport {
     // by fixed-point refinement.
     let mut vgs3 = 0.6;
     for _ in 0..2 {
-        vgs3 = match m3.vgs_for_current(process, id1, vgs3, vdd) {
+        vgs3 = match solve(&m3, id1, vgs3) {
             Some(v) => v,
             None => return fault_report(DcFault::MirrorCurrent),
         };
@@ -173,7 +189,7 @@ pub fn analyze(dv: &DesignVector, process: &Process) -> OpampReport {
     let i2 = dv.itail * (dv.w7 / dv.l7) / (dv.w5 / dv.l5);
     // Equilibrium V_GS6 that conducts I2; stage-1 output settles at
     // VDD − vgs6_actual, the difference to v1_ideal is systematic offset.
-    let vgs6_actual = match m6.vgs_for_current(process, i2, vcm_out, vdd) {
+    let vgs6_actual = match solve(&m6, i2, vcm_out) {
         Some(v) => v,
         None => return fault_report(DcFault::DriverCurrent),
     };

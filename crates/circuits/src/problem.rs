@@ -6,6 +6,7 @@
 //! reporting helpers convert to the paper's axes (C_L in pF on x, power in
 //! W on y) and to the paper's hypervolume units (0.1 mW · pF).
 
+use crate::bias::BiasMemo;
 use crate::integrator::{self, ClockContext, IntegratorReport};
 use crate::process::Process;
 use crate::sizing::{DesignVector, NUM_PARAMS};
@@ -99,15 +100,25 @@ impl IntegratorProblem {
         yield_est::robustness(&dv, &self.process, &self.clock, &self.spec)
     }
 
-    /// Evaluates a decoded design (shared by [`Problem::evaluate`]).
+    /// Evaluates a decoded design (shared by [`Problem::evaluate`]). The
+    /// process-wide [`BiasMemo`] serves every op-amp bias solve.
     pub fn evaluate_design(&self, dv: &DesignVector) -> Evaluation {
-        let report = integrator::analyze(dv, &self.process, &self.clock);
+        let memo = Some(BiasMemo::shared());
+        let report = integrator::prepare_with(dv, &self.process, &self.clock, memo).at_load(dv.cl);
 
         // Robustness: the nominal report stands in for the TT sample; skip
         // the 8 corner analyses when the nominal point is not even biased —
         // it cannot pass anywhere.
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(dv, &self.plan, &self.clock, &self.spec, Some(&report)).0
+            yield_est::robustness_prepared(
+                dv,
+                &self.plan,
+                &self.clock,
+                &self.spec,
+                Some(&report),
+                memo,
+            )
+            .0
         } else {
             0.0
         };

@@ -10,6 +10,7 @@
 //! set is fixed, so the figure is deterministic and smooth enough for a GA
 //! to climb.
 
+use crate::bias::BiasMemo;
 use crate::integrator::{self, ClockContext, IntegratorReport};
 use crate::process::{Corner, Process};
 use crate::sizing::DesignVector;
@@ -120,19 +121,26 @@ pub fn prepared_plan(nominal: &Process) -> Vec<(SamplePoint, Process)> {
 /// [`SamplePoint::is_nominal`] sample then takes its verdict from that
 /// report instead of solving the design again: one analysis fewer, the
 /// same verdicts.
+///
+/// `memo`, when given, serves the bias solves of the sample analyses (see
+/// [`BiasMemo`]); the verdicts are the same either way.
 pub fn robustness_prepared(
     dv: &DesignVector,
     plan: &[(SamplePoint, Process)],
     clock: &ClockContext,
     spec: &Spec,
     nominal: Option<&IntegratorReport>,
+    memo: Option<&BiasMemo>,
 ) -> (f64, Vec<(SamplePoint, bool)>) {
     let mut outcomes = Vec::with_capacity(plan.len());
     let mut passed = 0usize;
     for (sp, process) in plan {
         let ok = match nominal {
             Some(report) if sp.is_nominal() => passes_performance(report, spec),
-            _ => passes_performance(&integrator::analyze(dv, process, clock), spec),
+            _ => {
+                let report = integrator::prepare_with(dv, process, clock, memo).at_load(dv.cl);
+                passes_performance(&report, spec)
+            }
         };
         if ok {
             passed += 1;
@@ -151,7 +159,7 @@ pub fn robustness_detailed(
     clock: &ClockContext,
     spec: &Spec,
 ) -> (f64, Vec<(SamplePoint, bool)>) {
-    robustness_prepared(dv, &prepared_plan(nominal), clock, spec, None)
+    robustness_prepared(dv, &prepared_plan(nominal), clock, spec, None, None)
 }
 
 /// Robustness of a design (just the fraction). See [`robustness_detailed`].
@@ -210,7 +218,7 @@ mod tests {
         let nominal = Process::nominal();
         let clock = ClockContext::standard();
         let plan = prepared_plan(&nominal);
-        let (a, da) = robustness_prepared(&dv, &plan, &clock, &spec, None);
+        let (a, da) = robustness_prepared(&dv, &plan, &clock, &spec, None, None);
         let (b, db) = robustness_detailed(&dv, &nominal, &clock, &spec);
         assert_eq!(a, b);
         assert_eq!(da, db);

@@ -1,6 +1,7 @@
 //! Property-based tests of the circuit-model invariants.
 
-use analog_circuits::integrator::{analyze, prepare, ClockContext};
+use analog_circuits::bias::{BiasMemo, SLOTS};
+use analog_circuits::integrator::{analyze, prepare, prepare_with, ClockContext};
 use analog_circuits::mosfet::{effective_overdrive, Mosfet, SLOPE_FACTOR, V_THERMAL};
 use analog_circuits::process::{Corner, DeviceType, Process, TransistorParams};
 use analog_circuits::sizing::DesignVector;
@@ -77,7 +78,103 @@ fn design() -> impl Strategy<Value = DesignVector> {
     })
 }
 
+/// A process-wide memo so small that nearly every lookup collides with,
+/// or evicts, an entry of another design, process or device.
+fn tiny_memo() -> &'static BiasMemo {
+    static MEMO: std::sync::OnceLock<BiasMemo> = std::sync::OnceLock::new();
+    MEMO.get_or_init(|| BiasMemo::with_slots(5))
+}
+
+/// Every `TransistorParams` field of one polarity, scaled by 1.01 in turn.
+fn scaled_fields(p: &TransistorParams) -> Vec<(&'static str, TransistorParams)> {
+    let scaled = |f: fn(&mut TransistorParams) -> &mut f64| {
+        let mut q = *p;
+        *f(&mut q) *= 1.01;
+        q
+    };
+    vec![
+        ("vt0", scaled(|q| &mut q.vt0)),
+        ("kp", scaled(|q| &mut q.kp)),
+        ("esat", scaled(|q| &mut q.esat)),
+        ("lambda", scaled(|q| &mut q.lambda)),
+        ("theta1", scaled(|q| &mut q.theta1)),
+        ("theta2", scaled(|q| &mut q.theta2)),
+        ("vk", scaled(|q| &mut q.vk)),
+        ("c_overlap", scaled(|q| &mut q.c_overlap)),
+        ("cj", scaled(|q| &mut q.cj)),
+        ("cjsw", scaled(|q| &mut q.cjsw)),
+        ("l_diff", scaled(|q| &mut q.l_diff)),
+    ]
+}
+
+#[test]
+fn memo_key_covers_every_parameter_the_solve_reads() {
+    // Fill a private memo at the nominal process, then move one parameter
+    // of one polarity at a time: a key that omitted a parameter the solve
+    // reads would hand back the nominal bias and differ from the direct
+    // analysis.
+    let memo = BiasMemo::with_slots(SLOTS);
+    let clock = ClockContext::standard();
+    let dv = DesignVector::reference();
+    let nominal = Process::nominal();
+    let memoized =
+        |process: &Process| bits(&prepare_with(&dv, process, &clock, Some(&memo)).at_load(dv.cl));
+    assert_eq!(memoized(&nominal), bits(&analyze(&dv, &nominal, &clock)));
+    for device in [DeviceType::Nmos, DeviceType::Pmos] {
+        for (field, moved) in scaled_fields(nominal.transistor(device)) {
+            let mut process = nominal;
+            match device {
+                DeviceType::Nmos => process.nmos = moved,
+                DeviceType::Pmos => process.pmos = moved,
+            }
+            assert_eq!(
+                memoized(&process),
+                bits(&analyze(&dv, &process, &clock)),
+                "{device:?}.{field} scaled by 1.01"
+            );
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn memoized_evaluation_is_bit_identical(
+        dv in design(),
+        cl in 0.02e-12f64..5e-12,
+        corner in 0usize..5,
+    ) {
+        // The nominal stage and the corner sweep as the circuit problems
+        // run them, through a memo that keeps almost nothing.
+        let memo = tiny_memo();
+        let clock = ClockContext::standard();
+        let spec = Spec::featured();
+        let nominal = Process::nominal().at_corner(Corner::ALL[corner]);
+        let plan = yield_est::prepared_plan(&nominal);
+        let dv = dv.with_cl(cl);
+        for (_, process) in &plan {
+            let direct = bits(&analyze(&dv, process, &clock));
+            // Twice: the second analysis finds the entries the first stored
+            // unless they collided within it.
+            for _ in 0..2 {
+                let stage = prepare_with(&dv, process, &clock, Some(memo));
+                prop_assert_eq!(bits(&stage.at_load(cl)), direct.clone());
+            }
+        }
+        let report = prepare_with(&dv, &nominal, &clock, Some(memo)).at_load(cl);
+        let swept =
+            yield_est::robustness_prepared(&dv, &plan, &clock, &spec, Some(&report), Some(memo));
+        let uncached = yield_est::robustness_prepared(
+            &dv,
+            &plan,
+            &clock,
+            &spec,
+            Some(&analyze(&dv, &nominal, &clock)),
+            None,
+        );
+        prop_assert_eq!(swept.0.to_bits(), uncached.0.to_bits());
+        prop_assert_eq!(swept.1, uncached.1);
+    }
+
     #[test]
     fn prepared_stage_never_reads_the_load(
         dv in design(),
@@ -123,7 +220,8 @@ proptest! {
         let dv = dv.with_cl(cl);
         let report = analyze(&dv, &nominal, &clock);
         let plan = yield_est::prepared_plan(&nominal);
-        let reused = yield_est::robustness_prepared(&dv, &plan, &clock, &spec, Some(&report));
+        let reused =
+            yield_est::robustness_prepared(&dv, &plan, &clock, &spec, Some(&report), None);
         let full = yield_est::robustness_detailed(&dv, &nominal, &clock, &spec);
         prop_assert_eq!(reused.0.to_bits(), full.0.to_bits());
         prop_assert_eq!(reused.1, full.1);

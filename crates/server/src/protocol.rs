@@ -1,8 +1,9 @@
 //! The line-oriented text protocol spoken over TCP.
 //!
-//! Requests are single lines of at most [`MAX_REQUEST_LINE`] bytes;
-//! responses are `ok ...` or `err <message>` lines, with two multi-line
-//! forms (`list`, `stream`) terminated by an `end` line:
+//! Requests are single lines of at most [`MAX_REQUEST_LINE`] bytes, on
+//! at most [`MAX_CONNECTIONS`] connections at once; responses are
+//! `ok ...` or `err <message>` lines, with two multi-line forms (`list`,
+//! `stream`) terminated by an `end` line:
 //!
 //! ```text
 //! ping                      -> ok pong
@@ -46,8 +47,23 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// cannot grow server memory without bound.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
+/// Most client connections served at once, each on its own thread. The
+/// accept loop answers one more with a single `err` line and closes it,
+/// so a flood of idle connections cannot make the server spawn threads
+/// without bound.
+pub const MAX_CONNECTIONS: usize = 64;
+
 fn one_line(msg: &str) -> String {
     msg.replace(['\n', '\r'], " ")
+}
+
+/// Answers a connection over [`MAX_CONNECTIONS`] with one `err` line;
+/// dropping the stream then closes it.
+pub(crate) fn refuse_busy(mut stream: TcpStream) {
+    let _ = writeln!(
+        stream,
+        "err server busy: {MAX_CONNECTIONS} connections open, retry later"
+    );
 }
 
 /// Serves one client connection until it closes, errors, or the server

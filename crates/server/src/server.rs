@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ServerError;
 use crate::hub::ProgressHub;
+use crate::protocol::MAX_CONNECTIONS;
 use crate::queue::{JobQueue, PopMode};
 use crate::spec::{JobId, JobSpec};
 use crate::store::{JobHealth, JobState, JobStatus, JobStore};
@@ -142,10 +143,11 @@ impl ServerMetrics {
     }
 }
 
-/// Decrements the running-jobs count however its scope exits.
-struct RunningGuard<'a>(&'a AtomicUsize);
+/// Decrements a count however its scope exits: the running jobs, or the
+/// open client connections.
+struct CountGuard<'a>(&'a AtomicUsize);
 
-impl Drop for RunningGuard<'_> {
+impl Drop for CountGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
@@ -668,13 +670,17 @@ impl Server {
     }
 
     /// Serves the line protocol on `listener` until a client sends
-    /// `shutdown` (or [`Server::request_shutdown`] is called).
+    /// `shutdown` (or [`Server::request_shutdown`] is called), on at most
+    /// [`MAX_CONNECTIONS`] connections at once.
     ///
     /// # Errors
     ///
     /// Propagates listener configuration failures.
     pub fn serve(&self, listener: TcpListener) -> Result<(), ServerError> {
         listener.set_nonblocking(true)?;
+        // Only this loop opens connections, so a count read below the cap
+        // stays below it until the increment.
+        let connections = AtomicUsize::new(0);
         std::thread::scope(|scope| -> Result<(), ServerError> {
             let workers = scope.spawn(|| self.run_workers(PopMode::Wait, None));
             loop {
@@ -683,7 +689,16 @@ impl Server {
                 }
                 match listener.accept() {
                     Ok((stream, _addr)) => {
-                        scope.spawn(move || crate::protocol::handle_connection(self, stream));
+                        if connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                            crate::protocol::refuse_busy(stream);
+                            continue;
+                        }
+                        connections.fetch_add(1, Ordering::SeqCst);
+                        let open = CountGuard(&connections);
+                        scope.spawn(move || {
+                            let _open = open;
+                            crate::protocol::handle_connection(self, stream);
+                        });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(25));
@@ -769,7 +784,7 @@ impl Server {
             }
         };
         self.running.fetch_add(1, Ordering::SeqCst);
-        let _running = RunningGuard(&self.running);
+        let _running = CountGuard(&self.running);
         // Watchdogs persist across requeues in memory; after a daemon
         // restart they are rebuilt by replaying the (trimmed) stream.
         let mut watch = rt.watch.lock().unwrap().take().unwrap_or_else(|| {

@@ -11,7 +11,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dse_server::protocol::MAX_REQUEST_LINE;
+use dse_server::protocol::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
 use dse_server::{
     AlgoSpec, JobHealth, JobSpec, JobStatus, ProblemSpec, Server, ServerConfig, ServerError,
 };
@@ -646,5 +646,88 @@ fn oversized_request_line_gets_err_and_a_closed_connection() {
     assert!(reply.starts_with("err "), "{reply:?}");
     assert_eq!(reply.lines().count(), 1, "{reply:?}");
     assert_eq!(pong.unwrap(), "ok pong\n");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn connections_over_the_cap_get_err_until_one_closes() {
+    let root = scratch_dir("tcp-conn-cap");
+    let server = Server::open(&root, config(1)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    let ping = |stream: &mut TcpStream| -> std::io::Result<String> {
+        writeln!(stream, "ping")?;
+        let mut line = String::new();
+        BufReader::new(stream.try_clone()?).read_line(&mut line)?;
+        Ok(line)
+    };
+
+    // Every exchange runs before the daemon is stopped and is checked
+    // after it is joined, as in the line-cap test above.
+    let (held, refused, retried) = std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| server.serve(listener));
+
+        // Hold the cap's worth of connections, each confirmed served.
+        let mut streams = Vec::new();
+        let mut held = Vec::new();
+        for _ in 0..MAX_CONNECTIONS {
+            let exchange = TcpStream::connect(addr).and_then(|mut stream| {
+                stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+                let pong = ping(&mut stream)?;
+                streams.push(stream);
+                Ok(pong)
+            });
+            held.push(exchange);
+        }
+
+        // One more: a single `err` line, then EOF.
+        let refused = (|| -> std::io::Result<String> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply)?;
+            Ok(reply)
+        })();
+
+        // Closing one held connection frees its place; the server notices
+        // the close within a read timeout, so retry for a bounded time.
+        drop(streams.pop());
+        let mut retried = Vec::new();
+        for _ in 0..50 {
+            let reply = TcpStream::connect(addr).and_then(|mut stream| {
+                stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+                ping(&mut stream)
+            });
+            let served = matches!(&reply, Ok(line) if line == "ok pong\n");
+            retried.push(reply);
+            if served {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+
+        drop(streams);
+        server.request_shutdown();
+        daemon.join().unwrap().unwrap();
+        (held, refused, retried)
+    });
+    for (i, pong) in held.into_iter().enumerate() {
+        assert_eq!(
+            pong.expect("held connection"),
+            "ok pong\n",
+            "connection {i}"
+        );
+    }
+    let reply = refused.expect("the server must answer and close the connection");
+    assert!(reply.starts_with("err "), "{reply:?}");
+    assert!(reply.contains("busy"), "{reply:?}");
+    assert_eq!(reply.lines().count(), 1, "{reply:?}");
+    let last = retried.last().expect("at least one retry");
+    assert_eq!(
+        last.as_ref().ok().map(String::as_str),
+        Some("ok pong\n"),
+        "no connection was served after one closed: {retried:?}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
