@@ -21,6 +21,8 @@
 //!
 //! Voltages are *magnitudes*: callers pass `|V_GS|`, `|V_DS|` for PMOS.
 
+use std::cell::RefCell;
+
 use crate::process::{DeviceType, Process, TransistorParams};
 
 /// Thermal voltage `kT/q` at the nominal temperature (V).
@@ -126,25 +128,11 @@ impl Mosfet {
 
     /// The EKV effective overdrive at `vov` and the velocity-saturation
     /// factor `1 + V_ov,eff/(E_sat·L)`, shared by the saturation voltage
-    /// and the drain current so [`Mosfet::id`] computes them once.
+    /// and the drain current.
     fn overdrive_terms(&self, p: &TransistorParams, vov: f64) -> (f64, f64) {
         let vov_eff = effective_overdrive(vov);
         let esat_l = p.esat * self.l;
         (vov_eff, 1.0 + vov_eff / esat_l)
-    }
-
-    /// Saturation drain current per eqn (1) with the EKV inversion
-    /// interpolation, *without* channel-length modulation (A), from the
-    /// [`overdrive_terms`](Self::overdrive_terms) at `vgs`.
-    fn id_sat_core(&self, p: &TransistorParams, vgs: f64, vov_eff: f64, velocity: f64) -> f64 {
-        if vov_eff <= 0.0 {
-            return 0.0;
-        }
-        // Mobility degradation: the argument V_GS + V_T − V_K of the paper.
-        let x = (vgs + p.vt0 - p.vk).max(0.0);
-        let n = self.device.mobility_exponent();
-        let mobility = 1.0 + p.theta1 * x.cbrt() + p.theta2 * x.powf(n);
-        0.5 * p.kp * (self.w / self.l) * vov_eff * vov_eff / velocity / mobility
     }
 
     /// Effective channel-length-modulation coefficient (V⁻¹), scaled with
@@ -153,28 +141,56 @@ impl Mosfet {
         self.params(process).lambda / (self.l / 1e-6)
     }
 
+    /// Everything the drain current at `vgs` depends on besides V_DS. The
+    /// drain current, the operating point and the bias solve all compute
+    /// the current through [`GateTerms::current`], so they agree bit for
+    /// bit.
+    fn gate_terms(&self, p: &TransistorParams, lambda: f64, vgs: f64) -> GateTerms {
+        let (vov_eff, velocity) = self.overdrive_terms(p, vgs - p.vt0);
+        let strength = 0.5 * p.kp * (self.w / self.l) * vov_eff * vov_eff / velocity;
+        let mobility = mobility(p, self.device, vgs);
+        let core = if vov_eff <= 0.0 {
+            0.0
+        } else {
+            strength / mobility
+        };
+        GateTerms {
+            vov_eff,
+            velocity,
+            strength,
+            mobility,
+            core,
+            vdsat: saturation_voltage(vov_eff, velocity),
+            lambda,
+        }
+    }
+
     /// DC operating point at `(V_GS, V_DS)` magnitudes.
     ///
     /// Current is continuous across the triode/saturation boundary;
     /// derivatives (`gm`, `gds`) are obtained by central differences of the
     /// analytical current, which keeps them consistent with `id` by
-    /// construction.
+    /// construction. The V_GS-dependent terms are computed once for each of
+    /// the three gate voltages involved.
     pub fn operating_point(&self, process: &Process, vgs: f64, vds: f64) -> OperatingPoint {
-        let id = self.id(process, vgs, vds);
         let p = self.params(process);
-        let vov = vgs - p.vt0;
-        let vdsat = self.vdsat(process, vov);
-        let region = if vov <= 0.0 {
+        let lambda = self.lambda_eff(process);
+        let h = 1e-6;
+        let at = self.gate_terms(p, lambda, vgs);
+        let up = self.gate_terms(p, lambda, vgs + h);
+        let down = self.gate_terms(p, lambda, vgs - h);
+        let id = at.current(vds);
+        let vdsat = at.vdsat;
+        let region = if vgs - p.vt0 <= 0.0 {
             Region::Cutoff
         } else if vds < vdsat {
             Region::Triode
         } else {
             Region::Saturation
         };
-        let h = 1e-6;
-        let gm = (self.id(process, vgs + h, vds) - self.id(process, vgs - h, vds)) / (2.0 * h);
-        let gds = (self.id(process, vgs, vds + h) - self.id(process, vgs, (vds - h).max(0.0)))
-            / (vds + h - (vds - h).max(0.0));
+        let gm = (up.current(vds) - down.current(vds)) / (2.0 * h);
+        let gds =
+            (at.current(vds + h) - at.current((vds - h).max(0.0))) / (vds + h - (vds - h).max(0.0));
         OperatingPoint {
             id,
             gm: gm.max(0.0),
@@ -190,37 +206,93 @@ impl Mosfet {
     ///
     /// Below threshold the EKV interpolation yields an exponentially
     /// decaying (but nonzero) subthreshold current.
+    ///
+    /// The current is not monotone in V_GS everywhere. The mobility term
+    /// `θ₁·x^(1/3)`, with `x = V_GS + V_T0 − V_K`, has infinite slope at
+    /// `x = 0`, so the current dips just above the kink
+    /// `V_GS = V_K − V_T0` (0.35 V at nominal). A scan in 1e-7 V steps
+    /// over every process of
+    /// [`prepared_plan`](crate::yield_est::prepared_plan), both
+    /// polarities, 34 drawn lengths and 14 V_DS values finds the current
+    /// falling only within 0.27 mV above the kink, and at most 1.27% below
+    /// its value there. Elsewhere the current rises with V_GS;
+    /// [`Mosfet::vgs_for_current`] proves that for each solve before it
+    /// relies on it.
     pub fn id(&self, process: &Process, vgs: f64, vds: f64) -> f64 {
-        let p = self.params(process);
-        let vov = vgs - p.vt0;
         if vds <= 0.0 {
             return 0.0;
         }
-        let (vov_eff, velocity) = self.overdrive_terms(p, vov);
-        let vdsat = saturation_voltage(vov_eff, velocity);
-        let lambda = self.lambda_eff(process);
-        let core = self.id_sat_core(p, vgs, vov_eff, velocity);
-        if vds >= vdsat {
-            core * (1.0 + lambda * (vds - vdsat))
-        } else {
-            // Parabolic triode interpolation, current-continuous at vdsat.
-            let u = vds / vdsat;
-            core * u * (2.0 - u)
-        }
+        self.gate_terms(self.params(process), self.lambda_eff(process), vgs)
+            .current(vds)
     }
 
     /// Solves for the `V_GS` magnitude that conducts `target_id` in
     /// saturation at `vds` (bisection; `None` when the device cannot carry
     /// the current below `vgs_max`).
     ///
-    /// The bisection always runs its 44 steps: stopping early would change
-    /// the result's bits, for two reasons. After `k` steps the bracket is
-    /// still `(vgs_max − 0.01 V)/2^k` wide, ≥ 1.79 V/2^44 ≈ 1e-13 V at the
+    /// The result is that of a plain bisection on `f(v) = id(v) − I` over
+    /// `[0.01 V, vgs_max]`: `None` when `f(vgs_max) < 0`, `0.01 V` when
+    /// `f(0.01 V) > 0`, and otherwise the final midpoint of 44 halvings
+    /// that move `lo` up where `f(mid) < 0` and `hi` down elsewhere. The
+    /// loop always runs its 44 steps: stopping early would change the
+    /// result's bits, for two reasons. After `k` steps the bracket is still
+    /// `(vgs_max − 0.01 V)/2^k` wide, ≥ 1.79 V/2^44 ≈ 1e-13 V at the
     /// op-amp's 1.8 V — about 900 ulp of a sub-volt `V_GS` — so every step
     /// still moves `lo` or `hi`, and with them the returned midpoint. And an
     /// exact `f(mid) == 0` only sets `hi = mid`; the remaining steps keep
     /// moving `lo`, so returning `mid` there would differ from the final
     /// midpoint.
+    ///
+    /// # Certified replay
+    ///
+    /// The result is fixed by the sign of `f` at the 44 midpoints, so the
+    /// solve runs the same loop but calls `id` only at midpoints inside a
+    /// certified bracket `(a, b)` around the root, typically 3–6 of them:
+    ///
+    /// 1. Estimate the root `r`: the velocity-saturated square law solved
+    ///    for `V_ov,eff` and the EKV softplus inverted give a start, and
+    ///    Newton on the closed-form `∂I_D/∂V_GS` converges from it until a
+    ///    step is below 1e-10 V, in at most 20 steps. The estimate need not
+    ///    be exact: only the certificate decides.
+    /// 2. With `m = 1e-13·I`, take the first `δ` of 3e-13, 1e-11 and
+    ///    1e-9 V for which `a = r − δ ≥ 0.01 V`, `b = r + δ < vgs_max`,
+    ///    `f(a) < −m` and `f(b) > m`.
+    /// 3. Prove the sign of `f` outside `(a, b)`. Let `K = V_K − V_T0` be
+    ///    the kink of the mobility term (see [`Mosfet::id`]), `c = K + 1 mV`,
+    ///    `N` the saturation current before mobility degradation and
+    ///    channel-length modulation, `µ` the mobility divisor and `g` the
+    ///    V_DS factor, which falls as `V_dsat` rises. Both cases need `id`
+    ///    to rise on `[c, vgs_max]`. With θ₁, θ₂, λ ≥ 0,
+    ///    `d ln I_D/dV_GS ≥ σ/V_ov,eff − λ_eff − µ′/µ` in saturation and
+    ///    triode, where `σ = dV_ov,eff/dV_GS`. The solve bounds
+    ///    `σ/V_ov,eff − µ′/µ` from below on pieces of `[c, vgs_max]` and
+    ///    compares the least bound with `λ_eff`. That floor depends only on
+    ///    the polarity's V_T0, V_K, θ₁, θ₂, n and on `vgs_max`, so each
+    ///    thread keeps the floors of its recent parameter sets, keyed on
+    ///    their bits.
+    ///    - *Root above the dip*, `a > c`. A midpoint in `[0.01 V, c]` has
+    ///      `f < 0` because there `id ≤ N(c)·g(V_dsat(0.01 V)) < I − m`; one
+    ///      in `[c, a]` because `id` rises there and `f(a) < −m`; one at or
+    ///      above `b` has `f > 0` because `id` rises there and `f(b) > m`.
+    ///    - *Root below the kink*, `b < K − 1 nV`, where `µ` is exactly 1.
+    ///      There `id` rises on `[0.01 V, K]` when `σ/V_ov,eff > λ_eff` at
+    ///      `K`, so a midpoint at or below `a` has `f < 0` and one in
+    ///      `[b, K − 1 nV]` has `f > 0`. One in `[K − 1 nV, c]` has `f > 0`
+    ///      because there `id ≥ N(K − 1 nV)/µ(c)·g(V_dsat(c)) > I + m`; one
+    ///      above `c` because `id` rises there and `f(c) > m`.
+    ///
+    ///    The same facts settle the two guard evaluations at `0.01 V` and
+    ///    `vgs_max`, which the replay skips. Every bound holds for each
+    ///    floating-point `V_GS` in its interval; none rests on one
+    ///    evaluation at the kink, where a rounding residue of `x` moves the
+    ///    computed `id` by about 1e-6 relative. The margin `m` absorbs the
+    ///    ~3e-16 relative wobble of the computed `id` between neighbouring
+    ///    floating-point `V_GS` values.
+    ///
+    /// The solve falls back to the plain bisection, the same loop with an
+    /// empty bracket, when `vds ≤ 0`, the target is not finite, `K` is not
+    /// above 0.01 V, θ₁, θ₂ or λ is negative, Newton does not converge, or
+    /// any step of the certificate fails — chiefly for roots in the dip.
     pub fn vgs_for_current(
         &self,
         process: &Process,
@@ -231,28 +303,155 @@ impl Mosfet {
         if target_id <= 0.0 {
             return Some(self.vt(process));
         }
+        let certified = self.certified_bracket(process, target_id, vds, vgs_max);
+        self.bisect(process, target_id, vds, vgs_max, certified)
+    }
+
+    /// The 44-step bisection of [`Mosfet::vgs_for_current`]. A midpoint at
+    /// or below `a` of `certified = Some((a, b))` counts as `f < 0`, one at
+    /// or above `b` as `f ≥ 0`, and `id` is called only in between. With
+    /// `None` the bracket is empty: the loop checks both ends first and
+    /// calls `id` at every midpoint — the plain bisection.
+    fn bisect(
+        &self,
+        process: &Process,
+        target_id: f64,
+        vds: f64,
+        vgs_max: f64,
+        certified: Option<(f64, f64)>,
+    ) -> Option<f64> {
         let f = |vgs: f64| self.id(process, vgs, vds) - target_id;
-        let lo0 = 0.01; // well into subthreshold
-        if f(vgs_max) < 0.0 {
-            return None;
-        }
-        if f(lo0) > 0.0 {
-            // Even deep subthreshold leaks more than the target: report the
-            // smallest representable bias.
-            return Some(lo0);
-        }
-        let (mut lo, mut hi) = (lo0, vgs_max);
+        let (below, above) = match certified {
+            Some(bracket) => bracket,
+            None => {
+                if f(vgs_max) < 0.0 {
+                    return None;
+                }
+                if f(BISECTION_FLOOR) > 0.0 {
+                    // Even deep subthreshold leaks more than the target:
+                    // report the smallest representable bias.
+                    return Some(BISECTION_FLOOR);
+                }
+                (f64::NEG_INFINITY, f64::INFINITY)
+            }
+        };
+        let (mut lo, mut hi) = (BISECTION_FLOOR, vgs_max);
         // 44 bisection steps: |hi - lo| < 2 V / 2^44 ~ 1e-13 V, far below
         // any physical meaning, at half the cost of excess precision.
         for _ in 0..44 {
             let mid = 0.5 * (lo + hi);
-            if f(mid) < 0.0 {
+            let short = if mid <= below {
+                true
+            } else if mid >= above {
+                false
+            } else {
+                f(mid) < 0.0
+            };
+            if short {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
         Some(0.5 * (lo + hi))
+    }
+
+    /// The certified bracket `(a, b)` of [`Mosfet::vgs_for_current`], or
+    /// `None` where the solve falls back to the plain bisection.
+    fn certified_bracket(
+        &self,
+        process: &Process,
+        target_id: f64,
+        vds: f64,
+        vgs_max: f64,
+    ) -> Option<(f64, f64)> {
+        let p = self.params(process);
+        let lambda = self.lambda_eff(process);
+        let kink = p.vk - p.vt0;
+        let above_dip = kink + DIP_WIDTH;
+        // The bounds assume these signs; a NaN fails every comparison.
+        let model_holds = [self.w, self.l, p.kp, p.esat].iter().all(|&v| v > 0.0)
+            && [p.theta1, p.theta2, p.lambda].iter().all(|&v| v >= 0.0)
+            && [
+                self.w, self.l, p.vt0, p.kp, p.esat, p.lambda, p.theta1, p.theta2, p.vk,
+            ]
+            .iter()
+            .all(|v| v.is_finite());
+        if !(model_holds
+            && vds > 0.0
+            && target_id.is_finite()
+            && kink > BISECTION_FLOOR
+            && vgs_max.is_finite()
+            && vgs_max > above_dip)
+        {
+            return None;
+        }
+        let root = self.newton_root(p, lambda, target_id, vds)?;
+        let f = |vgs: f64| self.id(process, vgs, vds) - target_id;
+        let margin = CERTIFICATE_MARGIN * target_id;
+        let (a, b) = BRACKET_HALF_WIDTHS
+            .iter()
+            .map(|&delta| (root - delta, root + delta))
+            .find(|&(a, b)| {
+                a >= BISECTION_FLOOR && b < vgs_max && f(a) < -margin && f(b) > margin
+            })?;
+        let floors = rise_floors(p, self.device, vgs_max);
+        let outside_holds = if a > above_dip {
+            // Root above the dip: bound id on [0.01 V, c] from above.
+            let top = self.gate_terms(p, lambda, above_dip);
+            let bottom = self.gate_terms(p, lambda, BISECTION_FLOOR);
+            top.strength * bottom.drain_factor(vds) < target_id - margin
+        } else if b < kink - BELOW_KINK {
+            // Root below the kink: id rises up to K, and stays above the
+            // target across the dip.
+            let before = self.gate_terms(p, lambda, kink - BELOW_KINK);
+            let after = self.gate_terms(p, lambda, above_dip);
+            floors.below_kink > lambda
+                && before.strength / after.mobility * after.drain_factor(vds) > target_id + margin
+                && f(above_dip) > margin
+        } else {
+            false
+        };
+        (outside_holds && floors.above_dip > lambda).then_some((a, b))
+    }
+
+    /// Newton's root of `id(V_GS, vds) = target_id` from
+    /// [`Mosfet::square_law_root`], or `None` unless a step falls below
+    /// 1e-10 V within 20 steps.
+    fn newton_root(
+        &self,
+        p: &TransistorParams,
+        lambda: f64,
+        target_id: f64,
+        vds: f64,
+    ) -> Option<f64> {
+        let mut vgs = self.square_law_root(p, target_id);
+        for _ in 0..NEWTON_STEPS {
+            let terms = self.gate_terms(p, lambda, vgs);
+            let id = terms.current(vds);
+            let step = (id - target_id) / (id * terms.log_slope(self, p, vgs, vds));
+            vgs -= step;
+            if !vgs.is_finite() {
+                return None;
+            }
+            if step.abs() < NEWTON_TOLERANCE {
+                return Some(vgs);
+            }
+        }
+        None
+    }
+
+    /// A closed-form estimate of the V_GS that conducts `target_id`: the
+    /// velocity-saturated square law
+    /// `I = ½β·V_ov,eff²/(1 + V_ov,eff/(E_sat·L))` solved for `V_ov,eff`
+    /// and mapped back through the inverse softplus. It ignores mobility
+    /// degradation and the V_DS factor, which Newton then takes up.
+    fn square_law_root(&self, p: &TransistorParams, target_id: f64) -> f64 {
+        let beta = p.kp * (self.w / self.l);
+        let b = target_id / (p.esat * self.l);
+        let vov_eff = (b + (b * b + 2.0 * beta * target_id).sqrt()) / beta;
+        let scale = 2.0 * SLOPE_FACTOR * V_THERMAL;
+        p.vt0 + vov_eff + scale * (-(-vov_eff / scale).exp_m1()).ln()
     }
 
     /// Gate-source capacitance in saturation:
@@ -277,6 +476,245 @@ impl Mosfet {
     pub fn area(&self, process: &Process) -> f64 {
         self.w * self.l + 2.0 * self.w * self.params(process).l_diff
     }
+}
+
+/// The bottom of the bias bisection's bracket (V), well into subthreshold.
+const BISECTION_FLOOR: f64 = 0.01;
+
+/// How far above the mobility kink the certified replay of
+/// [`Mosfet::vgs_for_current`] takes the dip to end (V).
+const DIP_WIDTH: f64 = 1e-3;
+
+/// How far below the mobility kink a root must lie for the replay's
+/// below-the-kink certificate (V).
+const BELOW_KINK: f64 = 1e-9;
+
+/// The replay's margin `m`, relative to the target current.
+const CERTIFICATE_MARGIN: f64 = 1e-13;
+
+/// Half-widths `δ` of the replay's bracket around the Newton root, tried in
+/// turn (V).
+const BRACKET_HALF_WIDTHS: [f64; 3] = [3e-13, 1e-11, 1e-9];
+
+/// Newton converges once a step is shorter than this (V): convergence is
+/// quadratic, so the root is then good to far below the bracket's 3e-13 V...
+const NEWTON_TOLERANCE: f64 = 1e-10;
+
+/// ...within this many steps.
+const NEWTON_STEPS: usize = 20;
+
+/// Pieces [`compute_rise_floors`] may split `[K + 1 mV, V_GS,max]` into.
+const GUARD_PIECES: usize = 64;
+
+/// How far below the least pointwise bound seen [`compute_rise_floors`]
+/// may leave a piece's bound unsplit (V⁻¹).
+const FLOOR_TOLERANCE: f64 = 1e-3;
+
+/// Lower bounds on `d ln I_D/dV_GS + λ_eff` that hold for every W, L and
+/// V_DS of one polarity: [`Mosfet::vgs_for_current`] proves the current
+/// rises on an interval by comparing one of them with `λ_eff`.
+#[derive(Debug, Clone, Copy)]
+struct RiseFloors {
+    /// Over `[K + 1 mV, V_GS,max]`, above the kink `K = V_K − V_T0`.
+    above_dip: f64,
+    /// Over `[0.01 V, K]`, where the mobility divisor is 1.
+    below_kink: f64,
+}
+
+/// Entries of each thread's table of [`RiseFloors`].
+const FLOOR_SLOTS: usize = 16;
+
+/// The bits of every input of [`RiseFloors`]: the mobility exponent,
+/// `vt0`, `vk`, `theta1`, `theta2` and V_GS,max.
+type FloorKey = [u64; 6];
+
+/// Each thread's table of recent [`RiseFloors`], keyed on the bits of
+/// their inputs as the bias memo is, and refilled in turn. A corner sweep
+/// uses a dozen parameter sets, so the floors are computed once per set
+/// and a solve pays for a lookup. No key is all zeros, so empty entries
+/// never match.
+struct FloorTable {
+    entries: [(FloorKey, RiseFloors); FLOOR_SLOTS],
+    next: usize,
+}
+
+thread_local! {
+    static RISE_FLOORS: RefCell<FloorTable> = const {
+        RefCell::new(FloorTable {
+            entries: [([0; 6], RiseFloors { above_dip: f64::NAN, below_kink: f64::NAN });
+                FLOOR_SLOTS],
+            next: 0,
+        })
+    };
+}
+
+/// The [`RiseFloors`] of `p` for polarity `device` up to `vgs_max`, from
+/// this thread's table when it holds them.
+fn rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> RiseFloors {
+    let key = [
+        device.mobility_exponent(),
+        p.vt0,
+        p.vk,
+        p.theta1,
+        p.theta2,
+        vgs_max,
+    ]
+    .map(f64::to_bits);
+    RISE_FLOORS.with(|table| {
+        let mut table = table.borrow_mut();
+        if let Some((_, floors)) = table.entries.iter().find(|(k, _)| *k == key) {
+            return *floors;
+        }
+        let floors = compute_rise_floors(p, device, vgs_max);
+        let next = table.next;
+        table.entries[next] = (key, floors);
+        table.next = (next + 1) % FLOOR_SLOTS;
+        floors
+    })
+}
+
+/// [`RiseFloors`] from scratch. With θ₁, θ₂, λ ≥ 0,
+/// `d ln I_D/dV_GS ≥ σ/V_ov,eff − λ_eff − µ′/µ` in saturation and triode,
+/// where `σ = dV_ov,eff/dV_GS` and µ is the mobility divisor, so a floor
+/// of `σ/V_ov,eff − µ′/µ` above `λ_eff` proves the current rises.
+/// `σ/V_ov,eff` falls as V_GS rises.
+///
+/// - Below the kink µ is 1, so the floor is `σ/V_ov,eff` at `K`.
+/// - Above the dip the floor is the least of a lower bound on each piece
+///   of `[K + 1 mV, V_GS,max]`: `σ/V_ov,eff` at the piece's top, µ′ per
+///   [`mobility_slope`] and µ at its bottom. A piece is split at the
+///   geometric mean of `x = V_GS − K` while its bound lies more than
+///   [`FLOOR_TOLERANCE`] below the least pointwise value seen so far, up
+///   to [`GUARD_PIECES`] pieces; the floor is a lower bound either way.
+///
+/// A NaN floor, from parameters far outside any process, proves nothing.
+fn compute_rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> RiseFloors {
+    let kink = p.vk - p.vt0;
+    let efficiency = |vgs: f64| {
+        let vov_eff = effective_overdrive(vgs - p.vt0);
+        softplus_slope(vov_eff) / vov_eff
+    };
+    let bound = |lo: f64, hi: f64| {
+        efficiency(hi) - mobility_slope(p, device, lo - kink, hi - kink) / mobility(p, device, lo)
+    };
+    let from = kink + DIP_WIDTH;
+    let mut seen = bound(from, from).min(bound(vgs_max, vgs_max));
+    let mut above_dip = f64::INFINITY;
+    let mut pieces = [(0.0, 0.0); GUARD_PIECES + 1];
+    pieces[0] = (from, vgs_max);
+    let (mut open, mut made) = (1, 1);
+    while open > 0 {
+        open -= 1;
+        let (lo, hi) = pieces[open];
+        let piece = bound(lo, hi);
+        if piece.is_nan() {
+            above_dip = f64::NAN;
+            break;
+        }
+        if piece >= seen - FLOOR_TOLERANCE || made == GUARD_PIECES {
+            above_dip = above_dip.min(piece);
+            continue;
+        }
+        let mid = kink + ((lo - kink) * (hi - kink)).sqrt();
+        seen = seen.min(bound(mid, mid));
+        pieces[open] = (mid, hi);
+        pieces[open + 1] = (lo, mid);
+        open += 2;
+        made += 1;
+    }
+    RiseFloors {
+        above_dip,
+        below_kink: efficiency(kink),
+    }
+}
+
+/// The mobility-degradation divisor of eqn (1) at `vgs`:
+/// `1 + θ₁·x^(1/3) + θ₂·xⁿ` with `x = max(V_GS + V_T0 − V_K, 0)`.
+fn mobility(p: &TransistorParams, device: DeviceType, vgs: f64) -> f64 {
+    let x = (vgs + p.vt0 - p.vk).max(0.0);
+    1.0 + p.theta1 * x.cbrt() + p.theta2 * x.powf(device.mobility_exponent())
+}
+
+/// The V_GS-dependent terms of the drain current at one gate voltage (see
+/// [`Mosfet::gate_terms`]).
+#[derive(Debug, Clone, Copy)]
+struct GateTerms {
+    vov_eff: f64,
+    velocity: f64,
+    /// `½·k'·(W/L)·V_ov,eff²/(1 + V_ov,eff/(E_sat·L))`: the saturation
+    /// current of eqn (1) before mobility degradation and channel-length
+    /// modulation (A).
+    strength: f64,
+    /// The mobility-degradation divisor, see [`mobility`].
+    mobility: f64,
+    /// Saturation current before channel-length modulation (A).
+    core: f64,
+    vdsat: f64,
+    lambda: f64,
+}
+
+impl GateTerms {
+    /// The drain current at `vds` (A): channel-length modulation in
+    /// saturation, the parabolic triode interpolation below `vdsat`, which
+    /// is current-continuous at `vdsat`.
+    fn current(&self, vds: f64) -> f64 {
+        if vds <= 0.0 {
+            return 0.0;
+        }
+        if vds >= self.vdsat {
+            self.core * (1.0 + self.lambda * (vds - self.vdsat))
+        } else {
+            let u = vds / self.vdsat;
+            self.core * u * (2.0 - u)
+        }
+    }
+
+    /// The V_DS factor of the current at `vds`, the current over
+    /// [`GateTerms::core`]; it falls as `vdsat` rises.
+    fn drain_factor(&self, vds: f64) -> f64 {
+        GateTerms { core: 1.0, ..*self }.current(vds)
+    }
+
+    /// `d ln I_D / dV_GS` at `vds` in closed form, for the Newton estimate
+    /// of [`Mosfet::vgs_for_current`]. Only the estimate uses it, so it need
+    /// not agree with [`GateTerms::current`] to the last bit.
+    fn log_slope(&self, m: &Mosfet, p: &TransistorParams, vgs: f64, vds: f64) -> f64 {
+        let sigma = softplus_slope(self.vov_eff);
+        let strength = sigma * (2.0 / self.vov_eff - 1.0 / (p.esat * m.l * self.velocity));
+        let d_vdsat = if self.vov_eff / self.velocity > 3.0 * V_THERMAL {
+            sigma / (self.velocity * self.velocity)
+        } else {
+            0.0
+        };
+        let drain = if vds >= self.vdsat {
+            -self.lambda * d_vdsat / (1.0 + self.lambda * (vds - self.vdsat))
+        } else {
+            let u = vds / self.vdsat;
+            -(2.0 - 2.0 * u) / (2.0 - u) * d_vdsat / self.vdsat
+        };
+        let x = (vgs + p.vt0 - p.vk).max(0.0);
+        let degradation = if x > 0.0 {
+            mobility_slope(p, m.device, x, x) / self.mobility
+        } else {
+            0.0
+        };
+        strength + drain - degradation
+    }
+}
+
+/// `dV_ov,eff/dV_ov` of [`effective_overdrive`], from its value:
+/// `1 − exp(−V_ov,eff / 2nV_T)`.
+fn softplus_slope(vov_eff: f64) -> f64 {
+    -(-vov_eff / (2.0 * SLOPE_FACTOR * V_THERMAL)).exp_m1()
+}
+
+/// An upper bound on the slope of the mobility divisor over `x ∈ [lo, hi]`,
+/// `0 < lo ≤ hi`: the `θ₁·x^(1/3)/3x` term falls with `x`, so it is taken
+/// at `lo`; the `n·θ₂·xⁿ⁻¹` term does not fall, so it is taken at `hi`.
+/// With `lo == hi` it is the slope at that point.
+fn mobility_slope(p: &TransistorParams, device: DeviceType, lo: f64, hi: f64) -> f64 {
+    let n = device.mobility_exponent();
+    p.theta1 * lo.cbrt() / (3.0 * lo) + n * p.theta2 * hi.powf(n - 1.0)
 }
 
 #[cfg(test)]
@@ -513,5 +951,334 @@ mod tests {
         let vdsat = m.vdsat(&p, 0.9 - m.vt(&p));
         let op = m.operating_point(&p, 0.9, vdsat * 0.5);
         assert_eq!(op.region, Region::Triode);
+    }
+
+    // --- The certified replay of `vgs_for_current` ---------------------
+
+    use crate::yield_est::prepared_plan;
+    use proptest::prelude::*;
+
+    /// The plain bisection, which the certified replay must match bit for
+    /// bit: the loop of `vgs_for_current` with an empty bracket.
+    fn oracle(m: &Mosfet, p: &Process, target: f64, vds: f64, vgs_max: f64) -> Option<f64> {
+        if target <= 0.0 {
+            return Some(m.vt(p));
+        }
+        m.bisect(p, target, vds, vgs_max, None)
+    }
+
+    fn solve_bits(solve: Option<f64>) -> Option<u64> {
+        solve.map(f64::to_bits)
+    }
+
+    /// `(kink, λ_eff)` of `m` in `p`: the kink `K = V_K − V_T0` of the
+    /// mobility term and the channel-length modulation coefficient.
+    fn kink_and_lambda(m: &Mosfet, p: &Process) -> (f64, f64) {
+        let t = p.transistor(m.device);
+        (t.vk - t.vt0, m.lambda_eff(p))
+    }
+
+    /// The drawn lengths of the layout grid, 0.18–1.5 µm in 10 nm steps.
+    fn grid_lengths() -> impl Iterator<Item = f64> {
+        (18..=150).map(|k| f64::from(k) * 0.01e-6)
+    }
+
+    /// Scales each field of `t` by the matching factor.
+    fn scaled(t: &TransistorParams, s: &[f64]) -> TransistorParams {
+        TransistorParams {
+            vt0: t.vt0 * s[0],
+            kp: t.kp * s[1],
+            esat: t.esat * s[2],
+            lambda: t.lambda * s[3],
+            theta1: t.theta1 * s[4],
+            theta2: t.theta2 * s[5],
+            vk: t.vk * s[6],
+            c_overlap: t.c_overlap * s[7],
+            cj: t.cj * s[8],
+            cjsw: t.cjsw * s[9],
+            l_diff: t.l_diff * s[10],
+        }
+    }
+
+    /// A device of either polarity, W log-uniform over 1–1000 µm, L on the
+    /// layout grid or anywhere in 0.18–1.5 µm, in one of the corner-sweep
+    /// processes; half of the time every `TransistorParams` field of both
+    /// polarities is also scaled by a factor within [0.5, 2].
+    fn solve_setup() -> impl Strategy<Value = (Mosfet, Process)> {
+        (
+            (0u8..2, 0.0f64..1.0, 0.0f64..1.0, 0u8..2),
+            (0usize..9, 0u8..2, prop::collection::vec(0.5f64..2.0, 22)),
+        )
+            .prop_map(|((polarity, w, l, on_grid), (point, scale, factors))| {
+                let device = if polarity == 0 {
+                    DeviceType::Nmos
+                } else {
+                    DeviceType::Pmos
+                };
+                let mut l = 0.18e-6 * (1.5f64 / 0.18).powf(l);
+                if on_grid == 1 {
+                    l = (l / 0.01e-6).round() * 0.01e-6;
+                }
+                let m = Mosfet::new(device, 1e-6 * 1000f64.powf(w), l);
+                let mut p = prepared_plan(&Process::nominal())[point].1;
+                if scale == 1 {
+                    p.nmos = scaled(&p.nmos, &factors[..11]);
+                    p.pmos = scaled(&p.pmos, &factors[11..]);
+                }
+                (m, p)
+            })
+    }
+
+    /// A drain voltage: ≤ 0, deep triode or anywhere up to the supply.
+    fn drain_voltage() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(-0.1), Just(0.0), 1e-4f64..0.05, 0.0f64..1.8]
+    }
+
+    /// The top of the bisection bracket: the supply, or anywhere in
+    /// 0.3–3.3 V.
+    fn gate_ceiling() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(1.8), 0.3f64..3.3]
+    }
+
+    /// A target current: log-uniform over 1e-10–1e-2 A, or, one time in
+    /// five, the current at a V_GS within −1…+2 mV of the kink, where the
+    /// dip is.
+    fn target(m: &Mosfet, p: &Process, vds: f64, (pick, log, offset): (f64, f64, f64)) -> f64 {
+        if pick < 0.2 {
+            let (kink, _) = kink_and_lambda(m, p);
+            m.id(p, kink + 1e-3 * offset, vds)
+        } else {
+            10f64.powf(log)
+        }
+    }
+
+    fn target_spec() -> impl Strategy<Value = (f64, f64, f64)> {
+        (0.0f64..1.0, -10.0f64..-2.0, -1.0f64..2.0)
+    }
+
+    /// Checks `count` random solves against the oracle; returns how many
+    /// the replay certified.
+    fn check_random_solves(rng: &mut rand::rngs::StdRng, count: usize) -> usize {
+        let (setup, vds, ceiling, spec) = (
+            solve_setup(),
+            drain_voltage(),
+            gate_ceiling(),
+            target_spec(),
+        );
+        let mut certified = 0;
+        for _ in 0..count {
+            let (m, p) = setup.generate(rng);
+            let (vds, vgs_max) = (vds.generate(rng), ceiling.generate(rng));
+            let target = target(&m, &p, vds, spec.generate(rng));
+            let solve = m.vgs_for_current(&p, target, vds, vgs_max);
+            let plain = oracle(&m, &p, target, vds, vgs_max);
+            assert_eq!(
+                solve_bits(solve),
+                solve_bits(plain),
+                "{m:?} in {p:?}: target {target:e} A at V_DS {vds}, V_GS,max {vgs_max}"
+            );
+            certified += usize::from(m.certified_bracket(&p, target, vds, vgs_max).is_some());
+        }
+        certified
+    }
+
+    proptest! {
+        #[test]
+        fn replay_matches_the_plain_bisection(
+            (m, p) in solve_setup(),
+            vds in drain_voltage(),
+            vgs_max in gate_ceiling(),
+            specs in prop::collection::vec(target_spec(), 24),
+        ) {
+            for spec in specs {
+                let target = target(&m, &p, vds, spec);
+                prop_assert_eq!(
+                    solve_bits(m.vgs_for_current(&p, target, vds, vgs_max)),
+                    solve_bits(oracle(&m, &p, target, vds, vgs_max)),
+                    "{:?}: target {:e} A at V_DS {}, V_GS,max {}", m, target, vds, vgs_max
+                );
+            }
+        }
+    }
+
+    /// The full-size exactness check: two million random solves.
+    #[test]
+    #[ignore = "full-size exactness check; run with --release -- --ignored"]
+    fn two_million_solves_match_the_plain_bisection() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_b15e);
+        let certified = check_random_solves(&mut rng, 2_000_000);
+        // Half the inputs have V_DS ≤ 0, and many targets are out of reach.
+        assert!(certified > 200_000, "only {certified} solves certified");
+    }
+
+    /// Solves like the op-amp's — a corner-sweep process, a grid length,
+    /// V_DS in saturation or triode, V_GS,max at the supply — are nearly
+    /// all certified: the replay does not quietly fall back.
+    #[test]
+    fn op_amp_like_solves_are_nearly_all_certified() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let plan = prepared_plan(&Process::nominal());
+        let lengths: Vec<f64> = grid_lengths().collect();
+        let (mut solved, mut certified) = (0, 0);
+        for _ in 0..2000 {
+            let p = plan[rng.gen_range(0..plan.len())].1;
+            let device = [DeviceType::Nmos, DeviceType::Pmos][rng.gen_range(0usize..2)];
+            let w = 1e-6 * 1000f64.powf(rng.gen_range(0.0..1.0));
+            let m = Mosfet::new(device, w, lengths[rng.gen_range(0..lengths.len())]);
+            let vds = rng.gen_range(0.05..1.8);
+            let target = 10f64.powf(rng.gen_range(-9.0..-3.0));
+            let solve = m.vgs_for_current(&p, target, vds, 1.8);
+            assert_eq!(
+                solve_bits(solve),
+                solve_bits(oracle(&m, &p, target, vds, 1.8))
+            );
+            if solve.is_some() {
+                solved += 1;
+                certified += usize::from(m.certified_bracket(&p, target, vds, 1.8).is_some());
+            }
+        }
+        assert!(
+            certified * 100 > solved * 97,
+            "{certified} of {solved} certified"
+        );
+    }
+
+    /// Checks, by stepping V_GS over `[from, to]` from a step of 1e-7 V
+    /// growing by `growth` per step up to `max_step`, that the computed
+    /// current never falls by more than 1e-14 relative — far below the
+    /// replay's margin of 1e-13. Returns the number of steps.
+    fn assert_rises(
+        m: &Mosfet,
+        p: &Process,
+        vds: f64,
+        (from, to): (f64, f64),
+        scan: (f64, f64),
+    ) -> usize {
+        let (growth, max_step) = scan;
+        let (mut vgs, mut step, mut steps) = (from, 1e-7, 0);
+        let mut prev = m.id(p, vgs, vds);
+        while vgs < to {
+            vgs = (vgs + step).min(to);
+            step = (step * growth).min(max_step);
+            let id = m.id(p, vgs, vds);
+            assert!(
+                id >= prev * (1.0 - 1e-14),
+                "{m:?} in {p:?} at V_DS {vds}: id falls from {prev:e} to {id:e} at V_GS {vgs}"
+            );
+            prev = id;
+            steps += 1;
+        }
+        steps
+    }
+
+    /// Wherever the replay's guards say the current rises — above the dip
+    /// by the piecewise bound, below the kink by `σ/V_ov,eff > λ_eff` — a
+    /// scan of the computed current finds it rising, for every process of
+    /// the corner sweep, both polarities, the given lengths and V_DS
+    /// values. Returns `(proved, steps)`: the intervals the guards proved
+    /// and the scan steps taken.
+    fn scan_guarded_intervals(
+        lengths: &[f64],
+        vds_grid: &[f64],
+        scan: (f64, f64),
+    ) -> (usize, usize) {
+        let (mut proved, mut steps) = (0, 0);
+        for (_, p) in prepared_plan(&Process::nominal()) {
+            for device in [DeviceType::Nmos, DeviceType::Pmos] {
+                for &l in lengths {
+                    let m = Mosfet::new(device, 10e-6, l);
+                    let t = p.transistor(device);
+                    let (kink, lambda) = kink_and_lambda(&m, &p);
+                    let above = (kink + DIP_WIDTH, p.vdd);
+                    let floors = compute_rise_floors(t, device, p.vdd);
+                    let below = floors.below_kink > lambda;
+                    for &vds in vds_grid {
+                        if floors.above_dip > lambda {
+                            proved += 1;
+                            steps += assert_rises(&m, &p, vds, above, scan);
+                        }
+                        if below {
+                            proved += 1;
+                            let range = (BISECTION_FLOOR, kink - BELOW_KINK);
+                            steps += assert_rises(&m, &p, vds, range, scan);
+                        }
+                    }
+                }
+            }
+        }
+        (proved, steps)
+    }
+
+    #[test]
+    fn guarded_intervals_rise_on_a_grid() {
+        let lengths: Vec<f64> = grid_lengths().step_by(12).collect();
+        let (proved, _) = scan_guarded_intervals(&lengths, &[1e-3, 0.1, 0.9, 1.8], (1.05, 2e-3));
+        // Every interval of every configuration is proved.
+        assert_eq!(proved, 9 * 2 * lengths.len() * 4 * 2);
+    }
+
+    /// The full dense scan: all 133 lengths, 14 drain voltages, steps from
+    /// 1e-7 V growing by 1% up to 2e-4 V.
+    #[test]
+    #[ignore = "full dense scan; run with --release -- --ignored"]
+    fn guarded_intervals_rise_on_the_full_grid() {
+        let lengths: Vec<f64> = grid_lengths().collect();
+        let vds_grid = [
+            1e-3, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 1.2, 1.5, 1.8,
+        ];
+        let (proved, steps) = scan_guarded_intervals(&lengths, &vds_grid, (1.01, 2e-4));
+        assert_eq!(proved, 9 * 2 * lengths.len() * vds_grid.len() * 2);
+        assert!(steps > 200_000_000, "{steps} steps");
+    }
+
+    #[test]
+    fn guard_refuses_negative_model_coefficients() {
+        let m = nmos();
+        for field in 0..3 {
+            let mut p = Process::nominal();
+            let t = &mut p.nmos;
+            *[&mut t.theta1, &mut t.theta2, &mut t.lambda][field] = -0.01;
+            for target in [1e-7, 1e-5, 1e-4] {
+                assert_eq!(
+                    m.certified_bracket(&p, target, 0.9, 1.8),
+                    None,
+                    "field {field}"
+                );
+                assert_eq!(
+                    solve_bits(m.vgs_for_current(&p, target, 0.9, 1.8)),
+                    solve_bits(oracle(&m, &p, target, 0.9, 1.8))
+                );
+            }
+        }
+        // The nominal process is certified at the same targets.
+        let p = Process::nominal();
+        assert!(m.certified_bracket(&p, 1e-5, 0.9, 1.8).is_some());
+    }
+
+    #[test]
+    fn a_dip_wider_than_the_allowance_falls_back() {
+        // θ₁ twenty times nominal stretches the dip past K + 1 mV.
+        let mut p = Process::nominal();
+        p.nmos.theta1 *= 20.0;
+        let m = nmos();
+        let (kink, lambda) = kink_and_lambda(&m, &p);
+        let edge = kink + DIP_WIDTH;
+        assert!(
+            m.id(&p, edge + 1e-4, 0.9) < m.id(&p, edge, 0.9),
+            "dip ends before K + 1 mV"
+        );
+        assert!(compute_rise_floors(&p.nmos, m.device, 1.8).above_dip <= lambda);
+        let targets = (0..=16).map(|k| 10f64.powf(-10.0 + 0.5 * f64::from(k)));
+        let at_kink = [-1.0, 0.0, 0.5, 1.0, 1.5, 3.0].map(|mv| m.id(&p, kink + 1e-3 * mv, 0.9));
+        for target in targets.chain(at_kink) {
+            assert_eq!(m.certified_bracket(&p, target, 0.9, 1.8), None);
+            assert_eq!(
+                solve_bits(m.vgs_for_current(&p, target, 0.9, 1.8)),
+                solve_bits(oracle(&m, &p, target, 0.9, 1.8)),
+                "target {target:e}"
+            );
+        }
     }
 }

@@ -197,8 +197,10 @@ pub(crate) fn analyze_with(
     if v1_actual <= vs1 + 0.02 || v1_actual >= vdd - 0.02 {
         return fault_report(DcFault::Headroom);
     }
-    // Sink check: M7 must conduct i2 with its mirrored gate voltage.
-    if m7.id(process, vgs5, vcm_out) <= 0.0 {
+    // Sink check: M7 must conduct i2 with its mirrored gate voltage. Its
+    // operating point carries that current.
+    let op7 = m7.operating_point(process, vgs5, vcm_out);
+    if op7.id <= 0.0 {
         return fault_report(DcFault::SinkCurrent);
     }
 
@@ -207,7 +209,6 @@ pub(crate) fn analyze_with(
     let op3 = m3.operating_point(process, vgs3, vdd - v1_actual);
     let op5 = m5.operating_point(process, vgs5, vs1);
     let op6 = m6.operating_point(process, vgs6_actual, vdd - vcm_out);
-    let op7 = m7.operating_point(process, vgs5, vcm_out);
 
     // Saturation margins (V): vds − vdsat per device.
     let margins = [
