@@ -100,7 +100,8 @@ impl ProblemSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::InvalidSpec`] for unknown tokens.
+    /// Returns [`ServerError::InvalidSpec`] for unknown tokens, and for a
+    /// ZDT dimension below 2, which the problem cannot be built with.
     pub fn parse(token: &str) -> Result<Self, ServerError> {
         let (head, arg) = match token.split_once(':') {
             Some((h, a)) => (h, Some(a)),
@@ -114,19 +115,37 @@ impl ProblemSpec {
                 ServerError::InvalidSpec(format!("bad dimension {a:?} for problem {head}"))
             })
         };
-        match head {
-            "schaffer" => Ok(ProblemSpec::Schaffer),
-            "binh_korn" => Ok(ProblemSpec::BinhKorn),
-            "srinivas" => Ok(ProblemSpec::Srinivas),
-            "tanaka" => Ok(ProblemSpec::Tanaka),
-            "constr" => Ok(ProblemSpec::Constr),
-            "zdt1" => Ok(ProblemSpec::Zdt1(n(arg)?)),
-            "zdt2" => Ok(ProblemSpec::Zdt2(n(arg)?)),
-            "zdt3" => Ok(ProblemSpec::Zdt3(n(arg)?)),
-            "drivable" => Ok(ProblemSpec::Drivable),
-            other => Err(ServerError::InvalidSpec(format!(
-                "unknown problem {other:?}"
-            ))),
+        let spec = match head {
+            "schaffer" => ProblemSpec::Schaffer,
+            "binh_korn" => ProblemSpec::BinhKorn,
+            "srinivas" => ProblemSpec::Srinivas,
+            "tanaka" => ProblemSpec::Tanaka,
+            "constr" => ProblemSpec::Constr,
+            "zdt1" => ProblemSpec::Zdt1(n(arg)?),
+            "zdt2" => ProblemSpec::Zdt2(n(arg)?),
+            "zdt3" => ProblemSpec::Zdt3(n(arg)?),
+            "drivable" => ProblemSpec::Drivable,
+            other => {
+                return Err(ServerError::InvalidSpec(format!(
+                    "unknown problem {other:?}"
+                )))
+            }
+        };
+        spec.check_dimension()?;
+        Ok(spec)
+    }
+
+    /// Rejects a ZDT dimension below 2: [`ProblemSpec::build`] would panic
+    /// on it.
+    fn check_dimension(&self) -> Result<(), ServerError> {
+        match self {
+            ProblemSpec::Zdt1(n) | ProblemSpec::Zdt2(n) | ProblemSpec::Zdt3(n) if *n < 2 => {
+                Err(ServerError::InvalidSpec(format!(
+                    "problem {} needs at least 2 variables",
+                    self.token()
+                )))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -640,6 +659,7 @@ impl JobSpec {
     /// Returns [`ServerError::InvalidSpec`] describing the first
     /// violation found.
     pub fn validate(&self) -> Result<(), ServerError> {
+        self.problem.check_dimension()?;
         if !valid_token(&self.name) {
             return Err(ServerError::InvalidSpec(format!(
                 "name {:?} must be non-empty [A-Za-z0-9._-]",
@@ -1169,6 +1189,24 @@ mod tests {
         )
         .is_err());
         assert!(JobSpec::parse("job v1 name=x problem=schaffer algo=sacga:pop=1 seed=0").is_err());
+    }
+
+    #[test]
+    fn zdt_dimensions_below_two_are_rejected() {
+        for token in ["zdt1:1", "zdt2:0", "zdt3:1"] {
+            assert!(
+                matches!(ProblemSpec::parse(token), Err(ServerError::InvalidSpec(_))),
+                "{token}"
+            );
+        }
+        assert_eq!(ProblemSpec::parse("zdt3:2").unwrap(), ProblemSpec::Zdt3(2));
+        let spec = JobSpec::new(
+            "z",
+            ProblemSpec::Zdt1(1),
+            AlgoSpec::Nsga2 { pop: 8, gens: 2 },
+            0,
+        );
+        assert!(spec.validate().is_err());
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use dse_server::protocol::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
 use dse_server::{
-    AlgoSpec, JobHealth, JobSpec, JobStatus, ProblemSpec, Server, ServerConfig, ServerError,
+    AlgoSpec, JobHealth, JobSpec, JobState, JobStatus, JobStore, ProblemSpec, Server, ServerConfig,
+    ServerError,
 };
 
 mod common;
@@ -549,6 +550,111 @@ fn duplicate_submission_is_rejected_until_renamed() {
         server.submit(sacga_spec("dup")),
         Err(ServerError::DuplicateJob(_))
     ));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// ZDT specs whose dimension the problem cannot be built with.
+fn undersized_zdt_specs() -> Vec<JobSpec> {
+    [
+        ProblemSpec::Zdt1(1),
+        ProblemSpec::Zdt2(0),
+        ProblemSpec::Zdt3(1),
+    ]
+    .into_iter()
+    .map(|problem| {
+        JobSpec::new(
+            "tiny",
+            problem,
+            AlgoSpec::Sacga {
+                pop: 8,
+                gens: 2,
+                parts: 2,
+            },
+            42,
+        )
+    })
+    .collect()
+}
+
+#[test]
+fn zdt_specs_below_two_variables_are_rejected() {
+    for spec in undersized_zdt_specs() {
+        let line = spec.canonical();
+        assert!(
+            matches!(JobSpec::parse(&line), Err(ServerError::InvalidSpec(_))),
+            "{line}"
+        );
+    }
+    let root = scratch_dir("zdt-submit");
+    let server = Server::open(&root, config(1)).unwrap();
+    for spec in undersized_zdt_specs() {
+        assert!(matches!(
+            server.submit(spec),
+            Err(ServerError::InvalidSpec(_))
+        ));
+    }
+    assert!(server.list().is_empty());
+    server.run_until_idle().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn tcp_submit_of_an_undersized_zdt_job_gets_one_err() {
+    let root = scratch_dir("tcp-zdt");
+    let server = Server::open(&root, config(1)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let line = format!("submit {}", undersized_zdt_specs()[0].canonical());
+
+    // Both exchanges are checked after the daemon is joined.
+    let (submitted, pong) = std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| server.serve(listener));
+        let exchange = |request: &str| -> std::io::Result<String> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+            writeln!(stream, "{request}")?;
+            stream.shutdown(std::net::Shutdown::Write)?;
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply)?;
+            Ok(reply)
+        };
+        let submitted = exchange(&line);
+        let pong = exchange("ping");
+        server.request_shutdown();
+        daemon.join().unwrap().unwrap();
+        (submitted, pong)
+    });
+    let reply = submitted.unwrap();
+    assert!(reply.starts_with("err "), "{reply:?}");
+    assert_eq!(reply.lines().count(), 1, "{reply:?}");
+    assert_eq!(pong.unwrap(), "ok pong\n");
+    assert!(server.list().is_empty());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn stored_undersized_zdt_job_is_skipped_on_reopen() {
+    // A store that a daemon accepting such specs left behind: the spec and
+    // a queued state, written as that daemon wrote them.
+    let root = scratch_dir("zdt-store");
+    let store = JobStore::open(&root).unwrap();
+    let spec = undersized_zdt_specs().remove(0);
+    let id = spec.id();
+    std::fs::create_dir_all(store.job_dir(id)).unwrap();
+    std::fs::write(
+        store.job_dir(id).join("spec.job"),
+        format!("{}\n", spec.canonical()),
+    )
+    .unwrap();
+    store.write_state(id, &JobState::queued()).unwrap();
+
+    for _reopen in 0..2 {
+        let server = Server::open(&root, config(1)).unwrap();
+        server.run_until_idle().unwrap();
+        assert!(server.list().is_empty());
+        // Left in place for manual inspection.
+        assert!(store.job_dir(id).join("spec.job").exists());
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
