@@ -269,15 +269,16 @@ impl Mosfet {
     ///    compares the least bound with `λ_eff`. That floor depends only on
     ///    the polarity's V_T0, V_K, θ₁, θ₂, n and on `vgs_max`, so each
     ///    thread keeps the floors of its recent parameter sets, keyed on
-    ///    their bits.
+    ///    their bits. Below the kink µ is 1 and `σ/V_ov,eff` is larger
+    ///    than anywhere above it, so the same floor proves `id` rises on
+    ///    `[0.01 V, K]`.
     ///    - *Root above the dip*, `a > c`. A midpoint in `[0.01 V, c]` has
     ///      `f < 0` because there `id ≤ N(c)·g(V_dsat(0.01 V)) < I − m`; one
     ///      in `[c, a]` because `id` rises there and `f(a) < −m`; one at or
     ///      above `b` has `f > 0` because `id` rises there and `f(b) > m`.
     ///    - *Root below the kink*, `b < K − 1 nV`, where `µ` is exactly 1.
-    ///      There `id` rises on `[0.01 V, K]` when `σ/V_ov,eff > λ_eff` at
-    ///      `K`, so a midpoint at or below `a` has `f < 0` and one in
-    ///      `[b, K − 1 nV]` has `f > 0`. One in `[K − 1 nV, c]` has `f > 0`
+    ///      There `id` rises, so a midpoint at or below `a` has `f < 0` and
+    ///      one in `[b, K − 1 nV]` has `f > 0`. One in `[K − 1 nV, c]` has `f > 0`
     ///      because there `id ≥ N(K − 1 nV)/µ(c)·g(V_dsat(c)) > I + m`; one
     ///      above `c` because `id` rises there and `f(c) > m`.
     ///
@@ -395,24 +396,23 @@ impl Mosfet {
             .find(|&(a, b)| {
                 a >= BISECTION_FLOOR && b < vgs_max && f(a) < -margin && f(b) > margin
             })?;
-        let floors = rise_floors(p, self.device, vgs_max);
         let outside_holds = if a > above_dip {
             // Root above the dip: bound id on [0.01 V, c] from above.
             let top = self.gate_terms(p, lambda, above_dip);
             let bottom = self.gate_terms(p, lambda, BISECTION_FLOOR);
             top.strength * bottom.drain_factor(vds) < target_id - margin
         } else if b < kink - BELOW_KINK {
-            // Root below the kink: id rises up to K, and stays above the
-            // target across the dip.
+            // Root below the kink: id stays above the target across the
+            // dip.
             let before = self.gate_terms(p, lambda, kink - BELOW_KINK);
             let after = self.gate_terms(p, lambda, above_dip);
-            floors.below_kink > lambda
-                && before.strength / after.mobility * after.drain_factor(vds) > target_id + margin
+            before.strength / after.mobility * after.drain_factor(vds) > target_id + margin
                 && f(above_dip) > margin
         } else {
             false
         };
-        (outside_holds && floors.above_dip > lambda).then_some((a, b))
+        // Both cases need id rising on [c, vgs_max], and below the kink.
+        (outside_holds && rise_floor(p, self.device, vgs_max) > lambda).then_some((a, b))
     }
 
     /// Newton's root of `id(V_GS, vds) = target_id` from
@@ -503,54 +503,42 @@ const NEWTON_TOLERANCE: f64 = 1e-10;
 /// ...within this many steps.
 const NEWTON_STEPS: usize = 20;
 
-/// Pieces [`compute_rise_floors`] may split `[K + 1 mV, V_GS,max]` into.
+/// Pieces [`compute_rise_floor`] may split `[K + 1 mV, V_GS,max]` into.
 const GUARD_PIECES: usize = 64;
 
-/// How far below the least pointwise bound seen [`compute_rise_floors`]
+/// How far below the least pointwise bound seen [`compute_rise_floor`]
 /// may leave a piece's bound unsplit (V⁻¹).
 const FLOOR_TOLERANCE: f64 = 1e-3;
 
-/// Lower bounds on `d ln I_D/dV_GS + λ_eff` that hold for every W, L and
-/// V_DS of one polarity: [`Mosfet::vgs_for_current`] proves the current
-/// rises on an interval by comparing one of them with `λ_eff`.
-#[derive(Debug, Clone, Copy)]
-struct RiseFloors {
-    /// Over `[K + 1 mV, V_GS,max]`, above the kink `K = V_K − V_T0`.
-    above_dip: f64,
-    /// Over `[0.01 V, K]`, where the mobility divisor is 1.
-    below_kink: f64,
-}
-
-/// Entries of each thread's table of [`RiseFloors`].
+/// Entries of each thread's table of rise floors.
 const FLOOR_SLOTS: usize = 16;
 
-/// The bits of every input of [`RiseFloors`]: the mobility exponent,
+/// The bits of every input of [`rise_floor`]: the mobility exponent,
 /// `vt0`, `vk`, `theta1`, `theta2` and V_GS,max.
 type FloorKey = [u64; 6];
 
-/// Each thread's table of recent [`RiseFloors`], keyed on the bits of
-/// their inputs as the bias memo is, and refilled in turn. A corner sweep
-/// uses a dozen parameter sets, so the floors are computed once per set
-/// and a solve pays for a lookup. No key is all zeros, so empty entries
-/// never match.
+/// Each thread's table of recent [`rise_floor`] results, keyed on the bits
+/// of their inputs as the bias memo is, and refilled in turn. A corner
+/// sweep uses a dozen parameter sets, so each floor is computed once per
+/// set and a solve pays for a lookup. No key is all zeros, so empty
+/// entries never match.
 struct FloorTable {
-    entries: [(FloorKey, RiseFloors); FLOOR_SLOTS],
+    entries: [(FloorKey, f64); FLOOR_SLOTS],
     next: usize,
 }
 
 thread_local! {
     static RISE_FLOORS: RefCell<FloorTable> = const {
         RefCell::new(FloorTable {
-            entries: [([0; 6], RiseFloors { above_dip: f64::NAN, below_kink: f64::NAN });
-                FLOOR_SLOTS],
+            entries: [([0; 6], f64::NAN); FLOOR_SLOTS],
             next: 0,
         })
     };
 }
 
-/// The [`RiseFloors`] of `p` for polarity `device` up to `vgs_max`, from
-/// this thread's table when it holds them.
-fn rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> RiseFloors {
+/// [`compute_rise_floor`], from this thread's table when it holds the
+/// result.
+fn rise_floor(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> f64 {
     let key = [
         device.mobility_exponent(),
         p.vt0,
@@ -562,44 +550,47 @@ fn rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> RiseFl
     .map(f64::to_bits);
     RISE_FLOORS.with(|table| {
         let mut table = table.borrow_mut();
-        if let Some((_, floors)) = table.entries.iter().find(|(k, _)| *k == key) {
-            return *floors;
+        if let Some(&(_, floor)) = table.entries.iter().find(|(k, _)| *k == key) {
+            return floor;
         }
-        let floors = compute_rise_floors(p, device, vgs_max);
+        let floor = compute_rise_floor(p, device, vgs_max);
         let next = table.next;
-        table.entries[next] = (key, floors);
+        table.entries[next] = (key, floor);
         table.next = (next + 1) % FLOOR_SLOTS;
-        floors
+        floor
     })
 }
 
-/// [`RiseFloors`] from scratch. With θ₁, θ₂, λ ≥ 0,
-/// `d ln I_D/dV_GS ≥ σ/V_ov,eff − λ_eff − µ′/µ` in saturation and triode,
-/// where `σ = dV_ov,eff/dV_GS` and µ is the mobility divisor, so a floor
-/// of `σ/V_ov,eff − µ′/µ` above `λ_eff` proves the current rises.
-/// `σ/V_ov,eff` falls as V_GS rises.
+/// A lower bound on `d ln I_D/dV_GS + λ_eff` over `[K + 1 mV, V_GS,max]`
+/// that holds for every W, L and V_DS of one polarity, `K = V_K − V_T0`:
+/// [`Mosfet::vgs_for_current`] proves the current rises there by finding
+/// it above `λ_eff`.
 ///
-/// - Below the kink µ is 1, so the floor is `σ/V_ov,eff` at `K`.
-/// - Above the dip the floor is the least of a lower bound on each piece
-///   of `[K + 1 mV, V_GS,max]`: `σ/V_ov,eff` at the piece's top, µ′ per
-///   [`mobility_slope`] and µ at its bottom. A piece is split at the
-///   geometric mean of `x = V_GS − K` while its bound lies more than
-///   [`FLOOR_TOLERANCE`] below the least pointwise value seen so far, up
-///   to [`GUARD_PIECES`] pieces; the floor is a lower bound either way.
+/// With θ₁, θ₂, λ ≥ 0, `d ln I_D/dV_GS ≥ σ/V_ov,eff − λ_eff − µ′/µ` in
+/// saturation and triode, where `σ = dV_ov,eff/dV_GS` and µ is the mobility
+/// divisor; `σ/V_ov,eff` falls as V_GS rises. The floor is the least of a
+/// lower bound on each piece of the interval: `σ/V_ov,eff` at the piece's
+/// top, µ′ per [`mobility_slope`] and µ at its bottom. A piece is split at
+/// the geometric mean of `x = V_GS − K` while its bound lies more than
+/// [`FLOOR_TOLERANCE`] below the least pointwise value seen so far, up to
+/// [`GUARD_PIECES`] pieces; the floor is a lower bound either way.
+///
+/// The floor also proves the current rises on `[0.01 V, K]`. There µ is 1,
+/// so the bound is `σ/V_ov,eff − λ_eff`, least at `K`; and `σ/V_ov,eff` at
+/// `K` exceeds it at every piece's top, from which the floor subtracts a
+/// non-negative `µ′/µ`.
 ///
 /// A NaN floor, from parameters far outside any process, proves nothing.
-fn compute_rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> RiseFloors {
+fn compute_rise_floor(p: &TransistorParams, device: DeviceType, vgs_max: f64) -> f64 {
     let kink = p.vk - p.vt0;
-    let efficiency = |vgs: f64| {
-        let vov_eff = effective_overdrive(vgs - p.vt0);
-        softplus_slope(vov_eff) / vov_eff
-    };
     let bound = |lo: f64, hi: f64| {
-        efficiency(hi) - mobility_slope(p, device, lo - kink, hi - kink) / mobility(p, device, lo)
+        let vov_eff = effective_overdrive(hi - p.vt0);
+        softplus_slope(vov_eff) / vov_eff
+            - mobility_slope(p, device, lo - kink, hi - kink) / mobility(p, device, lo)
     };
     let from = kink + DIP_WIDTH;
     let mut seen = bound(from, from).min(bound(vgs_max, vgs_max));
-    let mut above_dip = f64::INFINITY;
+    let mut floor = f64::INFINITY;
     let mut pieces = [(0.0, 0.0); GUARD_PIECES + 1];
     pieces[0] = (from, vgs_max);
     let (mut open, mut made) = (1, 1);
@@ -608,11 +599,10 @@ fn compute_rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -
         let (lo, hi) = pieces[open];
         let piece = bound(lo, hi);
         if piece.is_nan() {
-            above_dip = f64::NAN;
-            break;
+            return f64::NAN;
         }
         if piece >= seen - FLOOR_TOLERANCE || made == GUARD_PIECES {
-            above_dip = above_dip.min(piece);
+            floor = floor.min(piece);
             continue;
         }
         let mid = kink + ((lo - kink) * (hi - kink)).sqrt();
@@ -622,10 +612,7 @@ fn compute_rise_floors(p: &TransistorParams, device: DeviceType, vgs_max: f64) -
         open += 2;
         made += 1;
     }
-    RiseFloors {
-        above_dip,
-        below_kink: efficiency(kink),
-    }
+    floor
 }
 
 /// The mobility-degradation divisor of eqn (1) at `vgs`:
@@ -1173,12 +1160,12 @@ mod tests {
         steps
     }
 
-    /// Wherever the replay's guards say the current rises — above the dip
-    /// by the piecewise bound, below the kink by `σ/V_ov,eff > λ_eff` — a
-    /// scan of the computed current finds it rising, for every process of
-    /// the corner sweep, both polarities, the given lengths and V_DS
-    /// values. Returns `(proved, steps)`: the intervals the guards proved
-    /// and the scan steps taken.
+    /// Wherever the replay's floor says the current rises — on
+    /// `[0.01 V, K − 1 nV]` and on `[K + 1 mV, V_GS,max]` — a scan of the
+    /// computed current finds it rising, for every process of the corner
+    /// sweep, both polarities, the given lengths and V_DS values. Returns
+    /// `(proved, steps)`: the intervals the floor proved and the scan steps
+    /// taken.
     fn scan_guarded_intervals(
         lengths: &[f64],
         vds_grid: &[f64],
@@ -1192,18 +1179,14 @@ mod tests {
                     let t = p.transistor(device);
                     let (kink, lambda) = kink_and_lambda(&m, &p);
                     let above = (kink + DIP_WIDTH, p.vdd);
-                    let floors = compute_rise_floors(t, device, p.vdd);
-                    let below = floors.below_kink > lambda;
+                    if compute_rise_floor(t, device, p.vdd) <= lambda {
+                        continue;
+                    }
                     for &vds in vds_grid {
-                        if floors.above_dip > lambda {
-                            proved += 1;
-                            steps += assert_rises(&m, &p, vds, above, scan);
-                        }
-                        if below {
-                            proved += 1;
-                            let range = (BISECTION_FLOOR, kink - BELOW_KINK);
-                            steps += assert_rises(&m, &p, vds, range, scan);
-                        }
+                        let below = (BISECTION_FLOOR, kink - BELOW_KINK);
+                        steps += assert_rises(&m, &p, vds, below, scan);
+                        steps += assert_rises(&m, &p, vds, above, scan);
+                        proved += 2;
                     }
                 }
             }
@@ -1231,6 +1214,53 @@ mod tests {
         let (proved, steps) = scan_guarded_intervals(&lengths, &vds_grid, (1.01, 2e-4));
         assert_eq!(proved, 9 * 2 * lengths.len() * vds_grid.len() * 2);
         assert!(steps > 200_000_000, "{steps} steps");
+    }
+
+    /// Targets between the bottom of the dip and the current's peak at the
+    /// kink have several roots: one below the kink and others in or above
+    /// the dip. With V_GS,max chosen so that the first midpoint lands at
+    /// the kink, just above it or at the dip's bottom, the bisection's
+    /// first step sees the dip, so the replay must not certify a bracket
+    /// around another root. Above the dip it is the bound on
+    /// `[0.01 V, K + 1 mV]` that refuses, where the dip has not recovered
+    /// by `K + 1 mV` (short PMOS at small V_DS); below the kink, the bound
+    /// across the dip.
+    #[test]
+    fn targets_in_the_dip_match_the_oracle() {
+        let mut dips = 0;
+        for (_, p) in prepared_plan(&Process::nominal()) {
+            for device in [DeviceType::Nmos, DeviceType::Pmos] {
+                for l in grid_lengths().step_by(4) {
+                    let m = Mosfet::new(device, 10e-6, l);
+                    let (kink, _) = kink_and_lambda(&m, &p);
+                    for vds in [1e-3, 3e-3, 0.01, 0.05, 0.9] {
+                        let peak = m.id(&p, kink, vds);
+                        let (bottom, at) = (1..=30)
+                            .map(|k| kink + 1e-5 * f64::from(k))
+                            .map(|vgs| (m.id(&p, vgs, vds), vgs))
+                            .fold(
+                                (peak, kink),
+                                |low, point| if point.0 < low.0 { point } else { low },
+                            );
+                        if bottom >= peak {
+                            continue;
+                        }
+                        dips += 1;
+                        let ceilings =
+                            [1.8, kink, kink + 2e-5, at].map(|first| 2.0 * first - BISECTION_FLOOR);
+                        for (k, vgs_max) in (1..8).flat_map(|k| ceilings.map(|c| (k, c))) {
+                            let target = bottom + (peak - bottom) * f64::from(k) / 8.0;
+                            assert_eq!(
+                                solve_bits(m.vgs_for_current(&p, target, vds, vgs_max)),
+                                solve_bits(oracle(&m, &p, target, vds, vgs_max)),
+                                "{m:?} in {p:?}: target {target:e} A at V_DS {vds}, V_GS,max {vgs_max}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dips > 0, "no dip found");
     }
 
     #[test]
@@ -1269,7 +1299,7 @@ mod tests {
             m.id(&p, edge + 1e-4, 0.9) < m.id(&p, edge, 0.9),
             "dip ends before K + 1 mV"
         );
-        assert!(compute_rise_floors(&p.nmos, m.device, 1.8).above_dip <= lambda);
+        assert!(compute_rise_floor(&p.nmos, m.device, 1.8) <= lambda);
         let targets = (0..=16).map(|k| 10f64.powf(-10.0 + 0.5 * f64::from(k)));
         let at_kink = [-1.0, 0.0, 0.5, 1.0, 1.5, 3.0].map(|mv| m.id(&p, kink + 1e-3 * mv, 0.9));
         for target in targets.chain(at_kink) {
