@@ -22,7 +22,7 @@
 //! a full bisection, but the memo still pays. On the two arms of the
 //! Fig. 5 pair (seed 42, 60 generations, 2-core host), a drivable-load
 //! evaluation took 96–103 µs with the memo turned off and 50–55 µs with
-//! it, measured in a scratch build with counters and timers.
+//! it, measured in a build instrumented with counters and timers.
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
