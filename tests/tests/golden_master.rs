@@ -15,7 +15,7 @@ use analog_dse::engine::ParallelEvaluator;
 use analog_dse::moea::problems::Schaffer;
 use analog_dse::moea::RunStatus;
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
-use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::sacga::{Sacga, SacgaConfig, SacgaConfigBuilder};
 use analog_dse::sacga::steady::{SteadyConfig, SteadySacga};
 use analog_dse::sacga::telemetry::Optimizer;
 
@@ -188,23 +188,26 @@ fn steady_degenerate_window_matches_the_sacga_snapshot() {
     check_golden("sacga_schaffer_seed42.txt", &render_front(&r.front));
 }
 
-fn drivable_config() -> SacgaConfig {
+/// Population 40 with a phase-I cap of 3 lets every partition of the
+/// drivable problem turn feasible, so the snapshot pins a real front
+/// (21 members) rather than an empty one.
+fn drivable_builder() -> SacgaConfigBuilder {
     let (lo, hi) = analog_circuits::DrivableLoadProblem::slice_range();
     SacgaConfig::builder()
-        .population_size(16)
+        .population_size(40)
         .generations(6)
         .partitions(4)
+        .phase1_max(3)
         .slice_range(lo, hi)
-        .build()
-        .unwrap()
 }
 
 #[test]
 fn sacga_drivable_front_matches_snapshot() {
     let problem = analog_circuits::DrivableLoadProblem::new(analog_circuits::Spec::featured());
-    let r = Sacga::new(problem, drivable_config())
+    let r = Sacga::new(problem, drivable_builder().build().unwrap())
         .run_seeded(SEED)
         .unwrap();
+    assert!(!r.front.is_empty());
     check_golden("sacga_drivable_seed42.txt", &render_front(&r.front));
 }
 
@@ -214,16 +217,9 @@ fn sacga_drivable_with_never_screen_matches_the_same_snapshot() {
     use analog_circuits::surrogate::{drivable_screen, ScreenThresholds};
     let problem = analog_circuits::DrivableLoadProblem::new(analog_circuits::Spec::featured());
     let screen = drivable_screen(problem.process(), ScreenThresholds::never());
-    let (lo, hi) = analog_circuits::DrivableLoadProblem::slice_range();
-    let cfg = SacgaConfig::builder()
-        .population_size(16)
-        .generations(6)
-        .partitions(4)
-        .slice_range(lo, hi)
-        .surrogate_screen(screen)
-        .build()
-        .unwrap();
+    let cfg = drivable_builder().surrogate_screen(screen).build().unwrap();
     let r = Sacga::new(problem, cfg).run_seeded(SEED).unwrap();
+    assert!(!r.front.is_empty());
     check_golden("sacga_drivable_seed42.txt", &render_front(&r.front));
 }
 
@@ -489,4 +485,100 @@ fn mesacga_front_with_watchdogs_attached_matches_snapshot() {
     assert!(stall.warnings().is_empty());
     assert!(infeasible.warnings().is_empty());
     assert!(faults.warnings().is_empty());
+}
+
+/// Checkpoint texts committed under `tests/golden/` pin the on-disk
+/// formats that server job stores persist: a store written by an earlier
+/// build must resume to the same front. Returns the committed text, or
+/// records `fresh` first when `UPDATE_GOLDEN` is set.
+fn checkpoint_fixture(name: &str, fresh: &str) -> String {
+    let path = common::golden_path(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, fresh).unwrap();
+    }
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing checkpoint fixture {}: {e}", path.display()))
+}
+
+/// Zeroes the wall-clock evaluation time, the only field of a checkpoint
+/// that differs between two runs of the same seed.
+fn without_eval_time(mut state: analog_dse::sacga::EngineState) -> analog_dse::sacga::EngineState {
+    state.stats.eval_time = std::time::Duration::ZERO;
+    state
+}
+
+#[test]
+fn sacga_checkpoint_fixtures_resume_onto_the_golden() {
+    use analog_dse::sacga::SacgaCheckpoint;
+    let ga = Sacga::new(Schaffer::new(), sacga_config());
+    // Generation 0 is inside phase I; generation 9 is inside phase II.
+    for stop in [0usize, 9] {
+        let RunStatus::Suspended(fresh) = ga.run_until(SEED, stop).unwrap() else {
+            panic!("run should suspend at gen {stop}");
+        };
+        let name = format!("sacga_schaffer_seed42_gen{stop}.checkpoint");
+        let stored =
+            SacgaCheckpoint::from_text(&checkpoint_fixture(&name, &fresh.to_text())).unwrap();
+        assert_eq!(stored.state.phase1_done, stop > 0);
+        assert_eq!(
+            without_eval_time(fresh.state.clone()),
+            without_eval_time(stored.state.clone())
+        );
+        let r = ga.resume(&stored).unwrap();
+        check_golden("sacga_schaffer_seed42.txt", &render_front(&r.front));
+    }
+}
+
+#[test]
+fn local_checkpoint_fixture_resumes_onto_the_uninterrupted_front() {
+    use analog_dse::sacga::local::LocalCompetitionGaBuilder;
+    use analog_dse::sacga::SacgaCheckpoint;
+    let ga = LocalCompetitionGaBuilder::new()
+        .population_size(32)
+        .generations(20)
+        .partitions(5)
+        .build(Schaffer::new())
+        .unwrap();
+    let full = ga.run_seeded(SEED).unwrap();
+    let RunStatus::Suspended(fresh) = ga.run_until(SEED, 5).unwrap() else {
+        panic!("run should suspend at gen 5");
+    };
+    let name = "local_schaffer_seed42_gen5.checkpoint";
+    let stored = SacgaCheckpoint::from_text(&checkpoint_fixture(name, &fresh.to_text())).unwrap();
+    assert_eq!(
+        without_eval_time(fresh.state.clone()),
+        without_eval_time(stored.state.clone())
+    );
+    let r = ga.resume(&stored).unwrap();
+    assert_eq!(render_front(&r.front), render_front(&full.front));
+    assert_eq!(r.history, full.history);
+}
+
+#[test]
+fn mesacga_checkpoint_fixtures_resume_onto_the_golden() {
+    use analog_dse::sacga::MesacgaCheckpoint;
+    let ga = Mesacga::new(Schaffer::new(), mesacga_config());
+    // Phase I ends at generation 1 and each phase spans 7 generations:
+    // generation 12 is inside the second phase, generation 15 is the
+    // first generation of the third.
+    for (stop, phase_index, phase_start) in [(12usize, 1usize, 8usize), (15, 2, 15)] {
+        let RunStatus::Suspended(fresh) = ga.run_until(SEED, stop).unwrap() else {
+            panic!("run should suspend at gen {stop}");
+        };
+        let name = format!("mesacga_schaffer_seed42_gen{stop}.checkpoint");
+        let stored =
+            MesacgaCheckpoint::from_text(&checkpoint_fixture(&name, &fresh.to_text())).unwrap();
+        assert_eq!(
+            (stored.phase_index, stored.phase_start),
+            (phase_index, phase_start)
+        );
+        assert_eq!(stored.phase_fronts.len(), phase_index);
+        let mut fresh = (*fresh).clone();
+        fresh.state = without_eval_time(fresh.state);
+        let mut expected = stored.clone();
+        expected.state = without_eval_time(expected.state);
+        assert_eq!(fresh, expected);
+        let r = ga.resume(&stored).unwrap();
+        check_golden("mesacga_schaffer_seed42.txt", &render_front(&r.front));
+    }
 }

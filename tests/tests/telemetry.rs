@@ -454,3 +454,86 @@ fn island_runs_suspend_and_resume_onto_the_island_golden() {
     let resumed = island.resume(&restored).unwrap();
     check_golden("island_schaffer_seed42.txt", &render_front(&resumed.front));
 }
+
+/// Checks that in every generation with a `Promotion`, the promotion is
+/// recorded before that generation's `EvaluationFault`, `GenerationEnd`
+/// and `StageTiming` events, and returns how many faults were reported
+/// in promoting generations.
+fn promotion_leads_its_generation(events: &[RunEvent]) -> usize {
+    let mut faults_after_promotion = 0;
+    for (i, event) in events.iter().enumerate() {
+        let RunEvent::Promotion { generation, .. } = event else {
+            continue;
+        };
+        let earlier = &events[..i];
+        assert!(
+            !earlier.iter().any(|e| e.generation() == *generation
+                && matches!(
+                    e,
+                    RunEvent::EvaluationFault { .. }
+                        | RunEvent::GenerationEnd { .. }
+                        | RunEvent::StageTiming { .. }
+                )),
+            "generation {generation}: Promotion must lead its generation's events"
+        );
+        faults_after_promotion += events[i..]
+            .iter()
+            .filter(|e| {
+                e.generation() == *generation && matches!(e, RunEvent::EvaluationFault { .. })
+            })
+            .count();
+    }
+    faults_after_promotion
+}
+
+#[test]
+fn promotion_precedes_its_generations_faults_end_and_timing() {
+    use analog_dse::engine::{FaultPlan, FaultPolicy};
+
+    let sacga = Sacga::new(
+        Schaffer::new(),
+        SacgaConfig::builder()
+            .population_size(24)
+            .generations(14)
+            .partitions(4)
+            .fault_policy(FaultPolicy::tolerant(3))
+            .inject_faults(FaultPlan::seeded(31).panics(0.08).nonfinite(0.04))
+            .build()
+            .unwrap(),
+    );
+    let mesacga = Mesacga::new(
+        Schaffer::new(),
+        MesacgaConfig::builder()
+            .population_size(24)
+            .phase1_max(4)
+            .phases(vec![PhaseSpec::new(4, 6), PhaseSpec::new(1, 6)])
+            .fault_policy(FaultPolicy::tolerant(3))
+            .inject_faults(FaultPlan::seeded(32).panics(0.08).nonfinite(0.04))
+            .build()
+            .unwrap(),
+    );
+    let mut sacga_sink = MemorySink::new();
+    let sacga_out = sacga.run_with(SEED, &mut sacga_sink).unwrap();
+    let mut mesacga_sink = MemorySink::new();
+    let mesacga_out = mesacga.run_with(SEED, &mut mesacga_sink).unwrap();
+    for (name, out, events) in [
+        ("sacga", sacga_out, sacga_sink.events()),
+        ("mesacga", mesacga_out, mesacga_sink.events()),
+    ] {
+        let promotions = events
+            .iter()
+            .filter(|e| matches!(e, RunEvent::Promotion { .. }))
+            .count();
+        assert_eq!(promotions, out.generations - out.gen_t, "{name}");
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, RunEvent::StageTiming { .. })),
+            "{name}: the stream carries stage timing"
+        );
+        assert!(
+            promotion_leads_its_generation(events) > 0,
+            "{name}: the injected faults must reach promoting generations"
+        );
+    }
+}
