@@ -334,7 +334,8 @@ impl fmt::Display for FaultResolution {
 /// which run loops forward into their telemetry streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// Position of the candidate in the submitted batch.
+    /// Position of the candidate in the submitted batch (for a session,
+    /// in the drain that folded it).
     pub index: usize,
     /// How the evaluation attempts failed.
     pub kind: FaultKind,
@@ -347,7 +348,8 @@ pub struct FaultEvent {
 /// A candidate evaluation that failed after exhausting its retry budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalFailure {
-    /// Position of the failing candidate in the submitted batch.
+    /// Position of the failing candidate in the submitted batch (for a
+    /// session, in the drain that surfaced it).
     pub index: usize,
     /// Attempts performed (all of which failed).
     pub attempts: u32,

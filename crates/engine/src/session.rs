@@ -29,7 +29,9 @@
 //!   counters and [`FaultEvent`]s fold into [`EngineStats`] at drain
 //!   time in submission order, so they are identical under serial and
 //!   parallel execution; the first exhausted candidate (by submission
-//!   index) surfaces as the drain's [`EvalFailure`].
+//!   index) surfaces as the drain's [`EvalFailure`]. Both carry the
+//!   candidate's position within its drain, which for a one-shot batch
+//!   is its batch position.
 //! * **Accounting**: `candidates == evaluations + cache_hits + screened`
 //!   holds at every drain boundary. Each drain counts one batch;
 //!   `max_batch` tracks the largest drain.
@@ -56,7 +58,7 @@ use crate::metrics::EngineMetrics;
 use crate::screen::SurrogateScreen;
 use crate::shared::SharedCache;
 use crate::stats::EngineStats;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -65,7 +67,7 @@ use std::time::Instant;
 enum Slot<T> {
     /// Value known at submit time: cache hit, screened placeholder, or a
     /// completion restored from a checkpoint. Retained after drain (as
-    /// [`Slot::Done`]) so later-drained aliases can read it.
+    /// [`Slot::Done`]) while a later-drained alias may read it.
     Ready(T),
     /// Duplicate of the earlier, still-pending submission at this index.
     Alias(usize),
@@ -156,7 +158,11 @@ pub struct EvaluationSession<'a, T, F> {
     cache: CacheView<'a, T>,
     eval: &'a F,
     backend: Backend<T>,
-    entries: Vec<Entry<T>>,
+    /// Entries from submission index `base` on. Drained entries are
+    /// dropped from the front once no undrained alias can read them, so
+    /// a whole-run session holds about one window, not every value.
+    entries: VecDeque<Entry<T>>,
+    base: usize,
     /// Cache key → submission index of the pending miss that owns it.
     pending: HashMap<Vec<i64>, usize>,
     drained: usize,
@@ -190,7 +196,7 @@ where
 {
     /// Total submissions so far (including drained ones).
     pub fn submitted(&self) -> usize {
-        self.entries.len()
+        self.base + self.entries.len()
     }
 
     /// The engine's statistics, live as of the last submit or drain
@@ -214,7 +220,7 @@ where
 
     /// Submissions not yet drained.
     pub fn in_flight(&self) -> usize {
-        self.entries.len() - self.drained
+        self.submitted() - self.drained
     }
 
     /// Submits one candidate and returns its submission index.
@@ -225,7 +231,7 @@ where
     /// buffered for the next drain (serial). Its result is returned by
     /// the drain that covers this index.
     pub fn submit(&mut self, genes: &[f64]) -> usize {
-        let idx = self.entries.len();
+        let idx = self.submitted();
         self.stats.candidates += 1;
         if let Some(m) = &self.metrics {
             m.candidates.inc();
@@ -237,7 +243,7 @@ where
                 if let Some(m) = &self.metrics {
                     m.cache_hits.inc();
                 }
-                self.entries.push(Entry {
+                self.entries.push_back(Entry {
                     slot: Slot::Ready(value),
                     key: None,
                 });
@@ -248,7 +254,7 @@ where
                 if let Some(mm) = &self.metrics {
                     mm.cache_hits.inc();
                 }
-                self.entries.push(Entry {
+                self.entries.push_back(Entry {
                     slot: Slot::Alias(m),
                     key: None,
                 });
@@ -277,8 +283,8 @@ where
     /// accounted when it executed) and no cache insertion. Returns the
     /// submission index.
     pub fn prime(&mut self, value: T) -> usize {
-        let idx = self.entries.len();
-        self.entries.push(Entry {
+        let idx = self.submitted();
+        self.entries.push_back(Entry {
             slot: Slot::Ready(value),
             key: None,
         });
@@ -294,7 +300,7 @@ where
                 if let Some(m) = &self.metrics {
                     m.screened.inc();
                 }
-                self.entries.push(Entry {
+                self.entries.push_back(Entry {
                     slot: Slot::Ready(value),
                     key: None,
                 });
@@ -319,7 +325,7 @@ where
             }
             Backend::Inline => Slot::Queued(genes.to_vec()),
         };
-        self.entries.push(Entry { slot, key });
+        self.entries.push_back(Entry { slot, key });
     }
 
     /// Drains every outstanding submission (a full barrier).
@@ -338,11 +344,11 @@ where
     ///
     /// # Errors
     ///
-    /// Returns the first [`EvalFailure`] (by submission index) when a
-    /// drained candidate exhausted its retry budget under an aborting
-    /// policy. All drained outcomes still fold into the stats, but no
-    /// value from this drain enters the cache and the session is
-    /// poisoned.
+    /// Returns the first [`EvalFailure`] (by submission index, reported
+    /// as its position within this drain) when a drained candidate
+    /// exhausted its retry budget under an aborting policy. All drained
+    /// outcomes still fold into the stats, but no value from this drain
+    /// enters the cache and the session is poisoned.
     pub fn drain(&mut self, count: usize) -> Result<Vec<T>, EvalFailure> {
         let count = count.min(self.in_flight());
         let lo = self.drained;
@@ -365,9 +371,10 @@ where
 
         // Fold arrived outcomes into the stats in submission order. The
         // value (or poison marker) replaces the outcome in place.
+        let base = self.base;
         let mut first_failure: Option<EvalFailure> = None;
         for i in lo..hi {
-            let entry = &mut self.entries[i];
+            let entry = &mut self.entries[i - base];
             if matches!(entry.slot, Slot::Arrived(_)) {
                 let Slot::Arrived(outcome) = std::mem::replace(&mut entry.slot, Slot::Done(None))
                 else {
@@ -377,11 +384,11 @@ where
                     self.stats,
                     self.fault_events,
                     self.metrics.as_ref(),
-                    i,
+                    i - lo,
                     outcome,
                     &mut first_failure,
                 );
-                self.entries[i].slot = Slot::Done(value);
+                self.entries[i - base].slot = Slot::Done(value);
             }
         }
         refresh_injection_stats(self.stats, self.injector, self.injected_base);
@@ -395,24 +402,24 @@ where
         // first-occurrence order).
         let mut out = Vec::with_capacity(count);
         for i in lo..hi {
-            let value = match &self.entries[i].slot {
+            let value = match &self.entries[i - base].slot {
                 Slot::Ready(v) => {
                     let v = v.clone();
-                    self.entries[i].slot = Slot::Done(Some(v.clone()));
+                    self.entries[i - base].slot = Slot::Done(Some(v.clone()));
                     v
                 }
                 Slot::Alias(m) => {
                     let m = *m;
-                    let Slot::Done(Some(v)) = &self.entries[m].slot else {
+                    let Slot::Done(Some(v)) = &self.entries[m - base].slot else {
                         unreachable!("an alias always drains after its target")
                     };
                     let v = v.clone();
-                    self.entries[i].slot = Slot::Done(Some(v.clone()));
+                    self.entries[i - base].slot = Slot::Done(Some(v.clone()));
                     v
                 }
                 Slot::Done(Some(v)) => {
                     let v = v.clone();
-                    if let Some(key) = self.entries[i].key.take() {
+                    if let Some(key) = self.entries[i - base].key.take() {
                         if !v.is_tainted() {
                             self.cache.put(key, v.clone());
                         }
@@ -424,7 +431,24 @@ where
             out.push(value);
         }
         self.drained = hi;
+        self.forget_drained();
         Ok(out)
+    }
+
+    /// Drops drained entries from the front, keeping those that an
+    /// undrained alias will still read.
+    fn forget_drained(&mut self) {
+        let undrained = self.drained - self.base;
+        let floor = self
+            .entries
+            .range(undrained..)
+            .filter_map(|e| match e.slot {
+                Slot::Alias(m) => Some(m),
+                _ => None,
+            })
+            .fold(self.drained, usize::min);
+        self.entries.drain(..floor - self.base);
+        self.base = floor;
     }
 
     /// Blocks until every in-flight submission in `[lo, hi)` has arrived
@@ -433,8 +457,9 @@ where
         let Backend::Workers(link) = &self.backend else {
             unreachable!()
         };
+        let base = self.base;
         let mut waiting = (lo..hi)
-            .filter(|&i| matches!(self.entries[i].slot, Slot::InFlight))
+            .filter(|&i| matches!(self.entries[i - base].slot, Slot::InFlight))
             .count();
         let t0 = Instant::now();
         while waiting > 0 {
@@ -445,7 +470,7 @@ where
             if (lo..hi).contains(&idx) {
                 waiting -= 1;
             }
-            self.entries[idx].slot = Slot::Arrived(outcome);
+            self.entries[idx - base].slot = Slot::Arrived(outcome);
         }
         self.stats.eval_time += t0.elapsed();
     }
@@ -456,7 +481,7 @@ where
     fn evaluate_queued(&mut self, lo: usize, hi: usize) {
         let t0 = Instant::now();
         for i in lo..hi {
-            let Slot::Queued(genes) = &self.entries[i].slot else {
+            let Slot::Queued(genes) = &self.entries[i - self.base].slot else {
                 continue;
             };
             let t = self.metrics.as_ref().map(|_| Instant::now());
@@ -464,7 +489,7 @@ where
             if let (Some(m), Some(t)) = (&self.metrics, t) {
                 m.eval_latency.observe_duration(t.elapsed());
             }
-            self.entries[i].slot = Slot::Arrived(outcome);
+            self.entries[i - self.base].slot = Slot::Arrived(outcome);
         }
         self.stats.eval_time += t0.elapsed();
     }
@@ -628,7 +653,8 @@ where
             cache: cache_view,
             eval,
             backend: Backend::Inline,
-            entries: Vec::new(),
+            entries: VecDeque::new(),
+            base: 0,
             pending: HashMap::new(),
             drained: 0,
             metrics,
@@ -680,7 +706,8 @@ where
                 jobs: job_tx,
                 done: done_rx,
             }),
-            entries: Vec::new(),
+            entries: VecDeque::new(),
+            base: 0,
             pending: HashMap::new(),
             drained: 0,
             metrics,
@@ -913,6 +940,67 @@ mod tests {
             session.drain_all().unwrap_err()
         });
         assert_eq!(err.index, 0);
+    }
+
+    #[test]
+    fn a_whole_run_session_retains_only_what_undrained_aliases_read() {
+        for kind in [EvaluatorKind::Serial, EvaluatorKind::ParallelWith(2)] {
+            let mut engine: ExecutionEngine<f64> =
+                ExecutionEngine::new(EngineConfig::default().cache_capacity(1024).evaluator(kind));
+            engine.with_session(&scalar, |session| {
+                for w in 0..12 {
+                    let w = f64::from(w);
+                    let window = [[w, 0.0], [w, 1.0], [w, 2.0], [w, 0.0], [w, 1.0], [w, 3.0]];
+                    for genes in &window {
+                        session.submit(genes);
+                    }
+                    // The first drain leaves two aliases undrained, so
+                    // their drained targets must outlive it.
+                    let mut out = session.drain(2).unwrap();
+                    assert!(session.entries.len() >= 6);
+                    out.extend(session.drain(3).unwrap());
+                    // A submission of the next window straddles this
+                    // window's last drain.
+                    session.submit(&[w + 0.5, 0.0]);
+                    out.extend(session.drain(2).unwrap());
+                    out.extend(session.drain_all().unwrap());
+                    let expected: Vec<f64> = window
+                        .iter()
+                        .map(|g| scalar(g))
+                        .chain([scalar(&[w + 0.5, 0.0])])
+                        .collect();
+                    assert_eq!(out, expected);
+                    assert!(
+                        session.entries.len() <= window.len(),
+                        "{kind:?}: {} entries retained after window {w}",
+                        session.entries.len()
+                    );
+                }
+                assert_eq!(session.submitted(), 12 * 7);
+                assert_eq!(session.in_flight(), 0);
+            });
+            let s = engine.stats();
+            assert_eq!(s.evaluations, 12 * 5);
+            assert_eq!(s.cache_hits, 12 * 2);
+        }
+    }
+
+    #[test]
+    fn drain_failure_reports_its_position_within_the_drain() {
+        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(EngineConfig::default());
+        let eval = |g: &[f64]| {
+            assert!(g[0] < 5.0, "evaluation failed on purpose");
+            g[0]
+        };
+        let err = engine.with_session(&eval, |session| {
+            for x in [1.0, 2.0, 3.0, 9.0] {
+                session.submit(&[x]);
+            }
+            assert_eq!(session.drain(2).unwrap(), vec![1.0, 2.0]);
+            session.drain_all().unwrap_err()
+        });
+        // Submission index 3 is the second candidate of the last drain.
+        assert_eq!(err.index, 1);
     }
 
     #[test]
