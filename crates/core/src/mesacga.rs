@@ -15,7 +15,8 @@
 use crate::anneal::ProbabilityShaper;
 use crate::checkpoint::{EngineState, MesacgaCheckpoint, SavedIndividual};
 use crate::partition::PartitionGrid;
-use crate::sacga::{population_front, Engine, SacgaConfig};
+use crate::sacga::{population_front, Engine, Generational, SacgaConfig};
+use crate::steady::{self, map_suspension, Phases, Plan, Resume};
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use moea::individual::Individual;
 use moea::problem::Problem;
@@ -312,8 +313,7 @@ impl<P: Problem> Mesacga<P> {
     where
         P: Sync,
     {
-        self.drive(Launch::Seed(seed), None, &mut NullSink)
-            .map(expect_complete)
+        self.run_with(seed, &mut NullSink)
     }
 
     /// The shared run loop: phase I, then the expanding-partition cascade.
@@ -322,7 +322,7 @@ impl<P: Problem> Mesacga<P> {
     /// started, so the resumed run re-derives identical constants.
     /// Structured events flow into `sink`; emission never consumes RNG,
     /// so instrumented and bare runs are bit-identical.
-    fn drive(
+    fn drive_generational(
         &self,
         launch: Launch<'_>,
         stop_after: Option<usize>,
@@ -481,6 +481,35 @@ impl<P: Problem> Mesacga<P> {
     }
 }
 
+impl<P: Problem + Sync> Mesacga<P> {
+    /// Runs MESACGA as the generational preset of the partitioned loop
+    /// ([`steady`](crate::steady)) with its phases as the phase-II list.
+    fn drive(
+        &self,
+        launch: steady::Launch<'_>,
+        stop_after: Option<usize>,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
+        let plan = Plan::generational(&self.config.base, Phases::List(&self.config.phases));
+        let status = steady::drive(&self.problem, plan, launch, stop_after, sink)?;
+        Ok(map_suspension(status, |s| MesacgaCheckpoint {
+            state: s.state,
+            phase_index: s.phase_index,
+            phase_start: s.phase_start,
+            phase_fronts: s.phase_fronts,
+        }))
+    }
+
+    fn resume_from(checkpoint: &MesacgaCheckpoint) -> steady::Launch<'_> {
+        steady::Launch::Resume(Resume {
+            state: &checkpoint.state,
+            pending: &[],
+            phase: (checkpoint.phase_index, checkpoint.phase_start),
+            phase_fronts: &checkpoint.phase_fronts,
+        })
+    }
+}
+
 impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     type Checkpoint = MesacgaCheckpoint;
 
@@ -489,7 +518,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Seed(seed), None, sink)
+        self.drive(steady::Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -499,7 +528,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Seed(seed), Some(stop_after), sink)
+        self.drive(steady::Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -507,7 +536,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         checkpoint: &MesacgaCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Checkpoint(checkpoint), None, sink)
+        self.drive(Self::resume_from(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -517,7 +546,51 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
+        self.drive(Self::resume_from(checkpoint), Some(stop_after), sink)
+    }
+}
+
+impl<P: Problem + Sync> Optimizer for Generational<Mesacga<P>> {
+    type Checkpoint = MesacgaCheckpoint;
+
+    fn algorithm(&self) -> &'static str {
+        "mesacga"
+    }
+
+    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Seed(seed), None, sink)
+            .map(expect_complete)
+    }
+
+    fn run_until_with(
+        &self,
+        seed: u64,
+        stop_after: usize,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Seed(seed), Some(stop_after), sink)
+    }
+
+    fn resume_with(
+        &self,
+        checkpoint: &MesacgaCheckpoint,
+        sink: &mut dyn Sink,
+    ) -> Result<RunOutcome, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Checkpoint(checkpoint), None, sink)
+            .map(expect_complete)
+    }
+
+    fn resume_until_with(
+        &self,
+        checkpoint: &MesacgaCheckpoint,
+        stop_after: usize,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
     }
 }
 

@@ -22,6 +22,7 @@
 use crate::anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
 use crate::checkpoint::{EngineState, SacgaCheckpoint, SavedIndividual};
 use crate::partition::{PartitionGrid, PartitionedPopulation};
+use crate::steady::{self, map_suspension, Phases, Plan, Resume};
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use engine::{
     EngineConfig, EngineStats, EvaluatorKind, ExecutionEngine, FaultPlan, FaultPolicy, SharedCache,
@@ -383,8 +384,7 @@ impl<P: Problem> Sacga<P> {
     where
         P: Sync,
     {
-        self.drive(Launch::Seed(seed), None, &mut NullSink)
-            .map(expect_complete)
+        self.run_with(seed, &mut NullSink)
     }
 
     /// The shared run loop behind every public entry point: phase I until
@@ -393,7 +393,7 @@ impl<P: Problem> Sacga<P> {
     /// generation count; reaching it suspends the run into a checkpoint.
     /// Structured events flow into `sink`; emission never consumes RNG,
     /// so instrumented and bare runs are bit-identical.
-    pub(crate) fn drive(
+    pub(crate) fn drive_generational(
         &self,
         launch: Launch<'_>,
         stop_after: Option<usize>,
@@ -506,6 +506,35 @@ impl<P: Problem> Sacga<P> {
     }
 }
 
+impl<P: Problem + Sync> Sacga<P> {
+    /// Runs SACGA as the generational preset of the partitioned loop
+    /// ([`steady`](crate::steady)): window and quantum are the population,
+    /// and phase II is one phase over the rest of the budget. Nothing is
+    /// in flight at a generation boundary, so a suspension is the steady
+    /// state without a pending list.
+    fn drive(
+        &self,
+        launch: steady::Launch<'_>,
+        stop_after: Option<usize>,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
+        let plan = Plan::generational(&self.config, Phases::Rest);
+        let status = steady::drive(&self.problem, plan, launch, stop_after, sink)?;
+        Ok(map_suspension(status, |s| SacgaCheckpoint {
+            state: s.state,
+        }))
+    }
+
+    fn resume_from(checkpoint: &SacgaCheckpoint) -> steady::Launch<'_> {
+        steady::Launch::Resume(Resume {
+            state: &checkpoint.state,
+            pending: &[],
+            phase: (0, checkpoint.state.gen_t),
+            phase_fronts: &[],
+        })
+    }
+}
+
 impl<P: Problem + Sync> Optimizer for Sacga<P> {
     type Checkpoint = SacgaCheckpoint;
 
@@ -517,7 +546,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Seed(seed), None, sink)
+        self.drive(steady::Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -527,7 +556,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Seed(seed), Some(stop_after), sink)
+        self.drive(steady::Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -535,7 +564,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         checkpoint: &SacgaCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Checkpoint(checkpoint), None, sink)
+        self.drive(Self::resume_from(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -545,7 +574,58 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
+        self.drive(Self::resume_from(checkpoint), Some(stop_after), sink)
+    }
+}
+
+/// Runs an optimizer on the generational engine the partitioned-loop
+/// presets replace. Kept only while the differential test compares the
+/// two.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct Generational<O>(pub O);
+
+impl<P: Problem + Sync> Optimizer for Generational<Sacga<P>> {
+    type Checkpoint = SacgaCheckpoint;
+
+    fn algorithm(&self) -> &'static str {
+        self.0.algorithm()
+    }
+
+    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Seed(seed), None, sink)
+            .map(expect_complete)
+    }
+
+    fn run_until_with(
+        &self,
+        seed: u64,
+        stop_after: usize,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Seed(seed), Some(stop_after), sink)
+    }
+
+    fn resume_with(
+        &self,
+        checkpoint: &SacgaCheckpoint,
+        sink: &mut dyn Sink,
+    ) -> Result<RunOutcome, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Checkpoint(checkpoint), None, sink)
+            .map(expect_complete)
+    }
+
+    fn resume_until_with(
+        &self,
+        checkpoint: &SacgaCheckpoint,
+        stop_after: usize,
+        sink: &mut dyn Sink,
+    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
+        self.0
+            .drive_generational(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
     }
 }
 

@@ -44,10 +44,9 @@ use std::collections::VecDeque;
 
 use crate::anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
 use crate::checkpoint::{EngineState, SavedIndividual, SteadyCheckpoint};
+use crate::mesacga::PhaseSpec;
 use crate::partition::{PartitionGrid, PartitionedPopulation};
-use crate::sacga::{
-    population_front, CompetitionMode, GenerationStats, SacgaConfig, SacgaConfigBuilder,
-};
+use crate::sacga::{CompetitionMode, GenerationStats, SacgaConfig, SacgaConfigBuilder};
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use engine::{
     EngineConfig, EngineStats, EvaluationSession, EvaluatorKind, FaultPlan, FaultPolicy,
@@ -316,10 +315,80 @@ impl SteadyConfigBuilder {
     }
 }
 
-/// How a steady drive begins: a fresh seed or a stored checkpoint.
-enum SteadyLaunch<'c> {
+/// The phase-II plan of a partitioned run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phases<'a> {
+    /// One phase at the configured partition count over the rest of the
+    /// budget, `generations − gen_t` (SACGA, the local-competition GA and
+    /// the steady arm).
+    Rest,
+    /// An explicit list of phases (MESACGA's expanding partitions). Each
+    /// phase end records a phase front.
+    List(&'a [PhaseSpec]),
+}
+
+/// Everything a partitioned run executes: the SACGA knobs, the
+/// look-ahead window and merge quantum, and the phase-II plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Plan<'a> {
+    pub(crate) base: &'a SacgaConfig,
+    pub(crate) window: usize,
+    pub(crate) quantum: usize,
+    pub(crate) phases: Phases<'a>,
+}
+
+impl<'a> Plan<'a> {
+    /// The generational schedule: window and quantum are the population,
+    /// so each generation is produced and merged whole and nothing is in
+    /// flight at a generation boundary.
+    pub(crate) fn generational(base: &'a SacgaConfig, phases: Phases<'a>) -> Self {
+        Plan {
+            base,
+            window: base.population_size,
+            quantum: base.population_size,
+            phases,
+        }
+    }
+}
+
+/// How a drive begins: a fresh seed or a stored state.
+pub(crate) enum Launch<'c> {
     Seed(u64),
-    Checkpoint(&'c SteadyCheckpoint),
+    Resume(Resume<'c>),
+}
+
+/// A stored state to resume from, with the parts that only some
+/// checkpoint formats carry left empty by the others.
+pub(crate) struct Resume<'c> {
+    pub(crate) state: &'c EngineState,
+    /// Completed look-ahead evaluations (steady checkpoints only).
+    pub(crate) pending: &'c [SavedIndividual],
+    /// The active phase and the generation it started at; read only once
+    /// phase I is done.
+    pub(crate) phase: (usize, usize),
+    /// Fronts of the phases already finished (MESACGA only).
+    pub(crate) phase_fronts: &'c [Vec<SavedIndividual>],
+}
+
+/// A suspended partitioned run: the union of what the SACGA, MESACGA and
+/// steady checkpoint formats store.
+pub(crate) struct Suspension {
+    pub(crate) state: EngineState,
+    pub(crate) pending: Vec<SavedIndividual>,
+    pub(crate) phase_index: usize,
+    pub(crate) phase_start: usize,
+    pub(crate) phase_fronts: Vec<Vec<SavedIndividual>>,
+}
+
+/// Maps a suspension into a checkpoint format.
+pub(crate) fn map_suspension<C>(
+    status: RunStatus<Suspension>,
+    checkpoint: impl FnOnce(Suspension) -> C,
+) -> RunStatus<C> {
+    match status {
+        RunStatus::Complete(outcome) => RunStatus::Complete(outcome),
+        RunStatus::Suspended(s) => RunStatus::Suspended(Box::new(checkpoint(*s))),
+    }
 }
 
 /// The steady-state SACGA optimizer.
@@ -367,224 +436,38 @@ impl<P: Problem> SteadySacga<P> {
     where
         P: Sync,
     {
-        self.drive(SteadyLaunch::Seed(seed), None, &mut NullSink)
+        self.drive(Launch::Seed(seed), None, &mut NullSink)
             .map(expect_complete)
     }
 }
 
 impl<P: Problem + Sync> SteadySacga<P> {
-    /// The shared run loop behind every public entry point. The whole
-    /// drive executes inside one [`EvaluationSession`], so under a
-    /// parallel evaluator the worker pool lives for the entire run.
     fn drive(
         &self,
-        launch: SteadyLaunch<'_>,
+        launch: Launch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        let base = &self.config.base;
-        let problem = &self.problem;
-        if problem.num_objectives() == 0 {
-            return Err(OptimizeError::invalid_problem(
-                "problem must declare at least one objective",
-            ));
-        }
-        match &launch {
-            SteadyLaunch::Seed(_) => {
-                if base.slice_objective >= problem.num_objectives() {
-                    return Err(OptimizeError::invalid_config(
-                        "slice_objective",
-                        format!(
-                            "objective {} out of range for a {}-objective problem",
-                            base.slice_objective,
-                            problem.num_objectives()
-                        ),
-                    ));
-                }
-            }
-            SteadyLaunch::Checkpoint(cp) => {
-                if cp.state.grid_objective >= problem.num_objectives() {
-                    return Err(OptimizeError::invalid_checkpoint(format!(
-                        "checkpoint slices objective {} but the problem declares {}",
-                        cp.state.grid_objective,
-                        problem.num_objectives()
-                    )));
-                }
-            }
-        }
-        let mut exec = base.exec.build_engine(problem.cache_canonicalizer());
-        if let SteadyLaunch::Checkpoint(cp) = &launch {
-            exec.restore_stats(cp.state.stats.clone());
-        }
-        let bounds = problem.bounds().clone();
-        let eval = |genes: &[f64]| problem.evaluate(genes);
-        exec.with_session(&eval, |session| {
-            self.run_loop(launch, stop_after, sink, session, bounds)
-        })
+        let plan = Plan {
+            base: &self.config.base,
+            window: self.config.window,
+            quantum: self.config.quantum,
+            phases: Phases::Rest,
+        };
+        let status = drive(&self.problem, plan, launch, stop_after, sink)?;
+        Ok(map_suspension(status, |s| SteadyCheckpoint {
+            state: s.state,
+            pending: s.pending,
+        }))
     }
 
-    /// The steady loop proper, generic over the session's evaluation
-    /// closure.
-    fn run_loop<F>(
-        &self,
-        launch: SteadyLaunch<'_>,
-        stop_after: Option<usize>,
-        sink: &mut dyn Sink,
-        session: &mut EvaluationSession<'_, Evaluation, F>,
-        bounds: Bounds,
-    ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError>
-    where
-        F: Fn(&[f64]) -> Evaluation + Sync,
-    {
-        let base = &self.config.base;
-        let n = base.population_size;
-        let fresh = matches!(launch, SteadyLaunch::Seed(_));
-        let mut flow = match launch {
-            SteadyLaunch::Seed(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let init_genes: Vec<Vec<f64>> =
-                    (0..n).map(|_| random_vector(&mut rng, &bounds)).collect();
-                for genes in &init_genes {
-                    session.submit(genes);
-                }
-                let init_evals = session.drain_all()?;
-                let initial: Vec<Individual> = init_genes
-                    .into_iter()
-                    .zip(init_evals)
-                    .map(|(genes, ev)| Individual::new(genes, ev))
-                    .collect();
-                self.problem.check_evaluation(&initial[0].evaluation)?;
-                let grid = match base.slice_range {
-                    Some((lo, hi)) => {
-                        PartitionGrid::new(base.slice_objective, lo, hi, base.partitions)?
-                    }
-                    None => PartitionGrid::from_population(
-                        base.slice_objective,
-                        &initial,
-                        base.partitions,
-                    )?,
-                };
-                let mut pop = PartitionedPopulation::distribute(grid, initial);
-                pop.rank_locally();
-                let flat_cache = pop.flatten();
-                let feasible = flat_cache.iter().filter(|m| m.is_feasible()).count();
-                let history = vec![GenerationStats {
-                    generation: 0,
-                    phase: 1,
-                    temperature: f64::INFINITY,
-                    promoted: 0,
-                    feasible,
-                    population: flat_cache.len(),
-                }];
-                Flow::new(&self.config, bounds, rng, pop, history, flat_cache)
-            }
-            SteadyLaunch::Checkpoint(cp) => {
-                let grid = PartitionGrid::new(
-                    cp.state.grid_objective,
-                    cp.state.grid_lo,
-                    cp.state.grid_hi,
-                    cp.state.grid_partitions,
-                )
-                .map_err(|e| {
-                    OptimizeError::invalid_checkpoint(format!("stored grid is invalid: {e}"))
-                })?;
-                let members: Vec<Vec<Individual>> = cp
-                    .state
-                    .partitions
-                    .iter()
-                    .map(|part| part.iter().map(SavedIndividual::to_individual).collect())
-                    .collect();
-                let pop = PartitionedPopulation::from_parts(grid, members, cp.state.alive.clone())?;
-                let flat_cache = pop.flatten();
-                let mut flow = Flow::new(
-                    &self.config,
-                    bounds,
-                    StdRng::from_state(cp.state.rng),
-                    pop,
-                    cp.state.history.clone(),
-                    flat_cache,
-                );
-                flow.gen = cp.state.gen;
-                flow.phase1_done = cp.state.phase1_done;
-                flow.gen_t = cp.state.gen_t;
-                flow.merged = cp.state.gen * n;
-                flow.produced = flow.merged + cp.pending.len();
-                // Replay the look-ahead: primed completions occupy the
-                // session's first submission indices with no stats
-                // impact, exactly as the killed run left them.
-                for p in &cp.pending {
-                    session.prime(Evaluation::new(p.objectives.clone(), p.violations.clone()));
-                    flow.queue.push_back(p.genes.clone());
-                }
-                if flow.phase1_done {
-                    flow.solve_annealing()?;
-                }
-                flow
-            }
-        };
-        if sink.wants(EventKind::StageTiming) {
-            flow.timer.set_enabled(true);
-        }
-        flow.stats_mark = session.stats().clone();
-        // Faults from the initial-population evaluation surface as
-        // generation-0 events; a resumed segment replays completed
-        // evaluations without re-reporting their faults.
-        if fresh {
-            flow.emit_boundary(session, sink);
-        } else {
-            let _ = session.take_fault_events();
-        }
-        let mut feasibility = (sink.wants(EventKind::PartitionFeasible) && !flow.phase1_done)
-            .then(|| flow.partition_feasibility());
-
-        loop {
-            flow.maybe_transition(sink)?;
-            if flow.phase1_done {
-                feasibility = None;
-            }
-            if flow.gen >= flow.generations {
-                return Ok(RunStatus::Complete(Box::new(flow.finish(session))));
-            }
-            if stop_after.is_some_and(|cap| flow.gen >= cap) {
-                return flow.suspend(session, sink);
-            }
-
-            // --- produce and merge the next generation's window
-            flow.begin_window();
-            let target = (flow.gen + 1) * n;
-            while flow.merged < target {
-                flow.top_up(session);
-                flow.merge(session, target)?;
-                if flow.merged < target {
-                    flow.refresh_selection();
-                }
-            }
-
-            // --- generation boundary
-            flow.gen += 1;
-            flow.flat_cache = flow.pop.flatten();
-            flow.record();
-            if let Some(before) = &mut feasibility {
-                let now = flow.partition_feasibility();
-                for (p, (was, is)) in before.iter().zip(&now).enumerate() {
-                    if !was && *is {
-                        sink.record(&RunEvent::PartitionFeasible {
-                            generation: flow.gen,
-                            partition: p,
-                        });
-                    }
-                }
-                *before = now;
-            }
-            flow.emit_boundary(session, sink);
-            if flow.phase2() && sink.wants(EventKind::Promotion) {
-                sink.record(&RunEvent::Promotion {
-                    generation: flow.gen,
-                    promoted: flow.window_promoted,
-                    candidates: flow.window_candidates,
-                });
-            }
-        }
+    fn resume_from(checkpoint: &SteadyCheckpoint) -> Launch<'_> {
+        Launch::Resume(Resume {
+            state: &checkpoint.state,
+            pending: &checkpoint.pending,
+            phase: (0, checkpoint.state.gen_t),
+            phase_fronts: &[],
+        })
     }
 }
 
@@ -596,7 +479,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(SteadyLaunch::Seed(seed), None, sink)
+        self.drive(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -606,7 +489,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.drive(SteadyLaunch::Seed(seed), Some(stop_after), sink)
+        self.drive(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -614,7 +497,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         checkpoint: &SteadyCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(SteadyLaunch::Checkpoint(checkpoint), None, sink)
+        self.drive(Self::resume_from(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -624,15 +507,259 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.drive(SteadyLaunch::Checkpoint(checkpoint), Some(stop_after), sink)
+        self.drive(Self::resume_from(checkpoint), Some(stop_after), sink)
     }
 }
 
-/// Mutable state of one steady drive. Everything algorithmic lives here;
-/// the evaluation session is passed into each method so the borrow of
-/// the engine stays outside.
-struct Flow {
-    // knobs (copied out of the config so methods need no config borrow)
+/// Runs a partitioned population under `plan`: the loop behind SACGA, the
+/// local-competition GA, MESACGA and the steady arm. The whole drive
+/// executes inside one [`EvaluationSession`], so under a parallel
+/// evaluator the worker pool lives for the entire run.
+pub(crate) fn drive<P: Problem + Sync>(
+    problem: &P,
+    plan: Plan<'_>,
+    launch: Launch<'_>,
+    stop_after: Option<usize>,
+    sink: &mut dyn Sink,
+) -> Result<RunStatus<Suspension>, OptimizeError> {
+    let base = plan.base;
+    if let Launch::Resume(resume) = &launch {
+        let count = match plan.phases {
+            Phases::Rest => 1,
+            Phases::List(list) => list.len(),
+        };
+        if resume.state.phase1_done && resume.phase.0 >= count {
+            return Err(OptimizeError::invalid_checkpoint(format!(
+                "phase index {} out of range for a {count}-phase schedule",
+                resume.phase.0
+            )));
+        }
+    }
+    if problem.num_objectives() == 0 {
+        return Err(OptimizeError::invalid_problem(
+            "problem must declare at least one objective",
+        ));
+    }
+    match &launch {
+        Launch::Seed(_) => {
+            if base.slice_objective >= problem.num_objectives() {
+                return Err(OptimizeError::invalid_config(
+                    "slice_objective",
+                    format!(
+                        "objective {} out of range for a {}-objective problem",
+                        base.slice_objective,
+                        problem.num_objectives()
+                    ),
+                ));
+            }
+        }
+        Launch::Resume(resume) => {
+            if resume.state.grid_objective >= problem.num_objectives() {
+                return Err(OptimizeError::invalid_checkpoint(format!(
+                    "checkpoint slices objective {} but the problem declares {}",
+                    resume.state.grid_objective,
+                    problem.num_objectives()
+                )));
+            }
+        }
+    }
+    let mut exec = base.exec.build_engine(problem.cache_canonicalizer());
+    if let Launch::Resume(resume) = &launch {
+        exec.restore_stats(resume.state.stats.clone());
+    }
+    let eval = |genes: &[f64]| problem.evaluate(genes);
+    exec.with_session(&eval, |session| {
+        run_loop(problem, plan, launch, stop_after, sink, session)
+    })
+}
+
+/// The partitioned loop proper, generic over the session's evaluation
+/// closure.
+fn run_loop<P, F>(
+    problem: &P,
+    plan: Plan<'_>,
+    launch: Launch<'_>,
+    stop_after: Option<usize>,
+    sink: &mut dyn Sink,
+    session: &mut EvaluationSession<'_, Evaluation, F>,
+) -> Result<RunStatus<Suspension>, OptimizeError>
+where
+    P: Problem,
+    F: Fn(&[f64]) -> Evaluation + Sync,
+{
+    let base = plan.base;
+    let n = base.population_size;
+    let bounds = problem.bounds().clone();
+    let fresh = matches!(launch, Launch::Seed(_));
+    let mut flow = match launch {
+        Launch::Seed(seed) => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let init_genes: Vec<Vec<f64>> =
+                (0..n).map(|_| random_vector(&mut rng, &bounds)).collect();
+            for genes in &init_genes {
+                session.submit(genes);
+            }
+            let init_evals = session.drain_all()?;
+            let initial: Vec<Individual> = init_genes
+                .into_iter()
+                .zip(init_evals)
+                .map(|(genes, ev)| Individual::new(genes, ev))
+                .collect();
+            problem.check_evaluation(&initial[0].evaluation)?;
+            let grid = match base.slice_range {
+                Some((lo, hi)) => {
+                    PartitionGrid::new(base.slice_objective, lo, hi, base.partitions)?
+                }
+                None => {
+                    PartitionGrid::from_population(base.slice_objective, &initial, base.partitions)?
+                }
+            };
+            let mut pop = PartitionedPopulation::distribute(grid, initial);
+            pop.rank_locally();
+            let flat_cache = pop.flatten();
+            let feasible = flat_cache.iter().filter(|m| m.is_feasible()).count();
+            let history = vec![GenerationStats {
+                generation: 0,
+                phase: 1,
+                temperature: f64::INFINITY,
+                promoted: 0,
+                feasible,
+                population: flat_cache.len(),
+            }];
+            Flow::new(plan, bounds, rng, pop, history, flat_cache)
+        }
+        Launch::Resume(resume) => {
+            let state = resume.state;
+            let grid = PartitionGrid::new(
+                state.grid_objective,
+                state.grid_lo,
+                state.grid_hi,
+                state.grid_partitions,
+            )
+            .map_err(|e| {
+                OptimizeError::invalid_checkpoint(format!("stored grid is invalid: {e}"))
+            })?;
+            let members: Vec<Vec<Individual>> = state
+                .partitions
+                .iter()
+                .map(|part| part.iter().map(SavedIndividual::to_individual).collect())
+                .collect();
+            let pop = PartitionedPopulation::from_parts(grid, members, state.alive.clone())?;
+            let flat_cache = pop.flatten();
+            let mut flow = Flow::new(
+                plan,
+                bounds,
+                StdRng::from_state(state.rng),
+                pop,
+                state.history.clone(),
+                flat_cache,
+            );
+            flow.gen = state.gen;
+            flow.merged = state.gen * n;
+            flow.produced = flow.merged + resume.pending.len();
+            flow.phase_fronts = resume
+                .phase_fronts
+                .iter()
+                .map(|f| f.iter().map(SavedIndividual::to_individual).collect())
+                .collect();
+            // Replay the look-ahead: primed completions occupy the
+            // session's first submission indices with no stats impact,
+            // exactly as the killed run left them.
+            for p in resume.pending {
+                session.prime(Evaluation::new(p.objectives.clone(), p.violations.clone()));
+                flow.queue.push_back(p.genes.clone());
+            }
+            if state.phase1_done {
+                // A checkpoint is taken inside a phase, after its start:
+                // resuming skips the regrid and reuses the phase origin.
+                flow.end_phase1(state.gen_t);
+                (flow.phase_index, flow.phase_start) = resume.phase;
+                flow.arm_phase()?;
+            }
+            flow
+        }
+    };
+    if sink.wants(EventKind::StageTiming) {
+        flow.timer.set_enabled(true);
+    }
+    flow.stats_mark = session.stats().clone();
+    // Faults from the initial-population evaluation surface as
+    // generation-0 events; a resumed segment emits nothing for the
+    // checkpoint generation, whose events belong to the segment that
+    // executed it.
+    if fresh {
+        flow.emit_boundary(session, sink);
+    } else {
+        let _ = session.take_fault_events();
+    }
+    let mut feasibility = (sink.wants(EventKind::PartitionFeasible) && !flow.phase1_done)
+        .then(|| flow.partition_feasibility());
+
+    loop {
+        flow.advance(sink)?;
+        if flow.phase1_done {
+            feasibility = None;
+        }
+        if flow.finished() {
+            return Ok(RunStatus::Complete(Box::new(flow.finish(session))));
+        }
+        if stop_after.is_some_and(|cap| flow.gen >= cap) {
+            return flow.suspend(session, sink);
+        }
+
+        // --- produce and merge the next generation's window
+        flow.begin_window();
+        let target = (flow.gen + 1) * n;
+        while flow.merged < target {
+            flow.top_up(session);
+            flow.merge(session, target)?;
+            if flow.merged < target {
+                flow.refresh_selection();
+            }
+        }
+
+        // --- generation boundary
+        flow.gen += 1;
+        flow.flat_cache = flow.pop.flatten();
+        flow.record();
+        if let Some(before) = &mut feasibility {
+            let now = flow.partition_feasibility();
+            for (p, (was, is)) in before.iter().zip(&now).enumerate() {
+                if !was && *is {
+                    sink.record(&RunEvent::PartitionFeasible {
+                        generation: flow.gen,
+                        partition: p,
+                    });
+                }
+            }
+            *before = now;
+        }
+        if flow.phase2() && sink.wants(EventKind::Promotion) {
+            sink.record(&RunEvent::Promotion {
+                generation: flow.gen,
+                promoted: flow.window_promoted,
+                candidates: flow.window_candidates,
+            });
+        }
+        flow.emit_boundary(session, sink);
+    }
+}
+
+/// Feasible, globally non-dominated front of a population snapshot
+/// (clone + one global competition; used for event payloads and phase
+/// fronts).
+fn population_front(snapshot: &[Individual]) -> Vec<Individual> {
+    let mut arena = snapshot.to_vec();
+    rank_and_crowd(&mut arena);
+    arena.retain(|m| m.rank == 0 && m.is_feasible());
+    arena
+}
+
+/// Mutable state of one partitioned drive. Everything algorithmic lives
+/// here; the evaluation session is passed into each method so the borrow
+/// of the engine stays outside.
+struct Flow<'a> {
+    // knobs (copied out of the plan so methods need no config borrow)
     n: usize,
     generations: usize,
     phase1_max: usize,
@@ -641,6 +768,7 @@ struct Flow {
     annealed: bool,
     n_superior: usize,
     shaper: ProbabilityShaper,
+    plan: Phases<'a>,
     bounds: Bounds,
     // algorithm state
     rng: StdRng,
@@ -650,6 +778,15 @@ struct Flow {
     produced: usize,
     phase1_done: bool,
     gen_t: usize,
+    /// Phase-II phases, resolved when phase I ends.
+    phases: Vec<PhaseSpec>,
+    /// Index of the active phase (`phases.len()` once all have ended).
+    phase_index: usize,
+    /// Generation at which the active phase started; its annealing
+    /// temperature counts from here.
+    phase_start: usize,
+    /// Fronts of the phases that have ended ([`Phases::List`] only).
+    phase_fronts: Vec<Vec<Individual>>,
     history: Vec<GenerationStats>,
     /// Genes of submitted-but-unmerged offspring, in submission order
     /// (parallel to the session's undrained indices).
@@ -663,23 +800,24 @@ struct Flow {
     roulette: RankRoulette,
     timer: StageTimer,
     stats_mark: EngineStats,
-    policy: Option<PromotionPolicy>,
-    schedule: Option<AnnealingSchedule>,
+    /// The active phase's promotion policy and cooling schedule, set
+    /// only in annealed mode.
+    annealing: Option<(PromotionPolicy, AnnealingSchedule)>,
     window_temperature: f64,
     window_promoted: usize,
     window_candidates: usize,
 }
 
-impl Flow {
+impl<'a> Flow<'a> {
     fn new(
-        config: &SteadyConfig,
+        plan: Plan<'a>,
         bounds: Bounds,
         rng: StdRng,
         pop: PartitionedPopulation,
         history: Vec<GenerationStats>,
         flat_cache: Vec<Individual>,
     ) -> Self {
-        let base = &config.base;
+        let base = plan.base;
         let variation = base
             .variation
             .unwrap_or_else(|| Variation::standard(bounds.len()));
@@ -687,11 +825,12 @@ impl Flow {
             n: base.population_size,
             generations: base.generations,
             phase1_max: base.phase1_max,
-            window: config.window,
-            quantum: config.quantum,
+            window: plan.window,
+            quantum: plan.quantum,
             annealed: base.mode == CompetitionMode::Annealed,
             n_superior: base.n_superior,
             shaper: base.shaper,
+            plan: plan.phases,
             bounds,
             rng,
             pop,
@@ -700,6 +839,10 @@ impl Flow {
             produced: 0,
             phase1_done: false,
             gen_t: 0,
+            phases: Vec::new(),
+            phase_index: 0,
+            phase_start: 0,
+            phase_fronts: Vec::new(),
             history,
             queue: VecDeque::new(),
             selection: Vec::new(),
@@ -708,17 +851,31 @@ impl Flow {
             roulette: RankRoulette::new(base.roulette_decay),
             timer: StageTimer::disabled(),
             stats_mark: EngineStats::default(),
-            policy: None,
-            schedule: None,
+            annealing: None,
             window_temperature: f64::INFINITY,
             window_promoted: 0,
             window_candidates: 0,
         }
     }
 
-    /// `true` once the annealed promotion machinery is active.
+    /// `true` while the annealed promotion machinery is active.
     fn phase2(&self) -> bool {
-        self.annealed && self.policy.is_some()
+        self.annealing.is_some()
+    }
+
+    /// `true` once phase I and every phase-II phase have ended.
+    fn finished(&self) -> bool {
+        self.phase1_done && self.phase_index >= self.phases.len()
+    }
+
+    /// The generation the run ends at: the configured budget until
+    /// phase I ends, then `gen_t` plus every phase's span.
+    fn last_generation(&self) -> usize {
+        if self.phase1_done {
+            self.gen_t + self.phases.iter().map(|p| p.span).sum::<usize>()
+        } else {
+            self.generations
+        }
     }
 
     fn capacity(&self) -> usize {
@@ -729,70 +886,109 @@ impl Flow {
         self.n.div_ceil(alive)
     }
 
-    /// Which partitions currently hold a constraint-satisfying member.
+    /// Which partitions currently hold a constraint-satisfying member
+    /// (dead partitions report `false`).
     fn partition_feasibility(&self) -> Vec<bool> {
         (0..self.pop.partition_count())
             .map(|p| self.pop.is_alive(p) && self.pop.partition(p).iter().any(|m| m.is_feasible()))
             .collect()
     }
 
-    /// Solves the phase-II promotion policy and cooling schedule from
-    /// the recorded `gen_t` (a pure function of the config and `gen_t`,
-    /// so fresh and resumed runs derive identical constants).
-    fn solve_annealing(&mut self) -> Result<(), OptimizeError> {
-        let span = self.generations.saturating_sub(self.gen_t);
-        if self.annealed && span > 0 {
-            let (policy, schedule) = self.shaper.solve(self.n_superior, span)?;
-            self.policy = Some(policy);
-            self.schedule = Some(schedule);
-        }
+    /// Records the end of phase I at `gen_t` and resolves the phase-II
+    /// phases (a pure function of the plan and `gen_t`, so fresh and
+    /// resumed runs derive the same list).
+    fn end_phase1(&mut self, gen_t: usize) {
+        self.phase1_done = true;
+        self.gen_t = gen_t;
+        self.phases = match self.plan {
+            Phases::Rest => vec![PhaseSpec::new(
+                self.pop.partition_count(),
+                self.generations.saturating_sub(gen_t),
+            )],
+            Phases::List(list) => list.to_vec(),
+        };
+    }
+
+    /// Solves the active phase's promotion policy and cooling schedule
+    /// from its span (in local-only mode too, so a shaper that cannot be
+    /// solved fails the run in either mode).
+    fn arm_phase(&mut self) -> Result<(), OptimizeError> {
+        let span = self.phases[self.phase_index].span;
+        let solved = self.shaper.solve(self.n_superior, span)?;
+        self.annealing = self.annealed.then_some(solved);
         Ok(())
     }
 
-    /// Phase-I boundary processing, mirroring the generational loop's
-    /// exit condition: once every alive partition is feasible (or the
-    /// cap or the budget is hit), discard infeasible partitions, record
-    /// `gen_t`, and arm the annealing machinery.
-    fn maybe_transition(&mut self, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
-        if self.phase1_done {
-            return Ok(());
+    /// Starts the active phase at the current generation: regrids the
+    /// population to the phase's partition count (every phase after the
+    /// first, or when the count differs), re-ranks it locally, announces
+    /// the transition and arms the annealing machinery.
+    fn start_phase(&mut self, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
+        let phase = self.phases[self.phase_index];
+        if self.phase_index > 0 || self.pop.grid().partition_count() != phase.partitions {
+            let grid = self.pop.grid().with_partitions(phase.partitions)?;
+            let empty = PartitionedPopulation::distribute(grid, Vec::new());
+            self.pop = std::mem::replace(&mut self.pop, empty).regrid(grid);
+            self.pop.rank_locally();
         }
-        let done = self.gen >= self.generations
-            || self.gen >= self.phase1_max
-            || (self.pop.all_partitions_feasible() && self.gen > 0);
-        if !done {
-            return Ok(());
-        }
-        if !self.pop.all_partitions_feasible() {
-            self.pop.discard_infeasible_partitions();
-        }
-        self.gen_t = self.gen;
-        self.phase1_done = true;
-        if self.annealed && self.gen_t < self.generations && sink.wants(EventKind::PhaseTransition)
-        {
+        if self.annealed && phase.span > 0 && sink.wants(EventKind::PhaseTransition) {
             sink.record(&RunEvent::PhaseTransition {
-                generation: self.gen_t,
-                phase_index: 0,
-                partitions: self.pop.partition_count(),
-                span: self.generations - self.gen_t,
+                generation: self.gen,
+                phase_index: self.phase_index,
+                partitions: phase.partitions,
+                span: phase.span,
             });
         }
-        self.solve_annealing()
+        self.phase_start = self.gen;
+        self.arm_phase()
+    }
+
+    /// Generation-boundary processing. Ends phase I once every alive
+    /// partition is feasible (or the cap or the budget is hit):
+    /// infeasible partitions are discarded and `gen_t` recorded. Then
+    /// ends every phase whose span is spent, recording its front, and
+    /// starts the next one.
+    fn advance(&mut self, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
+        if !self.phase1_done {
+            let done = self.gen >= self.generations
+                || self.gen >= self.phase1_max
+                || (self.pop.all_partitions_feasible() && self.gen > 0);
+            if !done {
+                return Ok(());
+            }
+            if !self.pop.all_partitions_feasible() {
+                self.pop.discard_infeasible_partitions();
+            }
+            self.end_phase1(self.gen);
+            self.start_phase(sink)?;
+        }
+        while !self.finished() && self.gen >= self.phase_start + self.phases[self.phase_index].span
+        {
+            if matches!(self.plan, Phases::List(_)) {
+                self.phase_fronts.push(population_front(&self.flat_cache));
+            }
+            self.phase_index += 1;
+            if self.finished() {
+                self.annealing = None;
+            } else {
+                self.start_phase(sink)?;
+            }
+        }
+        Ok(())
     }
 
     /// Opens the next generation's window: fixes its annealing
     /// temperature, resets the promotion counters, and refreshes the
     /// selection basis.
     fn begin_window(&mut self) {
-        self.window_temperature = match (self.phase2(), &self.schedule) {
-            (true, Some(schedule)) => {
-                // The generation being produced is `gen + 1`; its
-                // phase-II age runs 1..=span so the final generation
-                // anneals at exactly T_A = 1, as in the generational
-                // loop.
-                schedule.temperature((self.gen + 1).saturating_sub(self.gen_t))
+        self.window_temperature = match &self.annealing {
+            // The generation being produced is `gen + 1`; its age in the
+            // phase runs 1..=span, so the phase's last generation anneals
+            // at exactly T_A = 1, per eqn (4).
+            Some((_, schedule)) => {
+                schedule.temperature((self.gen + 1).saturating_sub(self.phase_start))
             }
-            _ => f64::INFINITY,
+            None => f64::INFINITY,
         };
         self.window_promoted = 0;
         self.window_candidates = 0;
@@ -807,7 +1003,7 @@ impl Flow {
     fn refresh_selection(&mut self) {
         self.timer.start(Stage::Promotion);
         let mut flat = self.pop.flatten();
-        if let (true, Some(policy)) = (self.phase2(), self.policy) {
+        if let Some((policy, _)) = self.annealing {
             let temperature = self.window_temperature;
             let grid = *self.pop.grid();
             let mut per_partition: Vec<Vec<usize>> = vec![Vec::new(); grid.partition_count()];
@@ -842,13 +1038,13 @@ impl Flow {
     }
 
     /// Submits offspring pairs from the current selection basis until
-    /// the look-ahead window is full or the run's production budget
-    /// (`generations × population_size`) is spent.
+    /// the look-ahead window is full or the run's production budget is
+    /// spent.
     fn top_up<F>(&mut self, session: &mut EvaluationSession<'_, Evaluation, F>)
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
-        let budget = self.generations * self.n;
+        let budget = self.last_generation() * self.n;
         self.timer.start(Stage::Variation);
         while self.produced < budget && self.produced - self.merged + 2 <= self.window {
             let (c1, c2) = if self.selection.is_empty() {
@@ -980,15 +1176,14 @@ impl Flow {
     }
 
     /// Suspends at the current generation boundary. The look-ahead's
-    /// completed evaluations are rescued into the checkpoint's pending
-    /// list; the rescue drain's batch accounting is rolled back so a
-    /// resumed run counts those merges exactly as an uninterrupted one
-    /// would.
+    /// completed evaluations are rescued into the pending list; the
+    /// rescue drain's batch accounting is rolled back so a resumed run
+    /// counts those merges exactly as an uninterrupted one would.
     fn suspend<F>(
         &mut self,
         session: &mut EvaluationSession<'_, Evaluation, F>,
         sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError>
+    ) -> Result<RunStatus<Suspension>, OptimizeError>
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
@@ -997,12 +1192,15 @@ impl Flow {
                 generation: self.gen,
             });
         }
-        let pre_batches = session.stats().batches;
-        let pre_max_batch = session.stats().max_batch;
-        let values = session.drain_all()?;
+        let mut values = Vec::new();
         let mut stats = session.stats().clone();
-        stats.batches = pre_batches;
-        stats.max_batch = pre_max_batch;
+        if session.in_flight() > 0 {
+            values = session.drain_all()?;
+            let (batches, max_batch) = (stats.batches, stats.max_batch);
+            stats = session.stats().clone();
+            stats.batches = batches;
+            stats.max_batch = max_batch;
+        }
         let pending: Vec<SavedIndividual> = self
             .queue
             .iter()
@@ -1039,13 +1237,22 @@ impl Flow {
             history: self.history.clone(),
             stats,
         };
-        Ok(RunStatus::Suspended(Box::new(SteadyCheckpoint {
+        Ok(RunStatus::Suspended(Box::new(Suspension {
             state,
             pending,
+            phase_index: self.phase_index,
+            phase_start: self.phase_start,
+            phase_fronts: self
+                .phase_fronts
+                .iter()
+                .map(|f| f.iter().map(SavedIndividual::from_individual).collect())
+                .collect(),
         })))
     }
 
-    /// Final global competition and result assembly.
+    /// Final global competition and result assembly: per the paper, the
+    /// Global Pareto Front is found by one global competition over the
+    /// entire final population.
     fn finish<F>(self, session: &mut EvaluationSession<'_, Evaluation, F>) -> RunOutcome
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
@@ -1065,7 +1272,7 @@ impl Flow {
             generations: self.gen,
             gen_t: self.gen_t,
             history: self.history,
-            phase_fronts: Vec::new(),
+            phase_fronts: self.phase_fronts,
             migrations: 0,
             stats,
         }
