@@ -1,5 +1,5 @@
-//! The pure local-competition GA of Sec. 4.3 — a thin preset over the
-//! SACGA engine with promotion disabled.
+//! The pure local-competition GA of Sec. 4.3: SACGA in
+//! [`CompetitionMode::LocalOnly`], which never promotes.
 //!
 //! Within each iteration, only local competition happens inside each
 //! partition; a Global Mating Pool is still drawn by rank-based selection
@@ -8,92 +8,38 @@
 //! preserves diversity well but advances the front "extremely slowly"
 //! because many locally superior solutions are globally inferior — the
 //! motivation for SACGA's annealed promotion.
+//!
+//! [`LocalCompetitionGaBuilder`] builds a [`Sacga`] in that mode, so the
+//! local GA runs on the same partitioned loop, writes the same
+//! `sacga-checkpoint v1` format and reports `"local"` as its algorithm.
 
-use crate::checkpoint::SacgaCheckpoint;
 use crate::sacga::{CompetitionMode, Sacga, SacgaConfig, SacgaConfigBuilder};
-use crate::telemetry::{Optimizer, Sink};
 use moea::problem::Problem;
-use moea::{OptimizeError, RunOutcome, RunStatus};
+use moea::OptimizeError;
 
-/// The pure local-competition GA.
+/// The pure local-competition GA: a [`Sacga`] in
+/// [`CompetitionMode::LocalOnly`].
 ///
 /// # Examples
 ///
 /// ```
-/// use sacga::local::LocalCompetitionGa;
+/// use sacga::local::LocalCompetitionGaBuilder;
+/// use sacga::telemetry::Optimizer;
 /// use moea::problems::Schaffer;
 ///
 /// # fn main() -> Result<(), moea::OptimizeError> {
-/// use sacga::local::LocalCompetitionGaBuilder;
-///
 /// let ga = LocalCompetitionGaBuilder::new()
 ///     .population_size(40)
 ///     .generations(30)
 ///     .partitions(6)
 ///     .build(Schaffer::new())?;
+/// assert_eq!(ga.algorithm(), "local");
 /// let result = ga.run_seeded(7)?;
 /// assert!(!result.front.is_empty());
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct LocalCompetitionGa<P: Problem> {
-    inner: Sacga<P>,
-}
-
-impl<P: Problem> LocalCompetitionGa<P> {
-    /// Runs with a seeded RNG.
-    ///
-    /// # Errors
-    ///
-    /// Propagates problem-definition errors discovered at start-up.
-    pub fn run_seeded(&self, seed: u64) -> Result<RunOutcome, OptimizeError>
-    where
-        P: Sync,
-    {
-        self.inner.run_seeded(seed)
-    }
-}
-
-/// The unified run API, delegating to the inner [`Sacga`] engine (which
-/// never promotes in `LocalOnly` mode).
-impl<P: Problem + Sync> Optimizer for LocalCompetitionGa<P> {
-    type Checkpoint = SacgaCheckpoint;
-
-    fn algorithm(&self) -> &'static str {
-        "local"
-    }
-
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.inner.run_with(seed, sink)
-    }
-
-    fn run_until_with(
-        &self,
-        seed: u64,
-        stop_after: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.inner.run_until_with(seed, stop_after, sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &SacgaCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.inner.resume_with(checkpoint, sink)
-    }
-
-    fn resume_until_with(
-        &self,
-        checkpoint: &SacgaCheckpoint,
-        stop_after: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.inner.resume_until_with(checkpoint, stop_after, sink)
-    }
-}
+pub type LocalCompetitionGa<P> = Sacga<P>;
 
 /// Builder for [`LocalCompetitionGa`].
 #[derive(Debug, Clone)]
@@ -211,15 +157,14 @@ impl LocalCompetitionGaBuilder {
     /// Same as [`SacgaConfigBuilder::build`].
     pub fn build<P: Problem>(self, problem: P) -> Result<LocalCompetitionGa<P>, OptimizeError> {
         let config = self.inner.mode(CompetitionMode::LocalOnly).build()?;
-        Ok(LocalCompetitionGa {
-            inner: Sacga::new(problem, config),
-        })
+        Ok(Sacga::new(problem, config))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Optimizer;
     use moea::problems::Schaffer;
 
     #[test]

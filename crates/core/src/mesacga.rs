@@ -11,18 +11,23 @@
 //!
 //! The paper's example schedule: 7 phases of 20, 13, 8, 5, 3, 2, 1
 //! partitions, each running `span` iterations, after a pure-local phase.
+//!
+//! [`Mesacga`] is a preset of the partitioned loop in
+//! [`steady`]: SACGA's generational schedule with the
+//! [`PhaseSpec`] list as its phase II. Each phase start regrids the
+//! population, re-ranks it locally and emits a `PhaseTransition`; the
+//! annealing temperature counts from the phase start; each phase end
+//! records that phase's front (what Fig. 10 tracks). Checkpoints use the
+//! `mesacga-checkpoint v1` text format, which adds the active phase, its
+//! start and the finished phases' fronts.
 
 use crate::anneal::ProbabilityShaper;
-use crate::checkpoint::{EngineState, MesacgaCheckpoint, SavedIndividual};
-use crate::partition::PartitionGrid;
-use crate::sacga::{population_front, Engine, Generational, SacgaConfig};
-use crate::steady::{self, map_suspension, Phases, Plan, Resume};
-use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
-use moea::individual::Individual;
+use crate::checkpoint::MesacgaCheckpoint;
+use crate::sacga::SacgaConfig;
+use crate::steady::{self, Launch, Phases, Plan, Resume};
+use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
 use moea::problem::Problem;
 use moea::{OptimizeError, RunOutcome, RunStatus};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One MESACGA phase: a partition count and how many generations to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,12 +287,6 @@ impl MesacgaConfigBuilder {
     }
 }
 
-/// How a drive begins: a fresh seed or a stored checkpoint.
-enum Launch<'c> {
-    Seed(u64),
-    Checkpoint(&'c MesacgaCheckpoint),
-}
-
 /// The MESACGA optimizer.
 #[derive(Debug)]
 pub struct Mesacga<P: Problem> {
@@ -315,193 +314,30 @@ impl<P: Problem> Mesacga<P> {
     {
         self.run_with(seed, &mut NullSink)
     }
-
-    /// The shared run loop: phase I, then the expanding-partition cascade.
-    /// Suspension can happen before any pending generation; the checkpoint
-    /// records which phase was active and where its annealing schedule
-    /// started, so the resumed run re-derives identical constants.
-    /// Structured events flow into `sink`; emission never consumes RNG,
-    /// so instrumented and bare runs are bit-identical.
-    fn drive_generational(
-        &self,
-        launch: Launch<'_>,
-        stop_after: Option<usize>,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError>
-    where
-        P: Sync,
-    {
-        let base = &self.config.base;
-        let should_stop = |gen: usize| stop_after.is_some_and(|cap| gen >= cap);
-        let fresh = matches!(launch, Launch::Seed(_));
-        let (mut rng, mut engine, phase1_done, mut gen_t, resume_phase, mut phase_fronts) =
-            match launch {
-                Launch::Seed(seed) => {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let engine = Engine::start(&self.problem, base, &mut rng)?;
-                    let fronts = Vec::with_capacity(self.config.phases.len());
-                    (rng, engine, false, 0, None, fronts)
-                }
-                Launch::Checkpoint(cp) => {
-                    if cp.state.phase1_done && cp.phase_index >= self.config.phases.len() {
-                        return Err(OptimizeError::invalid_checkpoint(format!(
-                            "phase index {} out of range for a {}-phase schedule",
-                            cp.phase_index,
-                            self.config.phases.len()
-                        )));
-                    }
-                    let (engine, rng) = Engine::restore(&self.problem, base, &cp.state)?;
-                    let fronts: Vec<Vec<Individual>> = cp
-                        .phase_fronts
-                        .iter()
-                        .map(|f| f.iter().map(SavedIndividual::to_individual).collect())
-                        .collect();
-                    // A checkpoint is only ever taken *inside* a phase's
-                    // span, i.e. after its regrid: resuming must skip the
-                    // regrid and reuse the stored schedule origin.
-                    let resume_phase = cp
-                        .state
-                        .phase1_done
-                        .then_some((cp.phase_index, cp.phase_start));
-                    (
-                        rng,
-                        engine,
-                        cp.state.phase1_done,
-                        cp.state.gen_t,
-                        resume_phase,
-                        fronts,
-                    )
-                }
-            };
-
-        if sink.wants(EventKind::StageTiming) {
-            engine.enable_timing();
-        }
-        // Faults from the initial-population evaluation surface as
-        // generation-0 events. A resumed segment emits nothing for the
-        // checkpoint generation — its events belong to the segment that
-        // executed it.
-        if fresh {
-            engine.emit_generation(sink);
-        } else {
-            engine.discard_restored_faults();
-        }
-
-        // Phase I: pure local competition with the first phase's grid.
-        if !phase1_done {
-            let mut feasibility = sink
-                .wants(EventKind::PartitionFeasible)
-                .then(|| engine.partition_feasibility());
-            while engine.gen < base.phase1_max
-                && !(engine.pop.all_partitions_feasible() && engine.gen > 0)
-            {
-                if should_stop(engine.gen) {
-                    return Ok(suspended(
-                        sink,
-                        engine.snapshot(&rng, false, 0),
-                        0,
-                        0,
-                        &phase_fronts,
-                    ));
-                }
-                engine.local_generation(&mut rng)?;
-                if let Some(before) = &mut feasibility {
-                    let now = engine.partition_feasibility();
-                    for (p, (was, is)) in before.iter().zip(&now).enumerate() {
-                        if !was && *is {
-                            sink.record(&RunEvent::PartitionFeasible {
-                                generation: engine.gen,
-                                partition: p,
-                            });
-                        }
-                    }
-                    *before = now;
-                }
-                engine.emit_generation(sink);
-            }
-            if !engine.pop.all_partitions_feasible() {
-                engine.pop.discard_infeasible_partitions();
-            }
-            gen_t = engine.gen;
-        }
-
-        // Expanding-partition SACGA phases.
-        let first_phase = resume_phase.map_or(0, |(pi, _)| pi);
-        for (pi, phase) in self.config.phases.iter().enumerate().skip(first_phase) {
-            let phase_start = match resume_phase {
-                Some((rpi, start)) if rpi == pi => start,
-                _ => {
-                    if pi > 0 || engine.pop.grid().partition_count() != phase.partitions {
-                        let new_grid = engine.pop.grid().with_partitions(phase.partitions)?;
-                        engine.pop = take_and_regrid(&mut engine.pop, new_grid);
-                        engine.pop.rank_locally();
-                    }
-                    if sink.wants(EventKind::PhaseTransition) {
-                        sink.record(&RunEvent::PhaseTransition {
-                            generation: engine.gen,
-                            phase_index: pi,
-                            partitions: phase.partitions,
-                            span: phase.span,
-                        });
-                    }
-                    engine.gen
-                }
-            };
-            let (policy, schedule) = base.shaper.solve(base.n_superior, phase.span)?;
-            let phase_end = phase_start + phase.span;
-            while engine.gen < phase_end {
-                if should_stop(engine.gen) {
-                    return Ok(suspended(
-                        sink,
-                        engine.snapshot(&rng, true, gen_t),
-                        pi,
-                        phase_start,
-                        &phase_fronts,
-                    ));
-                }
-                let (promoted, candidates) =
-                    engine.annealed_generation(&mut rng, &policy, &schedule, phase_start)?;
-                if sink.wants(EventKind::Promotion) {
-                    sink.record(&RunEvent::Promotion {
-                        generation: engine.gen,
-                        promoted,
-                        candidates,
-                    });
-                }
-                engine.emit_generation(sink);
-            }
-            // End-of-phase Global Pareto Front: one global competition on
-            // the current population (what Fig. 10 tracks).
-            phase_fronts.push(population_front(&engine.flat_cache));
-        }
-
-        let mut outcome = engine.finish(gen_t);
-        outcome.phase_fronts = phase_fronts;
-        Ok(RunStatus::Complete(Box::new(outcome)))
-    }
 }
 
 impl<P: Problem + Sync> Mesacga<P> {
     /// Runs MESACGA as the generational preset of the partitioned loop
-    /// ([`steady`](crate::steady)) with its phases as the phase-II list.
+    /// ([`steady`]) with its phases as the phase-II list.
     fn drive(
         &self,
-        launch: steady::Launch<'_>,
+        launch: Launch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
         let plan = Plan::generational(&self.config.base, Phases::List(&self.config.phases));
-        let status = steady::drive(&self.problem, plan, launch, stop_after, sink)?;
-        Ok(map_suspension(status, |s| MesacgaCheckpoint {
-            state: s.state,
-            phase_index: s.phase_index,
-            phase_start: s.phase_start,
-            phase_fronts: s.phase_fronts,
-        }))
+        steady::drive(&self.problem, plan, launch, stop_after, sink, |s| {
+            MesacgaCheckpoint {
+                state: s.state,
+                phase_index: s.phase_index,
+                phase_start: s.phase_start,
+                phase_fronts: s.phase_fronts,
+            }
+        })
     }
 
-    fn resume_from(checkpoint: &MesacgaCheckpoint) -> steady::Launch<'_> {
-        steady::Launch::Resume(Resume {
+    fn resume_from(checkpoint: &MesacgaCheckpoint) -> Launch<'_> {
+        Launch::Resume(Resume {
             state: &checkpoint.state,
             pending: &[],
             phase: (checkpoint.phase_index, checkpoint.phase_start),
@@ -518,7 +354,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(steady::Launch::Seed(seed), None, sink)
+        self.drive(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -528,7 +364,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(steady::Launch::Seed(seed), Some(stop_after), sink)
+        self.drive(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -550,88 +386,11 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     }
 }
 
-impl<P: Problem + Sync> Optimizer for Generational<Mesacga<P>> {
-    type Checkpoint = MesacgaCheckpoint;
-
-    fn algorithm(&self) -> &'static str {
-        "mesacga"
-    }
-
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Seed(seed), None, sink)
-            .map(expect_complete)
-    }
-
-    fn run_until_with(
-        &self,
-        seed: u64,
-        stop_after: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Seed(seed), Some(stop_after), sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &MesacgaCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Checkpoint(checkpoint), None, sink)
-            .map(expect_complete)
-    }
-
-    fn resume_until_with(
-        &self,
-        checkpoint: &MesacgaCheckpoint,
-        stop_after: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
-    }
-}
-
-/// Announces and packages a suspension into a checkpoint.
-fn suspended(
-    sink: &mut dyn Sink,
-    state: EngineState,
-    phase_index: usize,
-    phase_start: usize,
-    fronts: &[Vec<Individual>],
-) -> RunStatus<MesacgaCheckpoint> {
-    if sink.wants(EventKind::CheckpointWritten) {
-        sink.record(&RunEvent::CheckpointWritten {
-            generation: state.gen,
-        });
-    }
-    RunStatus::Suspended(Box::new(MesacgaCheckpoint {
-        state,
-        phase_index,
-        phase_start,
-        phase_fronts: fronts
-            .iter()
-            .map(|f| f.iter().map(SavedIndividual::from_individual).collect())
-            .collect(),
-    }))
-}
-
-/// Moves the population out of the engine, regrids it, and hands it back.
-fn take_and_regrid(
-    pop: &mut crate::partition::PartitionedPopulation,
-    grid: PartitionGrid,
-) -> crate::partition::PartitionedPopulation {
-    let placeholder = crate::partition::PartitionedPopulation::distribute(grid, Vec::new());
-    let owned = std::mem::replace(pop, placeholder);
-    owned.regrid(grid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MemorySink;
+    use crate::telemetry::{MemorySink, RunEvent};
+    use moea::individual::Individual;
     use moea::problems::{NarrowingCorridor, Schaffer};
 
     fn quick_config() -> MesacgaConfig {

@@ -18,26 +18,24 @@
 //!   elitism).
 //! * Termination: one final global competition over everything yields the
 //!   Global Pareto Front.
+//!
+//! [`Sacga`] is the generational preset of the partitioned loop in
+//! [`steady`]: the look-ahead window and the merge quantum
+//! are the population size, so each generation is bred, evaluated and
+//! merged whole, and phase II is one annealing phase over the rest of the
+//! budget. [`CompetitionMode::LocalOnly`] never promotes, which is the
+//! local-competition GA of [`crate::local`]. Checkpoints use the
+//! `sacga-checkpoint v1` text format.
 
-use crate::anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
-use crate::checkpoint::{EngineState, SacgaCheckpoint, SavedIndividual};
-use crate::partition::{PartitionGrid, PartitionedPopulation};
-use crate::steady::{self, map_suspension, Phases, Plan, Resume};
-use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
-use engine::{
-    EngineConfig, EngineStats, EvaluatorKind, ExecutionEngine, FaultPlan, FaultPolicy, SharedCache,
-    Stage, StageTimer, SurrogateScreen,
-};
-use moea::individual::Individual;
-use moea::operators::{random_vector, Variation};
+use crate::anneal::ProbabilityShaper;
+use crate::checkpoint::SacgaCheckpoint;
+use crate::steady::{self, Launch, Phases, Plan, Resume};
+use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
+use engine::{EngineConfig, EvaluatorKind, FaultPlan, FaultPolicy, SharedCache, SurrogateScreen};
+use moea::operators::Variation;
 use moea::problem::Problem;
-use moea::selection::RankRoulette;
 use moea::setup::EngineSetup;
-use moea::sorting::rank_and_crowd;
 use moea::{Evaluation, OptimizeError, RunOutcome, RunStatus};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 pub use moea::GenerationStats;
 
@@ -255,7 +253,7 @@ impl SacgaConfigBuilder {
 
     /// Attaches an opt-in [`SurrogateScreen`]: candidates the screen
     /// answers skip the full model (counted in
-    /// [`EngineStats::screened`], never cached). Screening changes which
+    /// [`engine::EngineStats::screened`], never cached). Screening changes which
     /// candidates reach the model, so runs with an active screen are
     /// *not* byte-identical to unscreened runs — leave this unset (or use
     /// a never-firing screen) to keep pinned artifacts reproducible.
@@ -339,26 +337,6 @@ impl SacgaConfigBuilder {
     }
 }
 
-/// Builds the execution engine for a run via
-/// [`EngineSetup::build_engine`]: engine config, pooled cache, the
-/// problem's cache canonicalizer and the optional surrogate screen.
-/// Shared by [`Engine::start`] and [`Engine::restore`] so fresh and
-/// resumed runs wire the evaluation path identically.
-pub(crate) fn configure_exec<P: Problem + ?Sized>(
-    problem: &P,
-    config: &SacgaConfig,
-) -> ExecutionEngine<Evaluation> {
-    config.exec.build_engine(problem.cache_canonicalizer())
-}
-
-/// How a drive begins: a fresh seed or a stored checkpoint.
-pub(crate) enum Launch<'c> {
-    /// A fresh run from a seed.
-    Seed(u64),
-    /// A resumed run from a checkpoint.
-    Checkpoint(&'c SacgaCheckpoint),
-}
-
 /// The SACGA optimizer.
 #[derive(Debug)]
 pub struct Sacga<P: Problem> {
@@ -386,147 +364,28 @@ impl<P: Problem> Sacga<P> {
     {
         self.run_with(seed, &mut NullSink)
     }
-
-    /// The shared run loop behind every public entry point: phase I until
-    /// feasibility (or the cap), boundary processing, then phase II with
-    /// the annealed promotion schedule. `stop_after` bounds the total
-    /// generation count; reaching it suspends the run into a checkpoint.
-    /// Structured events flow into `sink`; emission never consumes RNG,
-    /// so instrumented and bare runs are bit-identical.
-    pub(crate) fn drive_generational(
-        &self,
-        launch: Launch<'_>,
-        stop_after: Option<usize>,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError>
-    where
-        P: Sync,
-    {
-        let should_stop = |gen: usize| stop_after.is_some_and(|cap| gen >= cap);
-        let fresh = matches!(launch, Launch::Seed(_));
-        let (mut rng, mut engine, phase1_done, mut gen_t) = match launch {
-            Launch::Seed(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let engine = Engine::start(&self.problem, &self.config, &mut rng)?;
-                (rng, engine, false, 0)
-            }
-            Launch::Checkpoint(cp) => {
-                let (engine, rng) = Engine::restore(&self.problem, &self.config, &cp.state)?;
-                (rng, engine, cp.state.phase1_done, cp.state.gen_t)
-            }
-        };
-        if sink.wants(EventKind::StageTiming) {
-            engine.enable_timing();
-        }
-        // Faults from the initial-population evaluation surface as
-        // generation-0 events. A resumed segment emits nothing for the
-        // checkpoint generation — its events belong to the segment that
-        // executed it.
-        if fresh {
-            engine.emit_generation(sink);
-        } else {
-            engine.discard_restored_faults();
-        }
-
-        // Phase I. A checkpoint taken mid-phase-I re-enters this loop; the
-        // termination condition and the boundary processing below are pure
-        // functions of the restored population, so they replay identically.
-        if !phase1_done {
-            // Feasibility transitions are tracked only when someone
-            // listens; partitions feasible from the start emit nothing.
-            let mut feasibility = sink
-                .wants(EventKind::PartitionFeasible)
-                .then(|| engine.partition_feasibility());
-            while engine.gen < self.config.generations
-                && engine.gen < self.config.phase1_max
-                && !(engine.pop.all_partitions_feasible() && engine.gen > 0)
-            {
-                if should_stop(engine.gen) {
-                    return Ok(engine.suspend(sink, &rng, false, 0));
-                }
-                engine.local_generation(&mut rng)?;
-                if let Some(before) = &mut feasibility {
-                    let now = engine.partition_feasibility();
-                    for (p, (was, is)) in before.iter().zip(&now).enumerate() {
-                        if !was && *is {
-                            sink.record(&RunEvent::PartitionFeasible {
-                                generation: engine.gen,
-                                partition: p,
-                            });
-                        }
-                    }
-                    *before = now;
-                }
-                engine.emit_generation(sink);
-            }
-            if !engine.pop.all_partitions_feasible() {
-                engine.pop.discard_infeasible_partitions();
-            }
-            gen_t = engine.gen;
-            if self.config.mode == CompetitionMode::Annealed
-                && gen_t < self.config.generations
-                && sink.wants(EventKind::PhaseTransition)
-            {
-                sink.record(&RunEvent::PhaseTransition {
-                    generation: gen_t,
-                    phase_index: 0,
-                    partitions: self.config.partitions,
-                    span: self.config.generations - gen_t,
-                });
-            }
-        }
-
-        // Phase II. The schedule depends only on `gen_t` (stored in phase-II
-        // checkpoints), so a resumed run re-derives the same constants.
-        let span = self.config.generations.saturating_sub(gen_t);
-        let (policy, schedule) = self.config.shaper.solve(self.config.n_superior, span)?;
-        while engine.gen < self.config.generations {
-            if should_stop(engine.gen) {
-                return Ok(engine.suspend(sink, &rng, true, gen_t));
-            }
-            match self.config.mode {
-                CompetitionMode::Annealed => {
-                    let (promoted, candidates) =
-                        engine.annealed_generation(&mut rng, &policy, &schedule, gen_t)?;
-                    if sink.wants(EventKind::Promotion) {
-                        sink.record(&RunEvent::Promotion {
-                            generation: engine.gen,
-                            promoted,
-                            candidates,
-                        });
-                    }
-                }
-                CompetitionMode::LocalOnly => {
-                    engine.local_generation(&mut rng)?;
-                }
-            }
-            engine.emit_generation(sink);
-        }
-        Ok(RunStatus::Complete(Box::new(engine.finish(gen_t))))
-    }
 }
 
 impl<P: Problem + Sync> Sacga<P> {
     /// Runs SACGA as the generational preset of the partitioned loop
-    /// ([`steady`](crate::steady)): window and quantum are the population,
+    /// ([`steady`]): window and quantum are the population,
     /// and phase II is one phase over the rest of the budget. Nothing is
     /// in flight at a generation boundary, so a suspension is the steady
     /// state without a pending list.
     fn drive(
         &self,
-        launch: steady::Launch<'_>,
+        launch: Launch<'_>,
         stop_after: Option<usize>,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
         let plan = Plan::generational(&self.config, Phases::Rest);
-        let status = steady::drive(&self.problem, plan, launch, stop_after, sink)?;
-        Ok(map_suspension(status, |s| SacgaCheckpoint {
-            state: s.state,
-        }))
+        steady::drive(&self.problem, plan, launch, stop_after, sink, |s| {
+            SacgaCheckpoint { state: s.state }
+        })
     }
 
-    fn resume_from(checkpoint: &SacgaCheckpoint) -> steady::Launch<'_> {
-        steady::Launch::Resume(Resume {
+    fn resume_from(checkpoint: &SacgaCheckpoint) -> Launch<'_> {
+        Launch::Resume(Resume {
             state: &checkpoint.state,
             pending: &[],
             phase: (0, checkpoint.state.gen_t),
@@ -546,7 +405,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(steady::Launch::Seed(seed), None, sink)
+        self.drive(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -556,7 +415,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.drive(steady::Launch::Seed(seed), Some(stop_after), sink)
+        self.drive(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -578,528 +437,12 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
     }
 }
 
-/// Runs an optimizer on the generational engine the partitioned-loop
-/// presets replace. Kept only while the differential test compares the
-/// two.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct Generational<O>(pub O);
-
-impl<P: Problem + Sync> Optimizer for Generational<Sacga<P>> {
-    type Checkpoint = SacgaCheckpoint;
-
-    fn algorithm(&self) -> &'static str {
-        self.0.algorithm()
-    }
-
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Seed(seed), None, sink)
-            .map(expect_complete)
-    }
-
-    fn run_until_with(
-        &self,
-        seed: u64,
-        stop_after: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Seed(seed), Some(stop_after), sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &SacgaCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Checkpoint(checkpoint), None, sink)
-            .map(expect_complete)
-    }
-
-    fn resume_until_with(
-        &self,
-        checkpoint: &SacgaCheckpoint,
-        stop_after: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.0
-            .drive_generational(Launch::Checkpoint(checkpoint), Some(stop_after), sink)
-    }
-}
-
-/// Feasible, globally non-dominated front of a population snapshot
-/// (clone + one global competition; used for event payloads and
-/// MESACGA phase fronts).
-pub(crate) fn population_front(snapshot: &[Individual]) -> Vec<Individual> {
-    let mut arena = snapshot.to_vec();
-    rank_and_crowd(&mut arena);
-    arena.retain(|m| m.rank == 0 && m.is_feasible());
-    arena
-}
-
-/// Shared partition-GA engine, also driven by MESACGA.
-pub(crate) struct Engine<'p, P: Problem> {
-    problem: &'p P,
-    config: &'p SacgaConfig,
-    pub(crate) pop: PartitionedPopulation,
-    pub(crate) gen: usize,
-    pub(crate) history: Vec<GenerationStats>,
-    variation: Variation,
-    roulette: RankRoulette,
-    exec: ExecutionEngine<Evaluation>,
-    /// Flattened population after the last generation (for observers).
-    pub(crate) flat_cache: Vec<Individual>,
-    /// Per-stage wall-clock for the current generation; disabled (and
-    /// free) unless the sink wants [`EventKind::StageTiming`].
-    timer: StageTimer,
-    /// Engine-stats snapshot at the previous generation boundary, used
-    /// to derive per-generation deltas for timing events.
-    stats_mark: EngineStats,
-}
-
-impl<'p, P: Problem + Sync> Engine<'p, P> {
-    /// Initializes the population and the partition grid.
-    pub(crate) fn start(
-        problem: &'p P,
-        config: &'p SacgaConfig,
-        rng: &mut StdRng,
-    ) -> Result<Self, OptimizeError> {
-        if problem.num_objectives() == 0 {
-            return Err(OptimizeError::invalid_problem(
-                "problem must declare at least one objective",
-            ));
-        }
-        if config.slice_objective >= problem.num_objectives() {
-            return Err(OptimizeError::invalid_config(
-                "slice_objective",
-                format!(
-                    "objective {} out of range for a {}-objective problem",
-                    config.slice_objective,
-                    problem.num_objectives()
-                ),
-            ));
-        }
-        let bounds = problem.bounds().clone();
-        let mut exec = configure_exec(problem, config);
-        let init_genes: Vec<Vec<f64>> = (0..config.population_size)
-            .map(|_| random_vector(rng, &bounds))
-            .collect();
-        let init_evals = exec.try_evaluate_batch(&init_genes, &|genes| problem.evaluate(genes))?;
-        let initial: Vec<Individual> = init_genes
-            .into_iter()
-            .zip(init_evals)
-            .map(|(genes, ev)| Individual::new(genes, ev))
-            .collect();
-        problem.check_evaluation(&initial[0].evaluation)?;
-        let grid = match config.slice_range {
-            Some((lo, hi)) => {
-                PartitionGrid::new(config.slice_objective, lo, hi, config.partitions)?
-            }
-            None => {
-                PartitionGrid::from_population(config.slice_objective, &initial, config.partitions)?
-            }
-        };
-        let mut pop = PartitionedPopulation::distribute(grid, initial);
-        pop.rank_locally();
-        let variation = config
-            .variation
-            .unwrap_or_else(|| Variation::standard(bounds.len()));
-        let flat_cache = pop.flatten();
-        let feasible = flat_cache.iter().filter(|m| m.is_feasible()).count();
-        let history = vec![GenerationStats {
-            generation: 0,
-            phase: 1,
-            temperature: f64::INFINITY,
-            promoted: 0,
-            feasible,
-            population: flat_cache.len(),
-        }];
-        Ok(Engine {
-            problem,
-            config,
-            pop,
-            gen: 0,
-            history,
-            variation,
-            roulette: RankRoulette::new(config.roulette_decay),
-            exec,
-            flat_cache,
-            timer: StageTimer::disabled(),
-            stats_mark: EngineStats::default(),
-        })
-    }
-
-    /// Switches on per-stage timing (called when the sink wants
-    /// [`EventKind::StageTiming`]). Baselines the stats snapshot so the
-    /// first timed generation's delta excludes earlier work (the
-    /// initial-population batch, or everything before a resume).
-    pub(crate) fn enable_timing(&mut self) {
-        self.timer.set_enabled(true);
-        self.stats_mark = self.exec.stats().clone();
-    }
-
-    fn capacity(&self) -> usize {
-        let alive = (0..self.pop.partition_count())
-            .filter(|&p| self.pop.is_alive(p))
-            .count()
-            .max(1);
-        self.config.population_size.div_ceil(alive)
-    }
-
-    /// One pure-local generation (phase I / LocalOnly mode).
-    pub(crate) fn local_generation(&mut self, rng: &mut StdRng) -> Result<(), OptimizeError> {
-        self.timer.start(Stage::Ranking);
-        self.pop.rank_locally();
-        let flat = self.pop.flatten();
-        self.timer.stop();
-        let offspring = self.make_offspring(rng, &flat)?;
-        self.timer.start(Stage::Selection);
-        self.pop.absorb(offspring);
-        self.pop.truncate_to(self.capacity(), rng);
-        self.timer.start(Stage::Ranking);
-        self.pop.rank_locally();
-        self.timer.stop();
-        self.gen += 1;
-        self.flat_cache = self.pop.flatten();
-        self.record(1, f64::INFINITY, 0);
-        Ok(())
-    }
-
-    /// One annealed generation (phase II): local ranking, SA-gated
-    /// promotion, global rank revision, global mating pool, variation,
-    /// local survivor selection. Returns `(promoted, candidates)` — how
-    /// many locally superior solutions won the SA gamble, out of how
-    /// many were considered — for the telemetry layer.
-    pub(crate) fn annealed_generation(
-        &mut self,
-        rng: &mut StdRng,
-        policy: &PromotionPolicy,
-        schedule: &AnnealingSchedule,
-        gen_t: usize,
-    ) -> Result<(usize, usize), OptimizeError> {
-        self.timer.start(Stage::Ranking);
-        self.pop.rank_locally();
-        let mut flat = self.pop.flatten();
-        self.timer.stop();
-        // The generation being produced is `gen + 1`; its elapsed phase-II
-        // age runs 1..=span so the final generation anneals at exactly
-        // T_A = 1 (pure global competition), per eqn (4).
-        let temperature = schedule.temperature((self.gen + 1).saturating_sub(gen_t));
-
-        // --- Promotion: locally superior members, per partition, in random
-        // order; the i-th (1-based) joins with prob(i, T_A).
-        self.timer.start(Stage::Promotion);
-        let grid = *self.pop.grid();
-        let mut per_partition: Vec<Vec<usize>> = vec![Vec::new(); grid.partition_count()];
-        for (idx, ind) in flat.iter().enumerate() {
-            if ind.rank == 0 {
-                per_partition[grid.partition_of(ind.objectives())].push(idx);
-            }
-        }
-        let candidates: usize = per_partition.iter().map(Vec::len).sum();
-        let mut promoted: Vec<usize> = Vec::new();
-        for locally_superior in per_partition.iter_mut() {
-            locally_superior.shuffle(rng);
-            for (pos, &idx) in locally_superior.iter().enumerate() {
-                let prob = policy.probability(pos + 1, temperature);
-                if rng.gen::<f64>() < prob {
-                    promoted.push(idx);
-                }
-            }
-        }
-
-        // --- Global rank revision of the promoted candidates.
-        if !promoted.is_empty() {
-            let mut arena: Vec<Individual> = promoted.iter().map(|&i| flat[i].clone()).collect();
-            rank_and_crowd(&mut arena);
-            for (slot, &i) in promoted.iter().enumerate() {
-                flat[i].rank = arena[slot].rank;
-            }
-        }
-        self.timer.stop();
-
-        // --- Global mating pool over the entire population with revised
-        // ranks, then variation and local survivor selection.
-        let offspring = self.make_offspring(rng, &flat)?;
-        self.timer.start(Stage::Selection);
-        self.pop.absorb(offspring);
-        self.pop.truncate_to(self.capacity(), rng);
-        self.timer.start(Stage::Ranking);
-        self.pop.rank_locally();
-        self.timer.stop();
-        self.gen += 1;
-        self.flat_cache = self.pop.flatten();
-        self.record(2, temperature, promoted.len());
-        Ok((promoted.len(), candidates))
-    }
-
-    /// Which partitions currently hold a constraint-satisfying member
-    /// (dead partitions report `false`).
-    pub(crate) fn partition_feasibility(&self) -> Vec<bool> {
-        (0..self.pop.partition_count())
-            .map(|p| self.pop.is_alive(p) && self.pop.partition(p).iter().any(|m| m.is_feasible()))
-            .collect()
-    }
-
-    /// Drains resolved fault episodes and, for executed generations,
-    /// emits the [`RunEvent::GenerationEnd`] record. Called once per
-    /// generation boundary (including generation 0, which emits only
-    /// fault events from the initial evaluation).
-    pub(crate) fn emit_generation(&mut self, sink: &mut dyn Sink) {
-        let faults = self.exec.take_fault_events();
-        if sink.wants(EventKind::EvaluationFault) {
-            for fault in &faults {
-                sink.record(&RunEvent::EvaluationFault {
-                    generation: self.gen,
-                    kind: fault.kind,
-                    failures: fault.failures,
-                    resolution: fault.resolution,
-                });
-            }
-        }
-        if self.gen > 0 && sink.wants(EventKind::GenerationEnd) {
-            let row = *self
-                .history
-                .last()
-                .expect("every generation records a history row");
-            let front = population_front(&self.flat_cache)
-                .iter()
-                .map(|m| m.objectives().to_vec())
-                .collect();
-            sink.record(&RunEvent::GenerationEnd {
-                generation: self.gen,
-                phase: row.phase,
-                temperature: row.temperature,
-                promoted: row.promoted,
-                feasible: row.feasible,
-                population: row.population,
-                evaluations: self.exec.stats().evaluations,
-                front,
-            });
-        }
-        if self.gen > 0 && self.timer.is_enabled() {
-            let stages = self.timer.take();
-            let delta = self.exec.stats().since(&self.stats_mark);
-            self.stats_mark = self.exec.stats().clone();
-            sink.record(&RunEvent::StageTiming {
-                generation: self.gen,
-                stages,
-                candidates: delta.candidates,
-                evaluations: delta.evaluations,
-                cache_hits: delta.cache_hits,
-            });
-        }
-    }
-
-    /// Drops fault episodes buffered while a checkpoint restore rebuilt
-    /// the evaluation cache; the segment that originally executed those
-    /// evaluations already reported them.
-    pub(crate) fn discard_restored_faults(&mut self) {
-        let _ = self.exec.take_fault_events();
-    }
-
-    /// Captures a checkpoint, announces it, and wraps it for return.
-    pub(crate) fn suspend(
-        &self,
-        sink: &mut dyn Sink,
-        rng: &StdRng,
-        phase1_done: bool,
-        gen_t: usize,
-    ) -> RunStatus<SacgaCheckpoint> {
-        if sink.wants(EventKind::CheckpointWritten) {
-            sink.record(&RunEvent::CheckpointWritten {
-                generation: self.gen,
-            });
-        }
-        RunStatus::Suspended(Box::new(SacgaCheckpoint {
-            state: self.snapshot(rng, phase1_done, gen_t),
-        }))
-    }
-
-    fn make_offspring(
-        &mut self,
-        rng: &mut StdRng,
-        flat: &[Individual],
-    ) -> Result<Vec<Individual>, OptimizeError> {
-        let n = self.config.population_size;
-        let problem = self.problem;
-        let bounds = problem.bounds();
-        // Draw the full gene batch first (the only RNG consumer), then
-        // evaluate it in one engine call.
-        self.timer.start(Stage::Variation);
-        let mut child_genes: Vec<Vec<f64>> = Vec::with_capacity(n);
-        if flat.is_empty() {
-            // Degenerate: reseed randomly.
-            while child_genes.len() < n {
-                child_genes.push(random_vector(rng, bounds));
-            }
-        } else {
-            while child_genes.len() < n {
-                let pa = self.roulette.select(rng, flat);
-                let pb = self.roulette.select(rng, flat);
-                let (c1, c2) =
-                    self.variation
-                        .offspring(rng, &flat[pa].genes, &flat[pb].genes, bounds);
-                child_genes.push(c1);
-                if child_genes.len() < n {
-                    child_genes.push(c2);
-                }
-            }
-        }
-        self.timer.start(Stage::Evaluation);
-        let evals = self
-            .exec
-            .try_evaluate_batch(&child_genes, &|genes| problem.evaluate(genes))?;
-        self.timer.stop();
-        Ok(child_genes
-            .into_iter()
-            .zip(evals)
-            .map(|(genes, ev)| Individual::new(genes, ev))
-            .collect())
-    }
-
-    /// Captures the complete engine state at a generation boundary.
-    /// `phase1_done` records whether the phase-I boundary processing has
-    /// run; `gen_t` is meaningful only when it has.
-    pub(crate) fn snapshot(&self, rng: &StdRng, phase1_done: bool, gen_t: usize) -> EngineState {
-        let grid = *self.pop.grid();
-        let (grid_lo, grid_hi) = grid.range();
-        let partitions = (0..self.pop.partition_count())
-            .map(|p| {
-                self.pop
-                    .partition(p)
-                    .iter()
-                    .map(SavedIndividual::from_individual)
-                    .collect()
-            })
-            .collect();
-        let alive = (0..self.pop.partition_count())
-            .map(|p| self.pop.is_alive(p))
-            .collect();
-        EngineState {
-            rng: rng.state(),
-            gen: self.gen,
-            phase1_done,
-            gen_t,
-            grid_objective: grid.objective(),
-            grid_lo,
-            grid_hi,
-            grid_partitions: grid.partition_count(),
-            alive,
-            partitions,
-            history: self.history.clone(),
-            stats: self.exec.stats().clone(),
-        }
-    }
-
-    /// Rebuilds an engine (and its RNG) from a checkpointed state. The
-    /// stored partition assignment is trusted verbatim; the memoization
-    /// cache restarts cold (its contents are a pure performance artifact
-    /// and never affect results).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError::InvalidCheckpoint`] when the stored grid
-    /// or partition layout is inconsistent, and the same start-up errors
-    /// as [`Engine::start`].
-    pub(crate) fn restore(
-        problem: &'p P,
-        config: &'p SacgaConfig,
-        state: &EngineState,
-    ) -> Result<(Self, StdRng), OptimizeError> {
-        if problem.num_objectives() == 0 {
-            return Err(OptimizeError::invalid_problem(
-                "problem must declare at least one objective",
-            ));
-        }
-        if state.grid_objective >= problem.num_objectives() {
-            return Err(OptimizeError::invalid_checkpoint(format!(
-                "checkpoint slices objective {} but the problem declares {}",
-                state.grid_objective,
-                problem.num_objectives()
-            )));
-        }
-        let grid = PartitionGrid::new(
-            state.grid_objective,
-            state.grid_lo,
-            state.grid_hi,
-            state.grid_partitions,
-        )
-        .map_err(|e| OptimizeError::invalid_checkpoint(format!("stored grid is invalid: {e}")))?;
-        let members: Vec<Vec<Individual>> = state
-            .partitions
-            .iter()
-            .map(|part| part.iter().map(SavedIndividual::to_individual).collect())
-            .collect();
-        let pop = PartitionedPopulation::from_parts(grid, members, state.alive.clone())?;
-        let bounds = problem.bounds().clone();
-        let mut exec = configure_exec(problem, config);
-        exec.restore_stats(state.stats.clone());
-        let variation = config
-            .variation
-            .unwrap_or_else(|| Variation::standard(bounds.len()));
-        let flat_cache = pop.flatten();
-        let engine = Engine {
-            problem,
-            config,
-            pop,
-            gen: state.gen,
-            history: state.history.clone(),
-            variation,
-            roulette: RankRoulette::new(config.roulette_decay),
-            exec,
-            flat_cache,
-            timer: StageTimer::disabled(),
-            stats_mark: EngineStats::default(),
-        };
-        Ok((engine, StdRng::from_state(state.rng)))
-    }
-
-    fn record(&mut self, phase: u8, temperature: f64, promoted: usize) {
-        let feasible = self.flat_cache.iter().filter(|m| m.is_feasible()).count();
-        self.history.push(GenerationStats {
-            generation: self.gen,
-            phase,
-            temperature,
-            promoted,
-            feasible,
-            population: self.flat_cache.len(),
-        });
-    }
-
-    /// Final global competition and result assembly: per the paper, the
-    /// Global Pareto Front is found by one global competition over the
-    /// entire final population.
-    pub(crate) fn finish(self, gen_t: usize) -> RunOutcome {
-        let mut population = self.pop.flatten();
-        rank_and_crowd(&mut population);
-        let front: Vec<Individual> = population
-            .iter()
-            .filter(|m| m.rank == 0 && m.is_feasible())
-            .cloned()
-            .collect();
-        let stats = self.exec.into_stats();
-        RunOutcome {
-            population,
-            front,
-            evaluations: stats.evaluations as usize,
-            generations: self.gen,
-            gen_t,
-            history: self.history,
-            phase_fronts: Vec::new(),
-            migrations: 0,
-            stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MemorySink;
+    use crate::telemetry::{EventKind, MemorySink, RunEvent};
     use engine::EngineStats;
+    use moea::individual::Individual;
     use moea::problems::{NarrowingCorridor, Schaffer, Zdt1};
 
     fn small_config(generations: usize, partitions: usize) -> SacgaConfig {

@@ -1,12 +1,12 @@
-//! Steady-state SACGA: the annealed-competition algorithm without the
-//! per-generation evaluation barrier.
+//! The partitioned-population loop: steady-state SACGA, and the
+//! generational SACGA, local-competition GA and MESACGA as its presets.
 //!
-//! The generational [`Sacga`](crate::sacga::Sacga) loop evaluates each
-//! offspring batch behind a barrier: no candidate of generation `g+1` is
-//! produced until every candidate of generation `g` has been evaluated,
-//! so one slow evaluation stalls the whole loop. [`SteadySacga`] drives
-//! the same algorithm through the engine's
-//! [`EvaluationSession`] submission/completion API instead:
+//! A generational schedule evaluates each offspring batch behind a
+//! barrier: no candidate of generation `g+1` is produced until every
+//! candidate of generation `g` has been evaluated, so one slow
+//! evaluation stalls the whole loop. [`SteadySacga`] drives SACGA
+//! through the engine's [`EvaluationSession`] submission/completion API
+//! instead:
 //!
 //! * **Production runs ahead of merging.** Offspring are submitted as
 //!   selection produces them, up to a look-ahead
@@ -27,11 +27,17 @@
 //!
 //! A *generation* remains the bookkeeping unit: every
 //! `population_size` merges the run crosses a generation boundary, where
-//! history rows, telemetry events, phase-I termination, and suspension
-//! are handled exactly as in the generational loop. With
-//! `window == quantum == population_size` the steady loop degenerates to
-//! the generational schedule and reproduces [`Sacga`](crate::sacga::Sacga)
-//! bit-for-bit — the barrier is purely a special case of the window.
+//! history rows, telemetry events, the end of phase I, phase starts and
+//! ends, and suspension are handled. Phase II is a list of annealing
+//! phases: one over the rest of the budget for SACGA and the steady arm,
+//! MESACGA's expanding-partition phases for [`Mesacga`](crate::mesacga::Mesacga).
+//!
+//! With `window == quantum == population_size` the loop is the
+//! generational schedule, and that is how [`Sacga`](crate::sacga::Sacga)
+//! (in both competition modes) and [`Mesacga`](crate::mesacga::Mesacga)
+//! run: as presets of this loop, each opening one session for the whole
+//! run. Nothing is in flight at their generation boundaries, so their
+//! checkpoints carry no pending list.
 //!
 //! Suspension ([`Optimizer::run_until`]) happens at a generation
 //! boundary, but production may already have run ahead; the look-ahead's
@@ -206,8 +212,8 @@ impl SteadyConfigBuilder {
     /// means some of a generation's offspring were bred before the
     /// previous generation merged. On constrained problems that lag
     /// slows phase I, so budget [`phase1_max`](Self::phase1_max)
-    /// accordingly (as in the generational loop, a run whose partitions
-    /// are all infeasible at the cap discards every partition).
+    /// accordingly (at any window, a run whose partitions are all
+    /// infeasible at the cap discards every partition).
     pub fn window(mut self, window: usize) -> Self {
         self.window = Some(window);
         self
@@ -380,17 +386,6 @@ pub(crate) struct Suspension {
     pub(crate) phase_fronts: Vec<Vec<SavedIndividual>>,
 }
 
-/// Maps a suspension into a checkpoint format.
-pub(crate) fn map_suspension<C>(
-    status: RunStatus<Suspension>,
-    checkpoint: impl FnOnce(Suspension) -> C,
-) -> RunStatus<C> {
-    match status {
-        RunStatus::Complete(outcome) => RunStatus::Complete(outcome),
-        RunStatus::Suspended(s) => RunStatus::Suspended(Box::new(checkpoint(*s))),
-    }
-}
-
 /// The steady-state SACGA optimizer.
 ///
 /// # Examples
@@ -454,11 +449,12 @@ impl<P: Problem + Sync> SteadySacga<P> {
             quantum: self.config.quantum,
             phases: Phases::Rest,
         };
-        let status = drive(&self.problem, plan, launch, stop_after, sink)?;
-        Ok(map_suspension(status, |s| SteadyCheckpoint {
-            state: s.state,
-            pending: s.pending,
-        }))
+        drive(&self.problem, plan, launch, stop_after, sink, |s| {
+            SteadyCheckpoint {
+                state: s.state,
+                pending: s.pending,
+            }
+        })
     }
 
     fn resume_from(checkpoint: &SteadyCheckpoint) -> Launch<'_> {
@@ -514,27 +510,17 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
 /// Runs a partitioned population under `plan`: the loop behind SACGA, the
 /// local-competition GA, MESACGA and the steady arm. The whole drive
 /// executes inside one [`EvaluationSession`], so under a parallel
-/// evaluator the worker pool lives for the entire run.
-pub(crate) fn drive<P: Problem + Sync>(
+/// evaluator the worker pool lives for the entire run. A suspension is
+/// written into the caller's format by `checkpoint`.
+pub(crate) fn drive<P: Problem + Sync, C>(
     problem: &P,
     plan: Plan<'_>,
     launch: Launch<'_>,
     stop_after: Option<usize>,
     sink: &mut dyn Sink,
-) -> Result<RunStatus<Suspension>, OptimizeError> {
+    checkpoint: impl FnOnce(Suspension) -> C,
+) -> Result<RunStatus<C>, OptimizeError> {
     let base = plan.base;
-    if let Launch::Resume(resume) = &launch {
-        let count = match plan.phases {
-            Phases::Rest => 1,
-            Phases::List(list) => list.len(),
-        };
-        if resume.state.phase1_done && resume.phase.0 >= count {
-            return Err(OptimizeError::invalid_checkpoint(format!(
-                "phase index {} out of range for a {count}-phase schedule",
-                resume.phase.0
-            )));
-        }
-    }
     if problem.num_objectives() == 0 {
         return Err(OptimizeError::invalid_problem(
             "problem must declare at least one objective",
@@ -568,8 +554,12 @@ pub(crate) fn drive<P: Problem + Sync>(
         exec.restore_stats(resume.state.stats.clone());
     }
     let eval = |genes: &[f64]| problem.evaluate(genes);
-    exec.with_session(&eval, |session| {
+    let status = exec.with_session(&eval, |session| {
         run_loop(problem, plan, launch, stop_after, sink, session)
+    })?;
+    Ok(match status {
+        RunStatus::Complete(outcome) => RunStatus::Complete(outcome),
+        RunStatus::Suspended(s) => RunStatus::Suspended(Box::new(checkpoint(*s))),
     })
 }
 
@@ -674,6 +664,13 @@ where
                 // resuming skips the regrid and reuses the phase origin.
                 flow.end_phase1(state.gen_t);
                 (flow.phase_index, flow.phase_start) = resume.phase;
+                if flow.finished() {
+                    return Err(OptimizeError::invalid_checkpoint(format!(
+                        "phase index {} out of range for a {}-phase schedule",
+                        flow.phase_index,
+                        flow.phases.len()
+                    )));
+                }
                 flow.arm_phase()?;
             }
             flow
@@ -759,16 +756,8 @@ fn population_front(snapshot: &[Individual]) -> Vec<Individual> {
 /// here; the evaluation session is passed into each method so the borrow
 /// of the engine stays outside.
 struct Flow<'a> {
-    // knobs (copied out of the plan so methods need no config borrow)
-    n: usize,
-    generations: usize,
-    phase1_max: usize,
-    window: usize,
-    quantum: usize,
+    plan: Plan<'a>,
     annealed: bool,
-    n_superior: usize,
-    shaper: ProbabilityShaper,
-    plan: Phases<'a>,
     bounds: Bounds,
     // algorithm state
     rng: StdRng,
@@ -822,15 +811,8 @@ impl<'a> Flow<'a> {
             .variation
             .unwrap_or_else(|| Variation::standard(bounds.len()));
         Flow {
-            n: base.population_size,
-            generations: base.generations,
-            phase1_max: base.phase1_max,
-            window: plan.window,
-            quantum: plan.quantum,
+            plan,
             annealed: base.mode == CompetitionMode::Annealed,
-            n_superior: base.n_superior,
-            shaper: base.shaper,
-            plan: plan.phases,
             bounds,
             rng,
             pop,
@@ -874,7 +856,7 @@ impl<'a> Flow<'a> {
         if self.phase1_done {
             self.gen_t + self.phases.iter().map(|p| p.span).sum::<usize>()
         } else {
-            self.generations
+            self.plan.base.generations
         }
     }
 
@@ -883,7 +865,7 @@ impl<'a> Flow<'a> {
             .filter(|&p| self.pop.is_alive(p))
             .count()
             .max(1);
-        self.n.div_ceil(alive)
+        self.plan.base.population_size.div_ceil(alive)
     }
 
     /// Which partitions currently hold a constraint-satisfying member
@@ -900,10 +882,10 @@ impl<'a> Flow<'a> {
     fn end_phase1(&mut self, gen_t: usize) {
         self.phase1_done = true;
         self.gen_t = gen_t;
-        self.phases = match self.plan {
+        self.phases = match self.plan.phases {
             Phases::Rest => vec![PhaseSpec::new(
                 self.pop.partition_count(),
-                self.generations.saturating_sub(gen_t),
+                self.plan.base.generations.saturating_sub(gen_t),
             )],
             Phases::List(list) => list.to_vec(),
         };
@@ -914,7 +896,8 @@ impl<'a> Flow<'a> {
     /// solved fails the run in either mode).
     fn arm_phase(&mut self) -> Result<(), OptimizeError> {
         let span = self.phases[self.phase_index].span;
-        let solved = self.shaper.solve(self.n_superior, span)?;
+        let base = self.plan.base;
+        let solved = base.shaper.solve(base.n_superior, span)?;
         self.annealing = self.annealed.then_some(solved);
         Ok(())
     }
@@ -950,8 +933,8 @@ impl<'a> Flow<'a> {
     /// starts the next one.
     fn advance(&mut self, sink: &mut dyn Sink) -> Result<(), OptimizeError> {
         if !self.phase1_done {
-            let done = self.gen >= self.generations
-                || self.gen >= self.phase1_max
+            let done = self.gen >= self.plan.base.generations
+                || self.gen >= self.plan.base.phase1_max
                 || (self.pop.all_partitions_feasible() && self.gen > 0);
             if !done {
                 return Ok(());
@@ -964,13 +947,11 @@ impl<'a> Flow<'a> {
         }
         while !self.finished() && self.gen >= self.phase_start + self.phases[self.phase_index].span
         {
-            if matches!(self.plan, Phases::List(_)) {
+            if matches!(self.plan.phases, Phases::List(_)) {
                 self.phase_fronts.push(population_front(&self.flat_cache));
             }
             self.phase_index += 1;
-            if self.finished() {
-                self.annealing = None;
-            } else {
+            if !self.finished() {
                 self.start_phase(sink)?;
             }
         }
@@ -1044,9 +1025,9 @@ impl<'a> Flow<'a> {
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
-        let budget = self.last_generation() * self.n;
+        let budget = self.last_generation() * self.plan.base.population_size;
         self.timer.start(Stage::Variation);
-        while self.produced < budget && self.produced - self.merged + 2 <= self.window {
+        while self.produced < budget && self.produced - self.merged + 2 <= self.plan.window {
             let (c1, c2) = if self.selection.is_empty() {
                 // Degenerate: reseed randomly.
                 (
@@ -1085,6 +1066,7 @@ impl<'a> Flow<'a> {
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
         let want = self
+            .plan
             .quantum
             .min(target - self.merged)
             .min(self.produced - self.merged);
