@@ -1018,14 +1018,18 @@ impl<'a> Flow<'a> {
         self.selection = flat;
     }
 
-    /// Submits offspring pairs from the current selection basis until
+    /// Breeds offspring pairs from the current selection basis until
     /// the look-ahead window is full or the run's production budget is
-    /// spent.
+    /// spent, then submits them in one burst, so parallel workers find a
+    /// queue of candidates rather than waking for every pair. Submission
+    /// order and the cache (which changes only at drains) are the same
+    /// either way, so the burst changes no result.
     fn top_up<F>(&mut self, session: &mut EvaluationSession<'_, Evaluation, F>)
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
         let budget = self.last_generation() * self.plan.base.population_size;
+        let bred = self.queue.len();
         self.timer.start(Stage::Variation);
         while self.produced < budget && self.produced - self.merged + 2 <= self.plan.window {
             let (c1, c2) = if self.selection.is_empty() {
@@ -1044,11 +1048,12 @@ impl<'a> Flow<'a> {
                     &self.bounds,
                 )
             };
-            session.submit(&c1);
             self.queue.push_back(c1);
-            session.submit(&c2);
             self.queue.push_back(c2);
             self.produced += 2;
+        }
+        for genes in self.queue.range(bred..) {
+            session.submit(genes);
         }
         self.timer.stop();
     }
