@@ -319,7 +319,7 @@ impl<P: Problem> Mesacga<P> {
 impl<P: Problem + Sync> Mesacga<P> {
     /// Runs MESACGA as the generational preset of the partitioned loop
     /// ([`steady`]) with its phases as the phase-II list.
-    fn drive(
+    fn execute(
         &self,
         launch: Launch<'_>,
         stop_after: Option<usize>,
@@ -354,7 +354,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Seed(seed), None, sink)
+        self.execute(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -364,7 +364,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Seed(seed), Some(stop_after), sink)
+        self.execute(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -372,7 +372,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         checkpoint: &MesacgaCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Self::resume_from(checkpoint), None, sink)
+        self.execute(Self::resume_from(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -382,7 +382,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.drive(Self::resume_from(checkpoint), Some(stop_after), sink)
+        self.execute(Self::resume_from(checkpoint), Some(stop_after), sink)
     }
 }
 

@@ -372,7 +372,7 @@ impl<P: Problem + Sync> Sacga<P> {
     /// and phase II is one phase over the rest of the budget. Nothing is
     /// in flight at a generation boundary, so a suspension is the steady
     /// state without a pending list.
-    fn drive(
+    fn execute(
         &self,
         launch: Launch<'_>,
         stop_after: Option<usize>,
@@ -405,7 +405,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Seed(seed), None, sink)
+        self.execute(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -415,7 +415,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.drive(Launch::Seed(seed), Some(stop_after), sink)
+        self.execute(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -423,7 +423,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         checkpoint: &SacgaCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Self::resume_from(checkpoint), None, sink)
+        self.execute(Self::resume_from(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -433,7 +433,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.drive(Self::resume_from(checkpoint), Some(stop_after), sink)
+        self.execute(Self::resume_from(checkpoint), Some(stop_after), sink)
     }
 }
 

@@ -431,13 +431,13 @@ impl<P: Problem> SteadySacga<P> {
     where
         P: Sync,
     {
-        self.drive(Launch::Seed(seed), None, &mut NullSink)
+        self.execute(Launch::Seed(seed), None, &mut NullSink)
             .map(expect_complete)
     }
 }
 
 impl<P: Problem + Sync> SteadySacga<P> {
-    fn drive(
+    fn execute(
         &self,
         launch: Launch<'_>,
         stop_after: Option<usize>,
@@ -475,7 +475,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
     }
 
     fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Launch::Seed(seed), None, sink)
+        self.execute(Launch::Seed(seed), None, sink)
             .map(expect_complete)
     }
 
@@ -485,7 +485,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.drive(Launch::Seed(seed), Some(stop_after), sink)
+        self.execute(Launch::Seed(seed), Some(stop_after), sink)
     }
 
     fn resume_with(
@@ -493,7 +493,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         checkpoint: &SteadyCheckpoint,
         sink: &mut dyn Sink,
     ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(Self::resume_from(checkpoint), None, sink)
+        self.execute(Self::resume_from(checkpoint), None, sink)
             .map(expect_complete)
     }
 
@@ -503,7 +503,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.drive(Self::resume_from(checkpoint), Some(stop_after), sink)
+        self.execute(Self::resume_from(checkpoint), Some(stop_after), sink)
     }
 }
 
