@@ -12,12 +12,12 @@
 //! The paper's example schedule: 7 phases of 20, 13, 8, 5, 3, 2, 1
 //! partitions, each running `span` iterations, after a pure-local phase.
 //!
-//! [`Mesacga`] is a preset of the partitioned loop in
-//! [`steady`]: SACGA's generational schedule with the
-//! [`PhaseSpec`] list as its phase II. Each phase start regrids the
-//! population, re-ranks it locally and emits a `PhaseTransition`; the
-//! annealing temperature counts from the phase start; each phase end
-//! records that phase's front (what Fig. 10 tracks). Checkpoints use the
+//! [`Mesacga`] is a preset of the partitioned loop in [`steady`]:
+//! SACGA's generational schedule with the [`PhaseSpec`] list as its
+//! phase II. Each phase start regrids the population, re-ranks it
+//! locally and emits a `PhaseTransition`; the annealing temperature
+//! counts from the phase start; each phase end records that phase's
+//! front (what Fig. 10 tracks). Checkpoints use the
 //! `mesacga-checkpoint v1` text format, which adds the active phase, its
 //! start and the finished phases' fronts.
 

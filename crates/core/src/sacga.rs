@@ -20,9 +20,9 @@
 //!   Global Pareto Front.
 //!
 //! [`Sacga`] is the generational preset of the partitioned loop in
-//! [`steady`]: the look-ahead window and the merge quantum
-//! are the population size, so each generation is bred, evaluated and
-//! merged whole, and phase II is one annealing phase over the rest of the
+//! [`steady`]: the look-ahead window and the merge quantum are the
+//! population size, so each generation is bred, evaluated and merged
+//! whole, and phase II is one annealing phase over the rest of the
 //! budget. [`CompetitionMode::LocalOnly`] never promotes, which is the
 //! local-competition GA of [`crate::local`]. Checkpoints use the
 //! `sacga-checkpoint v1` text format.
@@ -368,10 +368,10 @@ impl<P: Problem> Sacga<P> {
 
 impl<P: Problem + Sync> Sacga<P> {
     /// Runs SACGA as the generational preset of the partitioned loop
-    /// ([`steady`]): window and quantum are the population,
-    /// and phase II is one phase over the rest of the budget. Nothing is
-    /// in flight at a generation boundary, so a suspension is the steady
-    /// state without a pending list.
+    /// ([`steady`]): window and quantum are the population, and phase II
+    /// is one phase over the rest of the budget. Nothing is in flight at
+    /// a generation boundary, so a suspension is the steady state
+    /// without a pending list.
     fn execute(
         &self,
         launch: Launch<'_>,
