@@ -68,12 +68,17 @@ const NIL: usize = usize::MAX;
 
 impl<T: Clone> MemoCache<T> {
     /// An empty cache with the given configuration.
+    ///
+    /// The index and the slab grow with the entries rather than being
+    /// reserved for the capacity: a run that fills a large cache only in
+    /// part would leave megabytes of reserved, unwritten memory in the
+    /// heap, and how much of it later allocations touch varies from one
+    /// process to the next.
     pub fn new(config: CacheConfig) -> Self {
-        let cap = config.capacity;
         MemoCache {
             config,
-            index: HashMap::with_capacity(cap.min(1 << 20)),
-            entries: Vec::with_capacity(cap.min(1 << 20)),
+            index: HashMap::new(),
+            entries: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -234,6 +239,16 @@ mod tests {
         c.insert(vec![3], 3);
         assert_eq!(c.get(&[1][..]), Some(10));
         assert!(c.get(&[2][..]).is_none());
+    }
+
+    #[test]
+    fn storage_grows_with_the_entries_not_the_capacity() {
+        let mut c = cache(1 << 16);
+        for i in 0..10i64 {
+            c.insert(vec![i], i as u32);
+        }
+        assert!(c.index.capacity() < 64, "index {}", c.index.capacity());
+        assert!(c.entries.capacity() < 64, "slab {}", c.entries.capacity());
     }
 
     #[test]
