@@ -1,5 +1,5 @@
-//! Golden-master determinism tests: fixed-seed SACGA and MESACGA fronts
-//! are committed as snapshots under `tests/golden/`, rendered with exact
+//! Golden-master determinism tests: fixed-seed SACGA, MESACGA and
+//! NSGA-II fronts are committed as snapshots under `tests/golden/`, rendered with exact
 //! f64 bit patterns. A run must reproduce its snapshot byte-for-byte
 //! whether it is evaluated serially, evaluated in parallel, or killed at
 //! a generation boundary and resumed — any drift in the optimizer's
@@ -11,9 +11,10 @@
 //! UPDATE_GOLDEN=1 cargo test -p integration-tests --test golden_master
 //! ```
 
-use analog_dse::engine::ParallelEvaluator;
-use analog_dse::moea::problems::Schaffer;
-use analog_dse::moea::RunStatus;
+use analog_dse::engine::{EvaluatorKind, ParallelEvaluator};
+use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
+use analog_dse::moea::problems::{Dtlz2, Schaffer, Tanaka};
+use analog_dse::moea::{Problem, RunOutcome, RunStatus};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig, SacgaConfigBuilder};
 use analog_dse::sacga::steady::{SteadyConfig, SteadySacga};
@@ -186,6 +187,43 @@ fn steady_degenerate_window_matches_the_sacga_snapshot() {
         .run_seeded(SEED)
         .unwrap();
     check_golden("sacga_schaffer_seed42.txt", &render_front(&r.front));
+}
+
+/// NSGA-II, the paper's TPG baseline, on a constrained and a
+/// three-objective problem: Tanaka's early generations have no feasible
+/// member, so ranking by violation alone is pinned, and DTLZ2's third
+/// objective pins the sort's general pair loop.
+fn nsga2_run<P: Problem + Sync>(
+    problem: P,
+    generations: usize,
+    evaluator: EvaluatorKind,
+) -> RunOutcome {
+    let cfg = Nsga2Config::builder()
+        .population_size(40)
+        .generations(generations)
+        .evaluator(evaluator)
+        .build()
+        .unwrap();
+    Nsga2::new(problem, cfg).run_seeded(SEED).unwrap()
+}
+
+#[test]
+fn nsga2_tanaka_front_matches_snapshot_serially_and_in_parallel() {
+    for evaluator in [EvaluatorKind::Serial, EvaluatorKind::ParallelWith(2)] {
+        let r = nsga2_run(Tanaka::new(), 40, evaluator);
+        assert!(r.history.iter().any(|g| g.feasible == 0));
+        assert_eq!(r.front.len(), 40);
+        check_golden("nsga2_tanaka_seed42.txt", &render_front(&r.front));
+    }
+}
+
+#[test]
+fn nsga2_dtlz2_front_matches_snapshot_serially_and_in_parallel() {
+    for evaluator in [EvaluatorKind::Serial, EvaluatorKind::ParallelWith(2)] {
+        let r = nsga2_run(Dtlz2::new(3, 10), 30, evaluator);
+        assert_eq!(r.front.len(), 40);
+        check_golden("nsga2_dtlz2_seed42.txt", &render_front(&r.front));
+    }
 }
 
 /// Population 40 with a phase-I cap of 3 lets every partition of the
