@@ -1,8 +1,8 @@
 //! Fast non-dominated sorting and crowding-distance assignment
 //! (Deb et al., NSGA-II).
 
-use crate::dominance::{constrained_dominates, Dominance};
 use crate::individual::Individual;
+use std::cmp::Ordering;
 
 /// Result of a non-dominated sort: fronts of indices into the sorted slice,
 /// front 0 being the non-dominated set.
@@ -50,56 +50,175 @@ impl Fronts {
 /// Fast non-dominated sort under **constrained dominance**, writing `rank`
 /// into each individual and returning the fronts.
 ///
-/// Complexity `O(M·N²)` like the original algorithm. Individuals' `crowding`
-/// fields are left untouched; call [`assign_crowding`] per front afterwards
-/// (or use [`rank_and_crowd`]).
+/// Ranks and fronts are those of Deb's peel (NSGA-II), computed without
+/// storing a single dominance relation. Every dominator sorts before what
+/// it dominates when the members are ordered by class (clean feasible,
+/// feasible with a NaN objective, infeasible), clean feasible members by
+/// their objectives lexicographically and infeasible ones by violation.
+/// In that order a clean member's rank is one more than the highest rank
+/// among the members before it that dominate it (0 when none do); that
+/// reduction over a flat objective array is the `O(M·N²)` part, with no
+/// per-relation bookkeeping. A feasible member with a NaN objective is
+/// dominated by every clean one, and infeasible members rank above every
+/// feasible rank, one rank per distinct violation.
+///
+/// Front order: front 0 lists its members in ascending index order; a
+/// member of front `r + 1` is listed by the position, in front `r`, of
+/// the last of its dominators there, ties by index. That is the order in
+/// which the peel reaches them, and crowding and truncation ties depend
+/// on it.
+///
+/// Individuals' `crowding` fields are left untouched; call
+/// [`assign_crowding`] per front afterwards (or use [`rank_and_crowd`]).
+///
+/// # Panics
+///
+/// Panics if the members' objective counts differ.
 pub fn fast_non_dominated_sort(pop: &mut [Individual]) -> Fronts {
     let n = pop.len();
     if n == 0 {
         return Fronts { fronts: Vec::new() };
     }
-    // dominated_by[i]: how many individuals dominate i
-    // dominates_list[i]: indices that i dominates
-    let mut dominated_by = vec![0usize; n];
-    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
-
-    for i in 0..n {
-        for j in (i + 1)..n {
-            match constrained_dominates(&pop[i], &pop[j]) {
-                Dominance::First => {
-                    dominates_list[i].push(j);
-                    dominated_by[j] += 1;
-                }
-                Dominance::Second => {
-                    dominates_list[j].push(i);
-                    dominated_by[i] += 1;
-                }
-                Dominance::Neither => {}
-            }
+    let m = pop[0].objectives().len();
+    let mut clean: Vec<usize> = Vec::with_capacity(n);
+    let mut broken: Vec<usize> = Vec::new();
+    let mut infeasible: Vec<(f64, usize)> = Vec::new();
+    for (i, ind) in pop.iter().enumerate() {
+        assert_eq!(ind.objectives().len(), m, "objective dimension mismatch");
+        if !ind.is_feasible() {
+            infeasible.push((ind.total_violation(), i));
+        } else if ind.objectives().iter().any(|v| v.is_nan()) {
+            broken.push(i);
+        } else {
+            clean.push(i);
         }
     }
 
-    let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| dominated_by[i] == 0).collect();
-    let mut rank = 0usize;
-    while !current.is_empty() {
-        for &i in &current {
-            pop[i].rank = rank;
+    clean.sort_unstable_by(|&a, &b| lexicographic(pop[a].objectives(), pop[b].objectives()));
+    let mut objs: Vec<f64> = Vec::with_capacity(clean.len() * m);
+    for &i in &clean {
+        objs.extend_from_slice(pop[i].objectives());
+    }
+    let mut chain = vec![0u32; clean.len()];
+    match m {
+        0 => {}
+        2 => longest_chains_fixed(objs.as_chunks::<2>().0, &mut chain),
+        _ => longest_chains(&objs, m, &mut chain),
+    }
+    let mut levels = 0;
+    for (&i, &r) in clean.iter().zip(&chain) {
+        let r = r as usize;
+        pop[i].rank = r;
+        levels = levels.max(r + 1);
+    }
+    let clean_levels = levels;
+
+    // Every clean vector dominates a NaN-carrying one, and two of those
+    // are incomparable.
+    if !broken.is_empty() {
+        for &i in &broken {
+            pop[i].rank = levels;
         }
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominates_list[i] {
-                dominated_by[j] -= 1;
-                if dominated_by[j] == 0 {
-                    next.push(j);
-                }
-            }
+        levels += 1;
+    }
+
+    // Infeasible: the smaller violation dominates, equal ones tie.
+    // `Evaluation` never holds a NaN violation.
+    infeasible.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut last = None;
+    for &(v, i) in &infeasible {
+        if last != Some(v) {
+            levels += 1;
+            last = Some(v);
         }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
-        rank += 1;
+        pop[i].rank = levels - 1;
+    }
+
+    let mut sizes = vec![0usize; levels];
+    for ind in pop.iter() {
+        sizes[ind.rank] += 1;
+    }
+    let mut fronts: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (i, ind) in pop.iter().enumerate() {
+        fronts[ind.rank].push(i);
+    }
+    // Past front 0, only clean fronts need reordering: the last member of
+    // the front before a NaN or infeasible front dominates all of it.
+    for r in 1..clean_levels {
+        let (done, rest) = fronts.split_at_mut(r);
+        let prev = &done[r - 1];
+        rest[0].sort_by_cached_key(|&b| {
+            let ob = pop[b].objectives();
+            prev.iter()
+                .rposition(|&a| dominates_clean(pop[a].objectives(), ob))
+                .expect("a member of front r + 1 has a dominator in front r")
+        });
     }
     Fronts { fronts }
+}
+
+/// Lexicographic order of NaN-free vectors under `<`, so −0.0 ties 0.0
+/// as it does in dominance (`total_cmp` would put some dominators after
+/// the vectors they dominate). A dominator always sorts first.
+fn lexicographic(a: &[f64], b: &[f64]) -> Ordering {
+    for (x, y) in a.iter().zip(b) {
+        if x < y {
+            return Ordering::Less;
+        }
+        if x > y {
+            return Ordering::Greater;
+        }
+    }
+    Ordering::Equal
+}
+
+/// `true` when `a` Pareto-dominates `b`, for NaN-free vectors.
+fn dominates_clean(a: &[f64], b: &[f64]) -> bool {
+    let mut no_worse = true;
+    let mut better = false;
+    for (&x, &y) in a.iter().zip(b) {
+        no_worse &= x <= y;
+        better |= x < y;
+    }
+    no_worse & better
+}
+
+/// Longest dominance chain ending at each row, for NaN-free rows in an
+/// order where every dominator comes first: `chain[b]` is the largest
+/// `chain[a] + 1` over the rows `a < b` that dominate row `b`, or 0.
+/// Branch-free, and with the width a compile-time constant the pair loop
+/// vectorizes; the 2-objective instance is the one every loop and paper
+/// problem runs.
+fn longest_chains_fixed<const M: usize>(rows: &[[f64; M]], chain: &mut [u32]) {
+    for b in 1..rows.len() {
+        let (before, rest) = chain.split_at_mut(b);
+        let row = rows[b];
+        let mut rank = 0;
+        for (a, &a_rank) in rows.iter().zip(before.iter()) {
+            let mut no_worse = true;
+            let mut better = false;
+            for k in 0..M {
+                no_worse &= a[k] <= row[k];
+                better |= a[k] < row[k];
+            }
+            rank = rank.max((a_rank + 1) * u32::from(no_worse & better));
+        }
+        rest[0] = rank;
+    }
+}
+
+/// [`longest_chains_fixed`] for rows of `m` objectives, `m` known only
+/// at run time.
+fn longest_chains(objs: &[f64], m: usize, chain: &mut [u32]) {
+    for b in 1..chain.len() {
+        let (before, rest) = chain.split_at_mut(b);
+        let row = &objs[b * m..(b + 1) * m];
+        let mut rank = 0;
+        for (a, &a_rank) in objs.chunks_exact(m).zip(before.iter()) {
+            rank = rank.max((a_rank + 1) * u32::from(dominates_clean(a, row)));
+        }
+        rest[0] = rank;
+    }
 }
 
 /// Assigns NSGA-II crowding distances to the individuals referenced by
@@ -206,7 +325,149 @@ pub fn environmental_selection(mut pop: Vec<Individual>, target: usize) -> Vec<I
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::{constrained_dominates, Dominance};
     use crate::evaluation::Evaluation;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Deb's peel as NSGA-II states it: every dominance relation is
+    /// stored, then fronts are peeled off by decrementing counts. The
+    /// oracle the sort must reproduce, ranks and front order both.
+    fn peel(pop: &mut [Individual]) -> Fronts {
+        let n = pop.len();
+        if n == 0 {
+            return Fronts { fronts: Vec::new() };
+        }
+        let mut dominated_by = vec![0usize; n];
+        let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                match constrained_dominates(&pop[i], &pop[j]) {
+                    Dominance::First => {
+                        dominates_list[i].push(j);
+                        dominated_by[j] += 1;
+                    }
+                    Dominance::Second => {
+                        dominates_list[j].push(i);
+                        dominated_by[i] += 1;
+                    }
+                    Dominance::Neither => {}
+                }
+            }
+        }
+        let mut fronts: Vec<Vec<usize>> = Vec::new();
+        let mut current: Vec<usize> = (0..n).filter(|&i| dominated_by[i] == 0).collect();
+        let mut rank = 0usize;
+        while !current.is_empty() {
+            for &i in &current {
+                pop[i].rank = rank;
+            }
+            let mut next = Vec::new();
+            for &i in &current {
+                for &j in &dominates_list[i] {
+                    dominated_by[j] -= 1;
+                    if dominated_by[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            fronts.push(std::mem::take(&mut current));
+            current = next;
+            rank += 1;
+        }
+        Fronts { fronts }
+    }
+
+    /// A random population built to break a sort: a small value palette
+    /// (duplicates, exact ties, −0.0 beside 0.0, ±∞) or continuous
+    /// layered values, NaN objectives, and infeasible members with equal,
+    /// distinct and infinite violations.
+    fn adversarial_population(rng: &mut StdRng) -> Vec<Individual> {
+        const PALETTE: [f64; 8] = [
+            -0.0,
+            0.0,
+            1.0,
+            2.0,
+            3.0,
+            4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        const VIOLATIONS: [f64; 4] = [0.5, 1.0, 2.0, f64::INFINITY];
+        let n: usize = if rng.gen_range(0..10) == 0 {
+            rng.gen_range(0..=300)
+        } else {
+            rng.gen_range(0..=40)
+        };
+        let m: usize = rng.gen_range(1..=4);
+        let style = rng.gen_range(0..3);
+        let nan_rate = [0.0, 0.05, 0.3][rng.gen_range(0..3usize)];
+        let infeasible_rate = [0.0, 0.1, 0.5, 1.0][rng.gen_range(0..4usize)];
+        (0..n)
+            .map(|_| {
+                let layer = f64::from(rng.gen_range(0..6u32));
+                let mut objs: Vec<f64> = (0..m)
+                    .map(|_| match style {
+                        0 => PALETTE[rng.gen_range(0..PALETTE.len())],
+                        1 => layer + rng.gen::<f64>(),
+                        _ if rng.gen::<bool>() => PALETTE[rng.gen_range(0..PALETTE.len())],
+                        _ => rng.gen::<f64>() * 4.0,
+                    })
+                    .collect();
+                if rng.gen::<f64>() < infeasible_rate {
+                    let v = if rng.gen::<bool>() {
+                        VIOLATIONS[rng.gen_range(0..VIOLATIONS.len())]
+                    } else {
+                        rng.gen::<f64>() + f64::MIN_POSITIVE
+                    };
+                    let other = if rng.gen::<bool>() { 0.0 } else { 0.5 };
+                    Individual::new(vec![0.0], Evaluation::new(objs, vec![v, other]))
+                } else {
+                    if rng.gen::<f64>() < nan_rate {
+                        objs[rng.gen_range(0..m)] = f64::NAN;
+                    }
+                    Individual::new(vec![0.0], Evaluation::unconstrained(objs))
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sort_matches_the_peel_on_adversarial_populations() {
+        let mut rng = StdRng::seed_from_u64(0x50f7);
+        for case in 0..10_000 {
+            let mut fast = adversarial_population(&mut rng);
+            let mut slow = fast.clone();
+            let got = fast_non_dominated_sort(&mut fast);
+            let want = peel(&mut slow);
+            assert_eq!(got, want, "fronts differ in case {case}");
+            for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(f.rank, s.rank, "rank of member {i} differs in case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn later_fronts_follow_their_last_dominator() {
+        // Front 0 is [0, 1] in index order. Member 2 is dominated only by
+        // member 1 and member 3 only by member 0, so the peel reaches 3
+        // (through position 0) before 2 (through position 1).
+        let mut pop = vec![
+            ind(vec![1.0, 3.0]),
+            ind(vec![3.0, 1.0]),
+            ind(vec![4.0, 2.0]),
+            ind(vec![2.0, 4.0]),
+        ];
+        let fronts = fast_non_dominated_sort(&mut pop);
+        assert_eq!(fronts.as_slice(), &[vec![0, 1], vec![3, 2]]);
+    }
+
+    #[test]
+    fn zero_objectives_form_one_front() {
+        let mut pop = vec![ind(Vec::new()), ind(Vec::new())];
+        let fronts = fast_non_dominated_sort(&mut pop);
+        assert_eq!(fronts.as_slice(), &[vec![0, 1]]);
+    }
 
     fn ind(objs: Vec<f64>) -> Individual {
         Individual::new(vec![0.0], Evaluation::unconstrained(objs))
