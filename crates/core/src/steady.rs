@@ -61,7 +61,7 @@ use engine::{
 use moea::individual::Individual;
 use moea::operators::{random_vector, Variation};
 use moea::problem::Problem;
-use moea::selection::RankRoulette;
+use moea::selection::{RankRoulette, RouletteWheel};
 use moea::setup::EngineSetup;
 use moea::sorting::rank_and_crowd;
 use moea::{Bounds, Evaluation, OptimizeError, RunOutcome, RunStatus};
@@ -783,6 +783,8 @@ struct Flow<'a> {
     /// Current selection basis: the flattened population with the latest
     /// promotion revisions applied.
     selection: Vec<Individual>,
+    /// The rank roulette's weights over `selection`, rebuilt with it.
+    wheel: RouletteWheel,
     /// Flattened population at the last generation boundary.
     flat_cache: Vec<Individual>,
     variation: Variation,
@@ -828,6 +830,7 @@ impl<'a> Flow<'a> {
             history,
             queue: VecDeque::new(),
             selection: Vec::new(),
+            wheel: RouletteWheel::default(),
             flat_cache,
             variation,
             roulette: RankRoulette::new(base.roulette_decay),
@@ -981,6 +984,7 @@ impl<'a> Flow<'a> {
     /// superior members, per partition, in random order; the `i`-th
     /// joins the global competition with `prob(i, T_A)`, and promoted
     /// members have their rank revised by a global non-dominated sort.
+    /// The roulette wheel is rebuilt over the new basis.
     fn refresh_selection(&mut self) {
         self.timer.start(Stage::Promotion);
         let mut flat = self.pop.flatten();
@@ -1014,6 +1018,7 @@ impl<'a> Flow<'a> {
             }
             self.window_promoted += promoted.len();
         }
+        self.wheel = self.roulette.wheel(&flat);
         self.timer.stop();
         self.selection = flat;
     }
@@ -1039,8 +1044,8 @@ impl<'a> Flow<'a> {
                     random_vector(&mut self.rng, &self.bounds),
                 )
             } else {
-                let pa = self.roulette.select(&mut self.rng, &self.selection);
-                let pb = self.roulette.select(&mut self.rng, &self.selection);
+                let pa = self.wheel.spin(&mut self.rng);
+                let pb = self.wheel.spin(&mut self.rng);
                 self.variation.offspring(
                     &mut self.rng,
                     &self.selection[pa].genes,

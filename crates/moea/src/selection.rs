@@ -40,8 +40,12 @@ pub fn binary_tournament<R: Rng + ?Sized>(rng: &mut R, pop: &[Individual]) -> us
 /// Global Mating Pool: it gives every partition's members a chance while
 /// still biasing toward locally/globally superior solutions.
 ///
-/// Individuals whose rank is `usize::MAX` (unranked) get the smallest
-/// weight present.
+/// Individuals whose rank is `usize::MAX` (unranked) are weighted one
+/// decay step below the worst-ranked member.
+///
+/// A loop that draws many parents from one population builds its
+/// [`RouletteWheel`] once with [`wheel`](RankRoulette::wheel) and spins
+/// it per draw; [`select`](RankRoulette::select) builds one per draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankRoulette {
     /// Geometric decay per rank, in `(0, 1]`. Smaller = greedier.
@@ -62,43 +66,75 @@ impl RankRoulette {
         RankRoulette { decay }
     }
 
+    /// Builds the wheel of `pop`'s selection weights. An empty `pop`
+    /// gives an empty wheel, which panics when spun.
+    pub fn wheel(&self, pop: &[Individual]) -> RouletteWheel {
+        let max_rank = pop
+            .iter()
+            .map(|p| if p.rank == usize::MAX { 0 } else { p.rank })
+            .max()
+            .unwrap_or(0);
+        let weights: Vec<f64> = pop
+            .iter()
+            .map(|ind| {
+                let r = if ind.rank == usize::MAX {
+                    max_rank + 1
+                } else {
+                    ind.rank
+                };
+                self.decay.powi(r as i32)
+            })
+            .collect();
+        let total = weights.iter().sum();
+        RouletteWheel { weights, total }
+    }
+
     /// Selects one index from `pop` with rank-weighted probability.
     ///
     /// # Panics
     ///
     /// Panics if `pop` is empty.
     pub fn select<R: Rng + ?Sized>(&self, rng: &mut R, pop: &[Individual]) -> usize {
-        assert!(!pop.is_empty(), "roulette on empty population");
-        let max_rank = pop
-            .iter()
-            .map(|p| if p.rank == usize::MAX { 0 } else { p.rank })
-            .max()
-            .unwrap_or(0);
-        let weight = |ind: &Individual| -> f64 {
-            let r = if ind.rank == usize::MAX {
-                max_rank + 1
-            } else {
-                ind.rank
-            };
-            self.decay.powi(r as i32)
-        };
-        let total: f64 = pop.iter().map(weight).sum();
-        if total <= 0.0 || !total.is_finite() {
-            return rng.gen_range(0..pop.len());
-        }
-        let mut target = rng.gen::<f64>() * total;
-        for (i, ind) in pop.iter().enumerate() {
-            target -= weight(ind);
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        pop.len() - 1
+        self.wheel(pop).spin(rng)
     }
 
     /// Fills a mating pool of `n` selected indices.
     pub fn pool<R: Rng + ?Sized>(&self, rng: &mut R, pop: &[Individual], n: usize) -> Vec<usize> {
-        (0..n).map(|_| self.select(rng, pop)).collect()
+        let wheel = self.wheel(pop);
+        (0..n).map(|_| wheel.spin(rng)).collect()
+    }
+}
+
+/// A [`RankRoulette`]'s member weights over one population and their
+/// total, summed in member order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RouletteWheel {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl RouletteWheel {
+    /// Draws one member index: one uniform `f64` scaled by the total,
+    /// minus each weight in member order until it reaches zero. A total
+    /// that is zero or not finite (every weight underflowed, or a rank
+    /// beyond `i32::MAX`) falls back to a uniform draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wheel is empty.
+    pub fn spin<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        assert!(!self.weights.is_empty(), "roulette on empty population");
+        if self.total <= 0.0 || !self.total.is_finite() {
+            return rng.gen_range(0..self.weights.len());
+        }
+        let mut target = rng.gen::<f64>() * self.total;
+        for (i, w) in self.weights.iter().enumerate() {
+            target -= w;
+            if target <= 0.0 {
+                return i;
+            }
+        }
+        self.weights.len() - 1
     }
 }
 
@@ -190,6 +226,88 @@ mod tests {
             let i = roulette.select(&mut rng, &pop);
             assert!(i < 2);
         }
+    }
+
+    /// The roulette as it was before the wheel: weights, their total and
+    /// the scan recomputed on every draw. The oracle the wheel must match.
+    fn select_per_draw(decay: f64, rng: &mut StdRng, pop: &[Individual]) -> usize {
+        assert!(!pop.is_empty(), "roulette on empty population");
+        let max_rank = pop
+            .iter()
+            .map(|p| if p.rank == usize::MAX { 0 } else { p.rank })
+            .max()
+            .unwrap_or(0);
+        let weight = |ind: &Individual| -> f64 {
+            let r = if ind.rank == usize::MAX {
+                max_rank + 1
+            } else {
+                ind.rank
+            };
+            decay.powi(r as i32)
+        };
+        let total: f64 = pop.iter().map(weight).sum();
+        if total <= 0.0 || !total.is_finite() {
+            return rng.gen_range(0..pop.len());
+        }
+        let mut target = rng.gen::<f64>() * total;
+        for (i, ind) in pop.iter().enumerate() {
+            target -= weight(ind);
+            if target <= 0.0 {
+                return i;
+            }
+        }
+        pop.len() - 1
+    }
+
+    #[test]
+    fn wheel_draws_match_the_per_draw_roulette() {
+        let mut layout_rng = StdRng::seed_from_u64(6);
+        for case in 0..2_000 {
+            let n: usize = match case % 4 {
+                0 => 1,
+                _ => layout_rng.gen_range(1..=60),
+            };
+            let layout = layout_rng.gen_range(0..6usize);
+            let pop: Vec<Individual> = (0..n)
+                .map(|_| {
+                    let rank = match layout {
+                        0 => 3,
+                        1 if layout_rng.gen::<bool>() => usize::MAX,
+                        // Weights that underflow to a zero total, and
+                        // ranks past `i32::MAX` whose weights overflow.
+                        2 => layout_rng.gen_range(2_000..2_010),
+                        3 if layout_rng.gen_range(0..4) == 0 => 1 << 31,
+                        _ => layout_rng.gen_range(0..8),
+                    };
+                    ranked(rank, 0.0)
+                })
+                .collect();
+            for decay in [1.0, 0.8, 0.3] {
+                let roulette = RankRoulette::new(decay);
+                let wheel = roulette.wheel(&pop);
+                let mut spun = StdRng::seed_from_u64(case);
+                let mut oracle = spun.clone();
+                for _ in 0..50 {
+                    assert_eq!(
+                        wheel.spin(&mut spun),
+                        select_per_draw(decay, &mut oracle, &pop),
+                        "case {case}, decay {decay}"
+                    );
+                    assert_eq!(
+                        roulette.select(&mut spun.clone(), &pop),
+                        select_per_draw(decay, &mut oracle.clone(), &pop)
+                    );
+                }
+                assert_eq!(spun, oracle, "RNG state differs in case {case}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty population")]
+    fn empty_wheel_panics_when_spun() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let _ = RankRoulette::default().wheel(&[]).spin(&mut rng);
     }
 
     #[test]
