@@ -295,16 +295,17 @@ impl PartitionedPopulation {
     /// This faithfulness matters: with crowding-based truncation even a
     /// single-partition "purely global" run keeps a well-spread front and
     /// the diversity pathology the paper reports never materializes.
+    ///
+    /// Survivors keep the rank they held before truncation and whatever
+    /// crowding they carried; [`rank_locally`](Self::rank_locally), which
+    /// the steady loop runs right after, sets both anew.
     pub fn truncate_to<R: rand::Rng + ?Sized>(&mut self, capacity: usize, rng: &mut R) {
         for p in 0..self.members.len() {
             if !self.alive[p] || self.members[p].len() <= capacity {
                 continue;
             }
             let part = &mut self.members[p];
-            let fronts = fast_non_dominated_sort(part);
-            for front in fronts.iter() {
-                assign_crowding(part, front);
-            }
+            fast_non_dominated_sort(part);
             // Random order, then stable sort by rank: equal-rank survival
             // is a fair draw.
             use rand::seq::SliceRandom;
