@@ -187,8 +187,8 @@ fn dominates_clean(a: &[f64], b: &[f64]) -> bool {
 /// order where every dominator comes first: `chain[b]` is the largest
 /// `chain[a] + 1` over the rows `a < b` that dominate row `b`, or 0.
 /// Branch-free, and with the width a compile-time constant the pair loop
-/// vectorizes; the 2-objective instance is the one every loop and paper
-/// problem runs.
+/// vectorizes; the 2-objective instance serves every benchmark workload
+/// and the paper's problem.
 fn longest_chains_fixed<const M: usize>(rows: &[[f64; M]], chain: &mut [u32]) {
     for b in 1..rows.len() {
         let (before, rest) = chain.split_at_mut(b);
