@@ -488,7 +488,8 @@ impl<P: Problem + Sync> CellularGa<P> {
                 for cell in &mut cells {
                     rank_and_crowd(cell);
                 }
-                history = Vec::with_capacity(cfg.generations);
+                history = Vec::with_capacity(cfg.generations + 1);
+                history.push(generation_row(0, 0, &cells));
                 gen = 0;
                 migrations = 0;
             }
@@ -650,15 +651,9 @@ impl<P: Problem + Sync> CellularGa<P> {
             timer.stop();
 
             // --- generation boundary: history row and events
-            let feasible = cells.iter().flatten().filter(|m| m.is_feasible()).count();
-            history.push(GenerationStats {
-                generation: gen,
-                phase: 2,
-                temperature: 1.0,
-                promoted: migrated,
-                feasible,
-                population: per_cell * k,
-            });
+            let row = generation_row(gen, migrated, &cells);
+            let feasible = row.feasible;
+            history.push(row);
             let faults = session.take_fault_events();
             if want_fault {
                 for fault in faults {
@@ -746,6 +741,23 @@ pub fn migrate(
         *cell = environmental_selection(combined, capacity);
     }
     (k * migrants, candidates)
+}
+
+/// History row of a generation boundary: the cellular loop is all
+/// global-phase, so the phase is 2 at temperature 1.
+fn generation_row(
+    generation: usize,
+    promoted: usize,
+    cells: &[Vec<Individual>],
+) -> GenerationStats {
+    GenerationStats {
+        generation,
+        phase: 2,
+        temperature: 1.0,
+        promoted,
+        feasible: cells.iter().flatten().filter(|m| m.is_feasible()).count(),
+        population: cells.iter().map(Vec::len).sum(),
+    }
 }
 
 /// Feasible globally non-dominated front of the merged cells, computed
@@ -975,12 +987,32 @@ mod tests {
             panic!("expected immediate suspension");
         };
         assert_eq!(cp.gen, 0);
-        assert!(cp.history.is_empty());
+        assert_eq!(cp.history.len(), 1);
+        assert_eq!(cp.history[0].generation, 0);
         let resumed = ga.resume(&cp).unwrap();
         assert_eq!(
             resumed.front_objectives(),
             ga.run_seeded(3).unwrap().front_objectives()
         );
+    }
+
+    #[test]
+    fn checkpoints_without_a_generation_zero_row_still_resume() {
+        // Checkpoints written before the loop recorded generation 0 hold
+        // the rows of generations 1..=gen only: they still parse and
+        // resume onto the uninterrupted front.
+        let ga = CellularGa::new(Schaffer::new(), quick(ring4(), 10));
+        let RunStatus::Suspended(cp) = ga.run_until(7, 13).unwrap() else {
+            panic!("expected suspension at generation 13");
+        };
+        let mut old = (*cp).clone();
+        old.history.remove(0);
+        let parsed = CellularCheckpoint::from_text(&old.to_text()).unwrap();
+        assert_eq!(parsed, old);
+        let resumed = ga.resume(&parsed).unwrap();
+        let whole = ga.run_seeded(7).unwrap();
+        assert_eq!(resumed.front_objectives(), whole.front_objectives());
+        assert_eq!(resumed.history[..], whole.history[1..]);
     }
 
     #[test]

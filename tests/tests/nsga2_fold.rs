@@ -12,7 +12,7 @@
 //! * the front, genes and objective bits, in order;
 //! * the final population's genes, objectives and ranks, in order;
 //! * every `EngineStats` counter (wall-clock time excluded);
-//! * the history rows of generations 1..=G;
+//! * the history, generation 0 included;
 //! * every event except the wall-clock `StageTiming`.
 
 use analog_dse::engine::{EngineStats, EvaluatorKind, FaultPlan, FaultPolicy};
@@ -88,15 +88,12 @@ fn assert_same(label: &str, tpg: &RunOutcome, cell: &RunOutcome) {
     assert_eq!(tpg.evaluations, cell.evaluations, "{label}: evaluations");
     assert_eq!(tpg.generations, cell.generations, "{label}: generations");
     assert_eq!(tpg.migrations, cell.migrations, "{label}: migrations");
-    let rows = |r: &RunOutcome| {
-        r.history
-            .iter()
-            .filter(|h| h.generation >= 1)
-            .cloned()
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(rows(tpg), rows(cell), "{label}: history rows 1..=G");
-    assert_eq!(rows(cell).len(), cell.generations, "{label}: row count");
+    assert_eq!(tpg.history, cell.history, "{label}: history");
+    assert_eq!(
+        cell.history.len(),
+        cell.generations + 1,
+        "{label}: row count"
+    );
 }
 
 /// Runs NSGA-II and the one-cell cellular loop on the same problem,

@@ -6,14 +6,17 @@
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problems::Schaffer;
 use analog_dse::moea::{RunOutcome, RunStatus};
+use analog_dse::sacga::cellular::{CellularConfig, CellularGa};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
 use analog_dse::sacga::local::LocalCompetitionGaBuilder;
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::steady::{SteadyConfig, SteadySacga};
 use analog_dse::sacga::telemetry::{
     EventKind, FaultRateAlarm, InfeasibilityAlarm, JsonlSink, MemorySink, MetricsSink, Optimizer,
     RunEvent, Sink, StallDetector, Tee,
 };
+use analog_dse::sacga::topology::Topology;
 use analog_dse::sacga::CellularCheckpoint;
 
 mod common;
@@ -173,6 +176,108 @@ fn all_five_algorithms_emit_one_generation_end_per_generation() {
         .filter(|e| matches!(e, RunEvent::Promotion { .. }))
         .count();
     assert_eq!(migrations, island_out.migrations);
+}
+
+/// `RunOutcome::history` holds one row per generation boundary,
+/// starting with the initial population's row 0.
+fn check_history_rows<O: Optimizer>(ga: &O, population: usize) {
+    let r = ga.run(SEED).unwrap();
+    let rows: Vec<usize> = r.history.iter().map(|h| h.generation).collect();
+    assert_eq!(
+        rows,
+        (0..=r.generations).collect::<Vec<_>>(),
+        "{}: rows 0..=G",
+        ga.algorithm()
+    );
+    assert_eq!(r.history[0].population, population, "{}", ga.algorithm());
+}
+
+#[test]
+fn every_arm_records_a_history_row_for_generation_zero() {
+    check_history_rows(
+        &Nsga2::new(
+            Schaffer::new(),
+            Nsga2Config::builder()
+                .population_size(20)
+                .generations(6)
+                .build()
+                .unwrap(),
+        ),
+        20,
+    );
+    check_history_rows(
+        &LocalCompetitionGaBuilder::new()
+            .population_size(20)
+            .generations(6)
+            .partitions(4)
+            .build(Schaffer::new())
+            .unwrap(),
+        20,
+    );
+    check_history_rows(
+        &Sacga::new(
+            Schaffer::new(),
+            SacgaConfig::builder()
+                .population_size(20)
+                .generations(6)
+                .partitions(4)
+                .build()
+                .unwrap(),
+        ),
+        20,
+    );
+    check_history_rows(
+        &Mesacga::new(
+            Schaffer::new(),
+            MesacgaConfig::builder()
+                .population_size(20)
+                .phase1_max(2)
+                .phases(vec![PhaseSpec::new(2, 3), PhaseSpec::new(1, 3)])
+                .build()
+                .unwrap(),
+        ),
+        20,
+    );
+    check_history_rows(
+        &SteadySacga::new(
+            Schaffer::new(),
+            SteadyConfig::builder()
+                .population_size(20)
+                .generations(6)
+                .partitions(4)
+                .build()
+                .unwrap(),
+        ),
+        20,
+    );
+    check_history_rows(
+        &IslandGa::new(
+            Schaffer::new(),
+            IslandConfig::builder()
+                .population_size(20)
+                .generations(6)
+                .islands(2)
+                .build()
+                .unwrap(),
+        ),
+        20,
+    );
+    check_history_rows(
+        &CellularGa::new(
+            Schaffer::new(),
+            CellularConfig::builder()
+                .population_size(32)
+                .generations(6)
+                .topology(Topology::Ring {
+                    cells: 4,
+                    radius: 1,
+                })
+                .openness(0.25)
+                .build()
+                .unwrap(),
+        ),
+        32,
+    );
 }
 
 #[test]
