@@ -13,6 +13,7 @@ use moea::nsga2::{Nsga2, Nsga2Config};
 use moea::problems::Zdt1;
 use sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use sacga::sacga::{Sacga, SacgaConfig};
+use sacga::telemetry::Optimizer;
 
 const POP: usize = 40;
 const GENS: usize = 30;
@@ -29,7 +30,7 @@ fn bench_integrator(c: &mut Criterion) {
             .generations(GENS)
             .build()
             .unwrap();
-        b.iter(|| Nsga2::new(&problem, cfg.clone()).run_seeded(1).unwrap());
+        b.iter(|| Nsga2::new(&problem, cfg.clone()).run(1).unwrap());
     });
     group.bench_function(BenchmarkId::new("sacga8", format!("{POP}x{GENS}")), |b| {
         let cfg = SacgaConfig::builder()
@@ -73,7 +74,7 @@ fn bench_pure_overhead(c: &mut Criterion) {
             .generations(gens)
             .build()
             .unwrap();
-        b.iter(|| Nsga2::new(&problem, cfg.clone()).run_seeded(1).unwrap());
+        b.iter(|| Nsga2::new(&problem, cfg.clone()).run(1).unwrap());
     });
     group.bench_function("sacga8", |b| {
         let cfg = SacgaConfig::builder()

@@ -13,6 +13,7 @@ use moea::problems::{Schaffer, Zdt1, Zdt3};
 use moea::sorting::rank_and_crowd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sacga::telemetry::Optimizer;
 
 fn random_population(n: usize, objectives: usize, seed: u64) -> Vec<Individual> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -65,11 +66,7 @@ fn bench_nsga2_suite(c: &mut Criterion) {
     ];
     for (name, problem) in &problems {
         group.bench_function(*name, |b| {
-            b.iter(|| {
-                Nsga2::new(problem.as_ref(), cfg.clone())
-                    .run_seeded(1)
-                    .unwrap()
-            });
+            b.iter(|| Nsga2::new(problem.as_ref(), cfg.clone()).run(1).unwrap());
         });
     }
     group.finish();

@@ -77,7 +77,7 @@ pub fn tpg_ga(problem: &DrivableLoadProblem, gens: usize) -> Nsga2<&DrivableLoad
 ///
 /// Panics on configuration errors (static configs in this harness).
 pub fn run_tpg(problem: &DrivableLoadProblem, gens: usize, seed: u64) -> RunOutcome {
-    tpg_ga(problem, gens).run_seeded(seed).expect("tpg run")
+    tpg_ga(problem, gens).run(seed).expect("tpg run")
 }
 
 /// Runs the paper's **TPG / "Only Global"** baseline: the same rank-based

@@ -28,6 +28,15 @@
 //! mate-mixing draw entirely, so the RNG stream is the island model's.
 //! The island golden master pins it.
 //!
+//! **NSGA-II.** The same preset on a single cell is the panmictic end of
+//! the continuum: one cell never migrates, both parents come from the
+//! whole population, and the cell's environmental selection is NSGA-II's
+//! µ+λ selection, so [`nsga2`](crate::nsga2) runs the paper's TPG
+//! baseline as this loop on one cell. The NSGA-II golden masters pin
+//! it. With one cell the cell's ranks are the global ranks, so the
+//! per-generation front is read straight off the cell instead of
+//! re-ranking a merged copy.
+//!
 //! **Determinism across workers.** Every cell submits its offspring
 //! through one shared [`EvaluationSession`] and a single drain loop
 //! collects completions *in submission order*, so — like
@@ -674,7 +683,14 @@ impl<P: Problem + Sync> CellularGa<P> {
                     feasible,
                     population: per_cell * k,
                     evaluations: session.stats().evaluations,
-                    front: merged_front_objectives(&cells),
+                    // One cell's ranks are already the global ranks:
+                    // environmental selection keeps whole fronts in
+                    // order, so no survivor's rank changes.
+                    front: if k == 1 {
+                        front_objectives(&cells[0])
+                    } else {
+                        merged_front_objectives(&cells)
+                    },
                 });
             }
             if timer.is_enabled() {
@@ -760,15 +776,20 @@ fn generation_row(
     }
 }
 
+/// Objectives of the feasible rank-0 members of a ranked population.
+fn front_objectives(pop: &[Individual]) -> Vec<Vec<f64>> {
+    pop.iter()
+        .filter(|m| m.rank == 0 && m.is_feasible())
+        .map(|m| m.objectives().to_vec())
+        .collect()
+}
+
 /// Feasible globally non-dominated front of the merged cells, computed
 /// on a clone so ranking never disturbs the cells.
 fn merged_front_objectives(cells: &[Vec<Individual>]) -> Vec<Vec<f64>> {
     let mut pop: Vec<Individual> = cells.iter().flatten().cloned().collect();
     rank_and_crowd(&mut pop);
-    pop.iter()
-        .filter(|m| m.rank == 0 && m.is_feasible())
-        .map(|m| m.objectives().to_vec())
-        .collect()
+    front_objectives(&pop)
 }
 
 /// Picks the neighbor cell an open mating draws its second parent from:

@@ -697,8 +697,6 @@ fn parse_stats(lines: &mut Lines<'_>) -> Result<EngineStats, OptimizeError> {
 }
 
 impl crate::telemetry::CheckpointText for SacgaCheckpoint {
-    const SUSPENDABLE: bool = true;
-
     fn to_checkpoint_text(&self) -> String {
         self.to_text()
     }
@@ -713,8 +711,6 @@ impl crate::telemetry::CheckpointText for SacgaCheckpoint {
 }
 
 impl crate::telemetry::CheckpointText for SteadyCheckpoint {
-    const SUSPENDABLE: bool = true;
-
     fn to_checkpoint_text(&self) -> String {
         self.to_text()
     }
@@ -729,8 +725,6 @@ impl crate::telemetry::CheckpointText for SteadyCheckpoint {
 }
 
 impl crate::telemetry::CheckpointText for CellularCheckpoint {
-    const SUSPENDABLE: bool = true;
-
     fn to_checkpoint_text(&self) -> String {
         self.to_text()
     }
@@ -745,8 +739,6 @@ impl crate::telemetry::CheckpointText for CellularCheckpoint {
 }
 
 impl crate::telemetry::CheckpointText for MesacgaCheckpoint {
-    const SUSPENDABLE: bool = true;
-
     fn to_checkpoint_text(&self) -> String {
         self.to_text()
     }

@@ -38,18 +38,18 @@
 //! * [`cellular`] — a structured-population GA over a pluggable
 //!   neighborhood [`topology`] (ring, torus, fully-connected,
 //!   small-world) that degenerates bit-for-bit to the [`island`] model
-//!   on a fully-connected graph;
-//! * [`checkpoint`] — plain-text run checkpoints: SACGA, MESACGA, and
-//!   steady-state runs can be suspended at any generation boundary
-//!   ([`Sacga::run_until`](sacga::Sacga::run_until),
-//!   [`Mesacga::run_until`](mesacga::Mesacga::run_until)) and resumed
-//!   bit-identically, including across process restarts.
+//!   on a fully-connected graph, and to NSGA-II ([`nsga2`], the paper's
+//!   TPG baseline) on a single cell;
+//! * [`checkpoint`] — plain-text run checkpoints: every run can be
+//!   suspended at any generation boundary ([`Optimizer::run_until`]) and
+//!   resumed bit-identically, including across process restarts.
 //!
-//! All seven loops — [`moea::nsga2::Nsga2`], [`local`], [`sacga`],
-//! [`mesacga`], [`island`], [`steady`], [`cellular`] — implement the unified
-//! [`Optimizer`] run API and emit the structured
-//! [`RunEvent`] stream of the [`telemetry`] module
-//! into composable [`Sink`]s.
+//! There are two loops: the partitioned loop of [`steady`], which runs
+//! [`local`], [`sacga`], [`mesacga`] and steady-state SACGA, and the
+//! structured loop of [`cellular`], which runs the cellular GA,
+//! [`island`] and [`nsga2`]. Every arm implements the unified
+//! [`Optimizer`] run API and emits the structured [`RunEvent`] stream of
+//! the [`telemetry`] module into composable [`Sink`]s.
 //!
 //! ## Example
 //!
@@ -88,6 +88,7 @@ pub mod checkpoint;
 pub mod island;
 pub mod local;
 pub mod mesacga;
+pub mod nsga2;
 pub mod partition;
 pub mod prelude;
 pub mod sacga;
@@ -108,7 +109,7 @@ pub use sacga::{Sacga, SacgaConfig};
 pub use steady::{SteadyConfig, SteadySacga};
 pub use telemetry::{
     CheckpointText, DynOptimizer, DynRunStatus, EventKind, FaultRateAlarm, HealthWarning,
-    InfeasibilityAlarm, JsonlSink, MemorySink, MetricsRow, MetricsSink, NoCheckpoint, NullSink,
-    Optimizer, RunEvent, Sink, StallDetector, Tee, EVENT_SCHEMA_VERSION,
+    InfeasibilityAlarm, JsonlSink, MemorySink, MetricsRow, MetricsSink, NullSink, Optimizer,
+    RunEvent, Sink, StallDetector, Tee, EVENT_SCHEMA_VERSION,
 };
 pub use topology::Topology;

@@ -1,4 +1,4 @@
-//! One-stop imports for driving any of the seven optimization loops
+//! One-stop imports for driving any of the seven optimizer arms
 //! through the unified [`Optimizer`] API with instrumentation attached.
 //!
 //! ```
@@ -31,8 +31,8 @@ pub use crate::sacga::{CompetitionMode, Sacga, SacgaConfig};
 pub use crate::steady::{SteadyConfig, SteadyConfigBuilder, SteadySacga};
 pub use crate::telemetry::{
     DynOptimizer, EventKind, EventParseError, FaultRateAlarm, HealthWarning, InfeasibilityAlarm,
-    JsonlSink, MemorySink, MetricsRow, MetricsSink, NoCheckpoint, NullSink, Optimizer, RunEvent,
-    Sink, StallDetector, Tee, EVENT_SCHEMA_VERSION,
+    JsonlSink, MemorySink, MetricsRow, MetricsSink, NullSink, Optimizer, RunEvent, Sink,
+    StallDetector, Tee, EVENT_SCHEMA_VERSION,
 };
 pub use crate::topology::Topology;
 pub use moea::nsga2::Nsga2;

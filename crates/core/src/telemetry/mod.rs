@@ -2,7 +2,7 @@
 //! ([`RunEvent`], serialized as JSONL at schema version
 //! [`EVENT_SCHEMA_VERSION`]) emitted by every optimizer through
 //! composable [`Sink`]s, plus the unified [`Optimizer`] run API
-//! implemented by all five loops.
+//! implemented by every optimizer arm.
 //!
 //! # Design invariants
 //!
@@ -54,7 +54,7 @@ pub use event::{EventKind, RunEvent, EVENT_SCHEMA_VERSION};
 pub use json::{EventParseError, LossyReplay};
 pub use metrics::{MetricsRow, MetricsSink};
 pub(crate) use optimizer::expect_complete;
-pub use optimizer::{CheckpointText, DynOptimizer, DynRunStatus, NoCheckpoint, Optimizer};
+pub use optimizer::{CheckpointText, DynOptimizer, DynRunStatus, Optimizer};
 pub use registry::RegistrySink;
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink, Tee};
 pub use watchdog::{FaultRateAlarm, HealthWarning, InfeasibilityAlarm, StallDetector};

@@ -1,36 +1,27 @@
 //! The unified run API implemented by every optimizer in the workspace.
 
-use moea::nsga2::Nsga2;
-use moea::problem::Problem;
 use moea::{OptimizeError, RunOutcome, RunStatus};
 
-use super::event::{EventKind, RunEvent};
 use super::sink::{NullSink, Sink};
 
-/// The checkpoint type of algorithms that cannot suspend (NSGA-II is
-/// the last one). Uninhabited: a `RunStatus<NoCheckpoint>` is provably
-/// always `Complete`, and `resume` on such algorithms is statically
-/// uncallable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoCheckpoint {}
-
-/// One run API for every optimization loop (NSGA-II/TPG, local
-/// competition, SACGA, MESACGA, steady-state SACGA, and the cellular GA,
-/// which also runs the island model).
+/// One run API for every optimizer. The local-competition GA, SACGA,
+/// MESACGA and steady-state SACGA run the partitioned loop of
+/// [`steady`](crate::steady); the cellular GA, the island model and
+/// NSGA-II (the paper's TPG baseline) run the structured loop of
+/// [`cellular`](crate::cellular).
 ///
 /// Every entry point exists in two forms: a `*_with` method taking a
-/// `&mut dyn Sink` that receives the structured [`RunEvent`] stream,
-/// and a sink-free convenience wrapper. Event emission never consumes
-/// RNG, so for a given seed the returned [`RunOutcome`] is bit-identical
-/// whichever form is used.
+/// `&mut dyn Sink` that receives the structured
+/// [`RunEvent`](super::RunEvent) stream, and a sink-free convenience
+/// wrapper. Event emission never consumes RNG, so for a given seed the
+/// returned [`RunOutcome`] is bit-identical whichever form is used.
 ///
-/// Bounded runs (`run_until*` / `resume*`) are supported by every loop
-/// but NSGA-II, which sets [`Checkpoint`](Optimizer::Checkpoint) to
-/// [`NoCheckpoint`] and rejects `run_until` with
-/// [`OptimizeError::InvalidConfig`].
+/// Every optimizer supports bounded runs (`run_until*` / `resume*`): a
+/// run suspends at a generation boundary into its
+/// [`Checkpoint`](Optimizer::Checkpoint), and resuming it is
+/// bit-identical to never having stopped.
 pub trait Optimizer {
-    /// Suspension checkpoint produced by bounded runs ([`NoCheckpoint`]
-    /// for algorithms that cannot suspend).
+    /// Suspension checkpoint produced by bounded runs.
     type Checkpoint;
 
     /// Stable lower-case identifier of the algorithm (e.g. `"sacga"`),
@@ -51,9 +42,7 @@ pub trait Optimizer {
     ///
     /// # Errors
     ///
-    /// Same as [`run_with`](Optimizer::run_with), plus
-    /// [`OptimizeError::InvalidConfig`] on algorithms that do not
-    /// support suspension.
+    /// Same as [`run_with`](Optimizer::run_with).
     fn run_until_with(
         &self,
         seed: u64,
@@ -137,17 +126,13 @@ pub trait Optimizer {
 /// A checkpoint type with a plain-text serialization, bridging typed
 /// checkpoints into the object-safe [`DynOptimizer`] API.
 ///
-/// Implemented by every checkpoint type in the workspace:
-/// [`SacgaCheckpoint`](crate::checkpoint::SacgaCheckpoint) and
-/// [`MesacgaCheckpoint`](crate::checkpoint::MesacgaCheckpoint) wrap
-/// their exact line-oriented serializations, and [`NoCheckpoint`]
-/// declares itself non-suspendable (its encode path is statically
-/// unreachable and its decode path always errors).
+/// Implemented by every checkpoint type in the workspace
+/// ([`SacgaCheckpoint`](crate::checkpoint::SacgaCheckpoint),
+/// [`MesacgaCheckpoint`](crate::checkpoint::MesacgaCheckpoint),
+/// [`SteadyCheckpoint`](crate::checkpoint::SteadyCheckpoint) and
+/// [`CellularCheckpoint`](crate::checkpoint::CellularCheckpoint)), each
+/// wrapping its exact line-oriented serialization.
 pub trait CheckpointText: Sized {
-    /// Whether values of this type can actually exist — i.e. whether
-    /// the algorithm supports suspension at all.
-    const SUSPENDABLE: bool;
-
     /// Serializes the checkpoint to its text form.
     fn to_checkpoint_text(&self) -> String;
 
@@ -161,24 +146,6 @@ pub trait CheckpointText: Sized {
 
     /// The generation boundary this checkpoint captures.
     fn generation(&self) -> usize;
-}
-
-impl CheckpointText for NoCheckpoint {
-    const SUSPENDABLE: bool = false;
-
-    fn to_checkpoint_text(&self) -> String {
-        match *self {}
-    }
-
-    fn from_checkpoint_text(_text: &str) -> Result<Self, OptimizeError> {
-        Err(OptimizeError::invalid_checkpoint(
-            "this algorithm does not support suspension",
-        ))
-    }
-
-    fn generation(&self) -> usize {
-        match *self {}
-    }
 }
 
 /// Outcome of a bounded drive through the object-safe API: either the
@@ -201,15 +168,16 @@ pub enum DynRunStatus {
     },
 }
 
-/// The object-safe subset of [`Optimizer`]: unbounded runs only.
+/// The object-safe form of [`Optimizer`], with checkpoints carried as
+/// text.
 ///
 /// [`Optimizer`] itself is not object-safe (its
 /// [`Checkpoint`](Optimizer::Checkpoint) associated type differs per
 /// algorithm), so heterogeneous collections of optimizers — a campaign's
 /// algorithm arms, say — cannot be `Vec<Box<dyn Optimizer>>`. This trait
-/// drops the checkpoint-typed entry points and keeps the parts every
-/// algorithm shares; the blanket impl makes every `Optimizer + Sync`
-/// usable as a `dyn DynOptimizer` with no further ceremony:
+/// passes every checkpoint through its [`CheckpointText`] serialization
+/// instead; the blanket impl makes every `Optimizer + Sync` usable as a
+/// `dyn DynOptimizer` with no further ceremony:
 ///
 /// ```
 /// use sacga::prelude::*;
@@ -260,12 +228,11 @@ pub trait DynOptimizer: Sync {
     }
 
     /// Runs from `seed`, suspending once `stop_after` generations have
-    /// completed *if the algorithm supports suspension* — otherwise
-    /// runs to completion.
+    /// completed (see [`Optimizer::run_until_with`]).
     ///
     /// # Errors
     ///
-    /// Same as [`Optimizer::run_with`].
+    /// Same as [`Optimizer::run_until_with`].
     fn run_until_dyn_with(
         &self,
         seed: u64,
@@ -319,16 +286,7 @@ where
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<DynRunStatus, OptimizeError> {
-        if !O::Checkpoint::SUSPENDABLE {
-            return Ok(DynRunStatus::Complete(Box::new(self.run_with(seed, sink)?)));
-        }
-        Ok(match self.run_until_with(seed, stop_after, sink)? {
-            RunStatus::Complete(outcome) => DynRunStatus::Complete(outcome),
-            RunStatus::Suspended(cp) => DynRunStatus::Suspended {
-                checkpoint: cp.to_checkpoint_text(),
-                generations: cp.generation(),
-            },
-        })
+        self.run_until_with(seed, stop_after, sink).map(dyn_status)
     }
 
     fn resume_until_dyn_with(
@@ -338,13 +296,8 @@ where
         sink: &mut dyn Sink,
     ) -> Result<DynRunStatus, OptimizeError> {
         let cp = O::Checkpoint::from_checkpoint_text(checkpoint)?;
-        Ok(match self.resume_until_with(&cp, stop_after, sink)? {
-            RunStatus::Complete(outcome) => DynRunStatus::Complete(outcome),
-            RunStatus::Suspended(cp) => DynRunStatus::Suspended {
-                checkpoint: cp.to_checkpoint_text(),
-                generations: cp.generation(),
-            },
-        })
+        self.resume_until_with(&cp, stop_after, sink)
+            .map(dyn_status)
     }
 
     fn resume_dyn_with(
@@ -357,100 +310,22 @@ where
     }
 }
 
+/// Carries a typed bounded-run status across the object-safe boundary,
+/// serializing a checkpoint to its text.
+fn dyn_status<C: CheckpointText>(status: RunStatus<C>) -> DynRunStatus {
+    match status {
+        RunStatus::Complete(outcome) => DynRunStatus::Complete(outcome),
+        RunStatus::Suspended(cp) => DynRunStatus::Suspended {
+            checkpoint: cp.to_checkpoint_text(),
+            generations: cp.generation(),
+        },
+    }
+}
+
 /// Unwraps an unbounded drive, which by construction never suspends.
 pub(crate) fn expect_complete<C>(status: RunStatus<C>) -> RunOutcome {
     match status {
         RunStatus::Complete(outcome) => *outcome,
         RunStatus::Suspended(_) => unreachable!("unbounded runs never suspend"),
-    }
-}
-
-/// NSGA-II (the paper's TPG baseline) through the unified API, adapting
-/// the `moea` crate's [`Nsga2::run_traced`] hook into the event stream.
-impl<P: Problem + Sync> Optimizer for Nsga2<P> {
-    type Checkpoint = NoCheckpoint;
-
-    fn algorithm(&self) -> &'static str {
-        "nsga2"
-    }
-
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        let want_generation = sink.wants(EventKind::GenerationEnd);
-        let want_fault = sink.wants(EventKind::EvaluationFault);
-        let want_timing = sink.wants(EventKind::StageTiming);
-        let emit = |trace: moea::nsga2::GenerationTrace<'_>| {
-            if want_fault {
-                for fault in &trace.faults {
-                    sink.record(&RunEvent::EvaluationFault {
-                        generation: trace.generation,
-                        kind: fault.kind,
-                        failures: fault.failures,
-                        resolution: fault.resolution,
-                    });
-                }
-            }
-            if want_generation && trace.generation > 0 {
-                let front: Vec<Vec<f64>> = trace
-                    .population
-                    .iter()
-                    .filter(|m| m.rank == 0 && m.is_feasible())
-                    .map(|m| m.objectives().to_vec())
-                    .collect();
-                let feasible = trace.population.iter().filter(|m| m.is_feasible()).count();
-                sink.record(&RunEvent::GenerationEnd {
-                    generation: trace.generation,
-                    phase: 2,
-                    temperature: 1.0,
-                    promoted: 0,
-                    feasible,
-                    population: trace.population.len(),
-                    evaluations: trace.evaluations,
-                    front,
-                });
-            }
-            if let Some(timing) = &trace.timing {
-                sink.record(&RunEvent::StageTiming {
-                    generation: trace.generation,
-                    stages: timing.stages,
-                    candidates: timing.candidates,
-                    evaluations: timing.evaluations,
-                    cache_hits: timing.cache_hits,
-                });
-            }
-        };
-        if want_timing {
-            self.run_traced_timed(seed, emit)
-        } else {
-            self.run_traced(seed, emit)
-        }
-    }
-
-    fn run_until_with(
-        &self,
-        _seed: u64,
-        _stop_after: usize,
-        _sink: &mut dyn Sink,
-    ) -> Result<RunStatus<NoCheckpoint>, OptimizeError> {
-        Err(OptimizeError::invalid_config(
-            "stop_after",
-            "NSGA-II does not support suspension; use run",
-        ))
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &NoCheckpoint,
-        _sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        match *checkpoint {}
-    }
-
-    fn resume_until_with(
-        &self,
-        checkpoint: &NoCheckpoint,
-        _stop_after: usize,
-        _sink: &mut dyn Sink,
-    ) -> Result<RunStatus<NoCheckpoint>, OptimizeError> {
-        match *checkpoint {}
     }
 }

@@ -16,9 +16,10 @@
 //!   assignment;
 //! * [`selection`] — crowded binary tournament and rank-based roulette
 //!   selection;
-//! * [`nsga2`] — a complete elitist non-dominated sorting GA
-//!   (NSGA-II), the "traditional purely global competition" baseline of the
-//!   reproduced paper;
+//! * [`nsga2`] — the configuration of the elitist non-dominated sorting
+//!   GA (NSGA-II), the "traditional purely global competition" baseline
+//!   of the reproduced paper; `sacga::nsga2` runs it as the one-cell
+//!   preset of the cellular loop;
 //! * [`hypervolume`] — the paper's origin-anchored staircase hypervolume
 //!   together with conventional reference-point hypervolume in 2-D and n-D;
 //! * [`metrics`] — spacing, spread, generational distance, set coverage;
@@ -32,21 +33,29 @@
 //!
 //! ## Example
 //!
-//! Minimize Schaffer's two-objective problem with NSGA-II:
+//! Rank a random population of Schaffer's problem by constrained
+//! non-dominated sorting and crowding, the step every loop in the
+//! `sacga` crate (NSGA-II included) repeats each generation:
 //!
 //! ```
-//! use moea::nsga2::{Nsga2, Nsga2Config};
+//! use moea::individual::Individual;
+//! use moea::operators::random_vector;
+//! use moea::problem::Problem;
 //! use moea::problems::Schaffer;
+//! use moea::sorting::rank_and_crowd;
+//! use rand::SeedableRng;
 //!
-//! # fn main() -> Result<(), moea::error::OptimizeError> {
-//! let config = Nsga2Config::builder()
-//!     .population_size(40)
-//!     .generations(50)
-//!     .build()?;
-//! let result = Nsga2::new(Schaffer::new(), config).run_seeded(42)?;
-//! assert!(!result.front.is_empty());
-//! # Ok(())
-//! # }
+//! let problem = Schaffer::new();
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+//! let mut population: Vec<Individual> = (0..20)
+//!     .map(|_| {
+//!         let genes = random_vector(&mut rng, problem.bounds());
+//!         let evaluation = problem.evaluate(&genes);
+//!         Individual::new(genes, evaluation)
+//!     })
+//!     .collect();
+//! rank_and_crowd(&mut population);
+//! assert!(population.iter().any(|m| m.rank == 0));
 //! ```
 
 pub mod archive;

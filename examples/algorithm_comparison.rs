@@ -15,6 +15,7 @@ use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::{Individual, OptimizeError};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::telemetry::Optimizer;
 
 const POP: usize = 60;
 const GENS: usize = 220;
@@ -70,7 +71,7 @@ fn main() -> Result<(), OptimizeError> {
             .generations(GENS)
             .build()?,
     )
-    .run_seeded(SEED)?;
+    .run(SEED)?;
     describe("NSGA-II", &nsga2.front);
 
     let sacga = Sacga::new(

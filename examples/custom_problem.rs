@@ -14,6 +14,7 @@ use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problem::{Bounds, Problem};
 use analog_dse::moea::OptimizeError;
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::telemetry::Optimizer;
 
 /// A two-bar truss: minimize structural volume and stress subject to a
 /// stress cap on each bar (a classic small constrained biobjective).
@@ -68,7 +69,7 @@ fn main() -> Result<(), OptimizeError> {
             .generations(120)
             .build()?,
     )
-    .run_seeded(3)?;
+    .run(3)?;
 
     // Partition along the volume objective; range derived from the
     // initial population because no a-priori range is known.

@@ -9,6 +9,7 @@ use analog_dse::moea::problems::{BinhKorn, Constr, Schaffer, Srinivas, Tanaka, Z
 use analog_dse::moea::RunOutcome;
 use analog_dse::moea::{Individual, Problem};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::telemetry::Optimizer;
 
 fn nsga2<P: Problem + Sync>(problem: P, pop: usize, gens: usize, seed: u64) -> RunOutcome {
     let cfg = Nsga2Config::builder()
@@ -16,7 +17,7 @@ fn nsga2<P: Problem + Sync>(problem: P, pop: usize, gens: usize, seed: u64) -> R
         .generations(gens)
         .build()
         .unwrap();
-    Nsga2::new(problem, cfg).run_seeded(seed).unwrap()
+    Nsga2::new(problem, cfg).run(seed).unwrap()
 }
 
 fn points(front: &[Individual]) -> Vec<[f64; 2]> {

@@ -6,6 +6,7 @@ use analog_dse::circuits::{IntegratorProblem, Spec};
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::telemetry::Optimizer;
 
 const POP: usize = 40;
 const GENS: usize = 60;
@@ -19,7 +20,7 @@ fn nsga2_finds_feasible_integrator_designs() {
         .generations(GENS)
         .build()
         .unwrap();
-    let r = Nsga2::new(&problem, cfg).run_seeded(SEED).unwrap();
+    let r = Nsga2::new(&problem, cfg).run(SEED).unwrap();
     assert!(!r.front.is_empty(), "no feasible designs found");
     for m in &r.front {
         assert!(m.is_feasible());
@@ -137,7 +138,7 @@ fn harder_specs_produce_worse_or_equal_fronts() {
             .generations(GENS)
             .build()
             .unwrap();
-        Nsga2::new(p, cfg).run_seeded(SEED).unwrap()
+        Nsga2::new(p, cfg).run(SEED).unwrap()
     };
     let r_easy = run(&easy);
     let r_hard = run(&hard);
@@ -157,7 +158,7 @@ fn front_objectives_translate_to_paper_axes() {
         .generations(10)
         .build()
         .unwrap();
-    let r = Nsga2::new(&problem, cfg).run_seeded(SEED).unwrap();
+    let r = Nsga2::new(&problem, cfg).run(SEED).unwrap();
     for m in &r.front {
         let (cl_pf, p_w) = DrivableLoadProblem::to_paper_axes(m.objectives());
         assert!((cl_pf * 1e-12 + m.objective(0)).abs() < 1e-18);

@@ -11,6 +11,7 @@ use analog_dse::moea::{Evaluation, Problem};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
+use analog_dse::sacga::telemetry::Optimizer;
 use proptest::prelude::*;
 
 proptest! {
@@ -102,10 +103,8 @@ fn nsga2_front_identical_under_serial_and_parallel_evaluators() {
         .evaluator(ParallelEvaluator::with_threads(4))
         .build()
         .unwrap();
-    let serial = Nsga2::new(Zdt1::new(6), serial_cfg).run_seeded(9).unwrap();
-    let parallel = Nsga2::new(Zdt1::new(6), parallel_cfg)
-        .run_seeded(9)
-        .unwrap();
+    let serial = Nsga2::new(Zdt1::new(6), serial_cfg).run(9).unwrap();
+    let parallel = Nsga2::new(Zdt1::new(6), parallel_cfg).run(9).unwrap();
     assert_eq!(serial.front_objectives(), parallel.front_objectives());
     assert_eq!(serial.evaluations, parallel.evaluations);
 }
@@ -154,7 +153,7 @@ fn default_engine_config_preserves_original_budget_accounting() {
         .build()
         .unwrap();
     assert_eq!(*cfg.engine(), EngineConfig::default());
-    let r = Nsga2::new(Schaffer::new(), cfg).run_seeded(1).unwrap();
+    let r = Nsga2::new(Schaffer::new(), cfg).run(1).unwrap();
     assert_eq!(r.evaluations, 10 + 5 * 10);
     assert_eq!(r.stats.candidates, 60);
     assert_eq!(r.stats.cache_hits, 0);

@@ -204,7 +204,7 @@ fn nsga2_run<P: Problem + Sync>(
         .evaluator(evaluator)
         .build()
         .unwrap();
-    Nsga2::new(problem, cfg).run_seeded(SEED).unwrap()
+    Nsga2::new(problem, cfg).run(SEED).unwrap()
 }
 
 #[test]
@@ -495,7 +495,7 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
             b = b.metrics(m);
         }
         Nsga2::new(Schaffer::new(), b.build().unwrap())
-            .run_seeded(SEED)
+            .run(SEED)
             .unwrap()
     };
     let m = EngineMetrics::register(&registry, &[("arm", "nsga2")]);

@@ -1,10 +1,13 @@
-//! Telemetry acceptance tests for the unified `Optimizer` API: all five
-//! optimization loops emit the structured `RunEvent` stream with the same
-//! invariants, instrumentation never perturbs a seeded run, and the JSONL
+//! Telemetry acceptance tests for the unified `Optimizer` API: every
+//! arm of both optimization loops (the partitioned loop and the
+//! structured loop) emits the structured `RunEvent` stream with the same
+//! invariants and a history row per generation, every arm suspends and
+//! resumes, instrumentation never perturbs a seeded run, and the JSONL
 //! codec round-trips every event bit-exactly.
 
+use analog_dse::engine::EvaluatorKind;
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
-use analog_dse::moea::problems::Schaffer;
+use analog_dse::moea::problems::{Schaffer, Tanaka};
 use analog_dse::moea::{RunOutcome, RunStatus};
 use analog_dse::sacga::cellular::{CellularConfig, CellularGa};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
@@ -524,16 +527,33 @@ fn watchdogs_stay_silent_on_a_healthy_run() {
 }
 
 #[test]
-fn suspension_is_rejected_by_algorithms_that_cannot_checkpoint() {
-    let nsga2 = Nsga2::new(
-        Schaffer::new(),
-        Nsga2Config::builder()
-            .population_size(16)
-            .generations(5)
-            .build()
-            .unwrap(),
-    );
-    assert!(nsga2.run_until(SEED, 3).is_err());
+fn nsga2_runs_suspend_and_resume_onto_the_tanaka_golden() {
+    // NSGA-II is the one-cell cellular preset, so it checkpoints: the
+    // Tanaka golden configuration stopped at generation 17, round-tripped
+    // through checkpoint text and resumed reproduces the uninterrupted
+    // snapshot, serially and on two workers.
+    for evaluator in [EvaluatorKind::Serial, EvaluatorKind::ParallelWith(2)] {
+        let tpg = Nsga2::new(
+            Tanaka::new(),
+            Nsga2Config::builder()
+                .population_size(40)
+                .generations(40)
+                .evaluator(evaluator)
+                .build()
+                .unwrap(),
+        );
+        let RunStatus::Suspended(cp) = tpg.run_until(42, 17).unwrap() else {
+            panic!("an NSGA-II run must suspend at generation 17");
+        };
+        assert_eq!(cp.gen, 17);
+        let text = cp.to_text();
+        assert!(text.starts_with("cellular-checkpoint v1\n"));
+        let resumed = tpg
+            .resume(&CellularCheckpoint::from_text(&text).unwrap())
+            .unwrap();
+        assert_eq!(resumed.front.len(), 40);
+        check_golden("nsga2_tanaka_seed42.txt", &render_front(&resumed.front));
+    }
 }
 
 #[test]
