@@ -10,8 +10,8 @@
 //! `spec.slice` generations. At each slice boundary the job's
 //! checkpoint and state are persisted atomically; if other jobs are
 //! waiting the job re-enters the queue (cooperative preemption),
-//! otherwise it continues inline. NSGA-II, the one algorithm that
-//! cannot checkpoint, always runs to completion in one slice.
+//! otherwise it continues inline. Every arm checkpoints, so every job
+//! can be preempted at a slice boundary and resumed after a crash.
 //!
 //! # Crash safety
 //!

@@ -21,7 +21,7 @@ use analog_circuits::{DrivableLoadProblem, Spec};
 use engine::{EngineMetrics, FaultPlan, FaultPolicy, SharedCache, SurrogateScreen};
 use moea::nsga2::{Nsga2, Nsga2Config};
 use moea::problems::{BinhKorn, Constr, Schaffer, Srinivas, Tanaka, Zdt1, Zdt2, Zdt3};
-use moea::{Evaluation, Problem};
+use moea::{EngineSetup, Evaluation, Problem};
 use sacga::local::LocalCompetitionGaBuilder;
 use sacga::{
     CellularConfig, CellularGa, DynOptimizer, IslandConfig, IslandGa, Mesacga, MesacgaConfig,
@@ -527,23 +527,6 @@ impl AlgoSpec {
             AlgoSpec::Cellular { .. } => "cellular",
         }
     }
-
-    /// Whether this arm's builder accepts a shared (tenant) cache.
-    pub fn supports_shared_cache(&self) -> bool {
-        matches!(
-            self,
-            AlgoSpec::Sacga { .. }
-                | AlgoSpec::Mesacga { .. }
-                | AlgoSpec::Steady { .. }
-                | AlgoSpec::Nsga2 { .. }
-                | AlgoSpec::Cellular { .. }
-        )
-    }
-
-    /// Whether this arm's builder accepts a surrogate pre-screen.
-    pub fn supports_screen(&self) -> bool {
-        !matches!(self, AlgoSpec::Island { .. })
-    }
 }
 
 /// A complete job description: problem + algorithm arm + seed + service
@@ -554,8 +537,7 @@ pub struct JobSpec {
     /// identical configuration vary only this.
     pub name: String,
     /// Shared-cache pool this job draws from; `None` means a private
-    /// per-run cache. Only arms for which
-    /// [`AlgoSpec::supports_shared_cache`] is `true` may set a tenant.
+    /// per-run cache.
     pub tenant: Option<String>,
     /// The benchmark problem.
     pub problem: ProblemSpec,
@@ -566,8 +548,8 @@ pub struct JobSpec {
     /// Queue priority 0–9; higher pops first, FIFO within a level.
     pub priority: u8,
     /// Cooperative-preemption quantum in generations; `0` runs each
-    /// job to completion in one slice. Ignored by NSGA-II, the one arm
-    /// that cannot checkpoint, which always runs to completion.
+    /// job to completion in one slice. Every arm checkpoints at each
+    /// slice boundary.
     pub slice: usize,
     /// Stall-detector window in generations; `0` disables the detector.
     pub stall_window: usize,
@@ -580,8 +562,7 @@ pub struct JobSpec {
     /// Opt-in analytic surrogate pre-screen: obviously infeasible
     /// candidates are answered by the surrogate (counted as `screened`)
     /// instead of the full model. Only valid for problems that have a
-    /// surrogate and arms that accept one; changes results, so it is
-    /// part of the job identity.
+    /// surrogate; changes results, so it is part of the job identity.
     pub screen: bool,
 }
 
@@ -672,12 +653,6 @@ impl JobSpec {
                     "tenant {t:?} must be non-empty [A-Za-z0-9._-]"
                 )));
             }
-            if !self.algo.supports_shared_cache() {
-                return Err(ServerError::InvalidSpec(format!(
-                    "algo {} does not support a tenant cache",
-                    self.algo.token()
-                )));
-            }
         }
         if self.priority > 9 {
             return Err(ServerError::InvalidSpec(format!(
@@ -698,19 +673,11 @@ impl JobSpec {
                 self.inject_nonfinite
             )));
         }
-        if self.screen {
-            if self.problem.surrogate_screen().is_none() {
-                return Err(ServerError::InvalidSpec(format!(
-                    "problem {} has no surrogate screen",
-                    self.problem.token()
-                )));
-            }
-            if !self.algo.supports_screen() {
-                return Err(ServerError::InvalidSpec(format!(
-                    "algo {} does not support a surrogate screen",
-                    self.algo.token()
-                )));
-            }
+        if self.screen && self.problem.surrogate_screen().is_none() {
+            return Err(ServerError::InvalidSpec(format!(
+                "problem {} has no surrogate screen",
+                self.problem.token()
+            )));
         }
         Ok(())
     }
@@ -819,10 +786,41 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Instantiates the optimizer for this job, wiring in the tenant
-    /// cache (when given), the fault-injection harness (when
-    /// `inject_nonfinite > 0`), and a live [`EngineMetrics`] bundle
-    /// (when given; observation only, results are unchanged).
+    /// The engine setup of this job: the tenant cache (when given), the
+    /// fault-injection harness (when `inject_nonfinite > 0`), the
+    /// surrogate screen (when `screen` is set) and a live
+    /// [`EngineMetrics`] bundle (when given; observation only, results
+    /// are unchanged).
+    fn engine_setup(
+        &self,
+        cache: Option<SharedCache<Evaluation>>,
+        metrics: Option<EngineMetrics>,
+    ) -> EngineSetup {
+        let mut setup = EngineSetup::new();
+        if let Some(cache) = cache {
+            setup = setup.shared_cache(cache);
+        }
+        if self.inject_nonfinite > 0.0 {
+            setup = setup
+                .fault_policy(FaultPolicy::tolerant(3))
+                .inject_faults(FaultPlan::seeded(self.seed).nonfinite(self.inject_nonfinite));
+        }
+        if let Some(screen) = self
+            .screen
+            .then(|| self.problem.surrogate_screen())
+            .flatten()
+        {
+            setup = setup.surrogate_screen(screen);
+        }
+        if let Some(metrics) = metrics {
+            setup = setup.metrics(metrics);
+        }
+        setup
+    }
+
+    /// Instantiates the optimizer for this job on its
+    /// [engine setup](JobSpec::engine_setup), which every arm's builder
+    /// accepts whole.
     ///
     /// # Errors
     ///
@@ -835,74 +833,41 @@ impl JobSpec {
     ) -> Result<Box<dyn DynOptimizer>, ServerError> {
         let cfg_err = |e: moea::OptimizeError| ServerError::InvalidSpec(e.to_string());
         let problem = self.problem.build();
-        let plan = (self.inject_nonfinite > 0.0)
-            .then(|| FaultPlan::seeded(self.seed).nonfinite(self.inject_nonfinite));
-        let screen = self
-            .screen
-            .then(|| self.problem.surrogate_screen())
-            .flatten();
+        let setup = self.engine_setup(cache, metrics);
+        let slice = self.problem.slice_range();
         match &self.algo {
             AlgoSpec::Sacga { pop, gens, parts } => {
                 let mut b = SacgaConfig::builder()
                     .population_size(*pop)
                     .generations(*gens)
                     .partitions(*parts);
-                if let Some((lo, hi)) = self.problem.slice_range() {
+                if let Some((lo, hi)) = slice {
                     b = b.slice_range(lo, hi);
                 }
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(Sacga::new(problem, b.build().map_err(cfg_err)?)))
+                let cfg = b.engine_setup(setup).build().map_err(cfg_err)?;
+                Ok(Box::new(Sacga::new(problem, cfg)))
             }
             AlgoSpec::Local { pop, gens, parts } => {
                 let mut b = LocalCompetitionGaBuilder::new()
                     .population_size(*pop)
                     .generations(*gens)
                     .partitions(*parts);
-                if let Some((lo, hi)) = self.problem.slice_range() {
+                if let Some((lo, hi)) = slice {
                     b = b.slice_range(lo, hi);
                 }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(b.build(problem).map_err(cfg_err)?))
+                Ok(Box::new(
+                    b.engine_setup(setup).build(problem).map_err(cfg_err)?,
+                ))
             }
             AlgoSpec::Mesacga { pop, span } => {
                 let mut b = MesacgaConfig::builder()
                     .population_size(*pop)
                     .paper_phases(*span);
-                if let Some((lo, hi)) = self.problem.slice_range() {
+                if let Some((lo, hi)) = slice {
                     b = b.slice_range(lo, hi);
                 }
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(Mesacga::new(problem, b.build().map_err(cfg_err)?)))
+                let cfg = b.engine_setup(setup).build().map_err(cfg_err)?;
+                Ok(Box::new(Mesacga::new(problem, cfg)))
             }
             AlgoSpec::Steady {
                 pop,
@@ -917,59 +882,30 @@ impl JobSpec {
                     .partitions(*parts)
                     .window(*window)
                     .quantum(*quantum);
-                if let Some((lo, hi)) = self.problem.slice_range() {
+                if let Some((lo, hi)) = slice {
                     b = b.slice_range(lo, hi);
                 }
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(SteadySacga::new(
-                    problem,
-                    b.build().map_err(cfg_err)?,
-                )))
+                let cfg = b.engine_setup(setup).build().map_err(cfg_err)?;
+                Ok(Box::new(SteadySacga::new(problem, cfg)))
             }
             AlgoSpec::Nsga2 { pop, gens } => {
-                let mut b = Nsga2Config::builder()
-                    .population_size(*pop)
-                    .generations(*gens);
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(Nsga2::new(problem, b.build().map_err(cfg_err)?)))
-            }
-            AlgoSpec::Island { pop, gens, islands } => {
-                let mut b = IslandConfig::builder()
+                let cfg = Nsga2Config::builder()
                     .population_size(*pop)
                     .generations(*gens)
-                    .islands(*islands);
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(IslandGa::new(
-                    problem,
-                    b.build().map_err(cfg_err)?,
-                )))
+                    .engine_setup(setup)
+                    .build()
+                    .map_err(cfg_err)?;
+                Ok(Box::new(Nsga2::new(problem, cfg)))
+            }
+            AlgoSpec::Island { pop, gens, islands } => {
+                let cfg = IslandConfig::builder()
+                    .population_size(*pop)
+                    .generations(*gens)
+                    .islands(*islands)
+                    .engine_setup(setup)
+                    .build()
+                    .map_err(cfg_err)?;
+                Ok(Box::new(IslandGa::new(problem, cfg)))
             }
             AlgoSpec::Cellular {
                 pop,
@@ -984,30 +920,18 @@ impl JobSpec {
             } => {
                 let topology = topo.build(*cells, *radius, self.seed)?;
                 #[allow(clippy::cast_precision_loss)]
-                let mut b = CellularConfig::builder()
+                let cfg = CellularConfig::builder()
                     .population_size(*pop)
                     .generations(*gens)
                     .topology(topology)
                     .migration_interval(*interval)
                     .migrants(*migrants)
                     .openness(*open as f64 / 100.0)
-                    .anisotropy(*aniso as f64 / 100.0);
-                if let Some(cache) = cache {
-                    b = b.shared_cache(cache);
-                }
-                if let Some(plan) = plan {
-                    b = b.fault_policy(FaultPolicy::tolerant(3)).inject_faults(plan);
-                }
-                if let Some(screen) = screen {
-                    b = b.surrogate_screen(screen);
-                }
-                if let Some(metrics) = metrics {
-                    b = b.metrics(metrics);
-                }
-                Ok(Box::new(CellularGa::new(
-                    problem,
-                    b.build().map_err(cfg_err)?,
-                )))
+                    .anisotropy(*aniso as f64 / 100.0)
+                    .engine_setup(setup)
+                    .build()
+                    .map_err(cfg_err)?;
+                Ok(Box::new(CellularGa::new(problem, cfg)))
             }
         }
     }
@@ -1080,25 +1004,10 @@ mod tests {
     }
 
     #[test]
-    fn screen_rejected_without_a_surrogate_or_support() {
+    fn screen_rejected_without_a_surrogate() {
         let no_surrogate = demo().screen(); // schaffer has no surrogate
         assert!(matches!(
             no_surrogate.validate(),
-            Err(ServerError::InvalidSpec(_))
-        ));
-        let island = JobSpec::new(
-            "i",
-            ProblemSpec::Drivable,
-            AlgoSpec::Island {
-                pop: 32,
-                gens: 4,
-                islands: 2,
-            },
-            7,
-        )
-        .screen();
-        assert!(matches!(
-            island.validate(),
             Err(ServerError::InvalidSpec(_))
         ));
     }
@@ -1123,8 +1032,6 @@ mod tests {
             "steady:pop=16,gens=10,parts=4,window=16,quantum=4"
         );
         assert_eq!(AlgoSpec::parse(&parsed.token()).unwrap(), parsed);
-        assert!(parsed.supports_shared_cache());
-        assert!(parsed.supports_screen());
     }
 
     #[test]
@@ -1152,8 +1059,6 @@ mod tests {
              interval=10,migrants=1,open=0,aniso=50"
         );
         assert_eq!(AlgoSpec::parse(&parsed.token()).unwrap(), parsed);
-        assert!(parsed.supports_shared_cache());
-        assert!(parsed.supports_screen());
         // Non-ring families parse; garbage and non-square tori do not.
         let torus =
             AlgoSpec::parse("cellular:pop=64,gens=12,topo=torus,cells=16,interval=4").unwrap();
@@ -1165,19 +1070,41 @@ mod tests {
     }
 
     #[test]
-    fn tenant_rejected_for_uncached_arms() {
-        let spec = JobSpec::new(
-            "x",
-            ProblemSpec::Schaffer,
+    fn island_and_local_jobs_take_a_tenant_cache_and_a_screen() {
+        for algo in [
             AlgoSpec::Island {
                 pop: 32,
-                gens: 5,
+                gens: 4,
                 islands: 2,
             },
-            1,
-        )
-        .tenant("acme");
-        assert!(matches!(spec.validate(), Err(ServerError::InvalidSpec(_))));
+            AlgoSpec::Local {
+                pop: 16,
+                gens: 4,
+                parts: 4,
+            },
+        ] {
+            let spec = JobSpec::new("t", ProblemSpec::Drivable, algo.clone(), 7)
+                .tenant("acme")
+                .screen();
+            let parsed = JobSpec::parse(&spec.canonical()).unwrap();
+            assert_eq!(parsed, spec, "{}", algo.token());
+            let cache = SharedCache::with_capacity(4096);
+            let run = |cache: &SharedCache<Evaluation>| {
+                spec.build_optimizer(Some(cache.clone()), None)
+                    .unwrap()
+                    .run_dyn(7)
+                    .unwrap()
+            };
+            let first = run(&cache);
+            assert!(first.stats.screened > 0, "{}", algo.token());
+            let second = run(&cache);
+            assert_eq!(second.front_objectives(), first.front_objectives());
+            assert!(
+                second.stats.cache_hits > first.stats.cache_hits,
+                "{}: the second tenant run reads the first one's entries",
+                algo.token()
+            );
+        }
     }
 
     #[test]
