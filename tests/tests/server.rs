@@ -150,12 +150,11 @@ fn torn_state_file_is_reenqueued_and_resumed() {
 
 #[test]
 fn preemption_determinism_across_all_loops() {
-    // A job suspended and resumed K times at arbitrary generation
-    // boundaries must produce the same outcome as an unpreempted run —
-    // for every optimizer loop. NSGA-II cannot checkpoint: it ignores
-    // the quantum and runs to completion, so the claim holds trivially
-    // for it.
-    let arms: Vec<(&str, AlgoSpec)> = vec![
+    // Every arm checkpoints. A job suspended and resumed K times at
+    // arbitrary generation boundaries, or killed after any slice and
+    // resumed by a fresh daemon, must produce the same outcome as an
+    // unpreempted run.
+    let arms: Vec<(&str, AlgoSpec, &str)> = vec![
         (
             "sacga",
             AlgoSpec::Sacga {
@@ -163,6 +162,7 @@ fn preemption_determinism_across_all_loops() {
                 gens: 10,
                 parts: 4,
             },
+            "sacga-checkpoint v1",
         ),
         (
             "local",
@@ -171,9 +171,18 @@ fn preemption_determinism_across_all_loops() {
                 gens: 10,
                 parts: 4,
             },
+            "sacga-checkpoint v1",
         ),
-        ("mesacga", AlgoSpec::Mesacga { pop: 16, span: 12 }),
-        ("nsga2", AlgoSpec::Nsga2 { pop: 16, gens: 10 }),
+        (
+            "mesacga",
+            AlgoSpec::Mesacga { pop: 16, span: 12 },
+            "mesacga-checkpoint v1",
+        ),
+        (
+            "nsga2",
+            AlgoSpec::Nsga2 { pop: 16, gens: 10 },
+            "cellular-checkpoint v1",
+        ),
         (
             "island",
             AlgoSpec::Island {
@@ -181,27 +190,30 @@ fn preemption_determinism_across_all_loops() {
                 gens: 10,
                 islands: 2,
             },
+            "cellular-checkpoint v1",
         ),
         (
             "cellular",
             AlgoSpec::parse("cellular:pop=32,gens=10,topo=ring,cells=4,interval=4,open=25")
                 .unwrap(),
+            "cellular-checkpoint v1",
         ),
     ];
-    let mut island_reference = Vec::new();
-    for (label, algo) in arms {
-        let mut outcomes = Vec::new();
-        for slice in [0usize, 1, 3] {
-            let root = scratch_dir(&format!("preempt-{label}-{slice}"));
-            let server = Server::open(&root, config(1)).unwrap();
-            let spec = JobSpec::new(
+    for (label, algo, header) in arms {
+        let spec = |slice: usize| {
+            JobSpec::new(
                 format!("preempt-{label}"),
                 ProblemSpec::Schaffer,
                 algo.clone(),
                 42,
             )
-            .slice(slice);
-            let id = server.submit(spec).unwrap();
+            .slice(slice)
+        };
+        let mut outcomes = Vec::new();
+        for slice in [0usize, 1, 3] {
+            let root = scratch_dir(&format!("preempt-{label}-{slice}"));
+            let server = Server::open(&root, config(1)).unwrap();
+            let id = server.submit(spec(slice)).unwrap();
             server.run_until_idle().unwrap();
             let view = server.status(id).unwrap();
             assert_eq!(view.status, JobStatus::Done, "{label} slice={slice}");
@@ -216,44 +228,36 @@ fn preemption_determinism_across_all_loops() {
             outcomes[0], outcomes[2],
             "{label}: slice=3 diverged from unpreempted run"
         );
-        if label == "island" {
-            island_reference = outcomes.swap_remove(0);
+
+        // Killed after each of the first three slice boundaries of a
+        // slice=3 job, the job leaves its checkpoint on disk, and a
+        // restarted daemon resumes it to the unpreempted bytes.
+        for boundary in 1..=3 {
+            let root = scratch_dir(&format!("preempt-{label}-kill{boundary}"));
+            let server = Server::open(&root, config(1)).unwrap();
+            let id = server.submit(spec(3)).unwrap();
+            assert!(
+                !server.run_slices_at_most(boundary).unwrap(),
+                "{label}: the job must still run after slice {boundary}"
+            );
+            assert_eq!(server.status(id).unwrap().generations, 3 * boundary);
+            let checkpoint = server.store().read_checkpoint(id).unwrap();
+            assert!(
+                checkpoint.starts_with(&format!("{header}\n")),
+                "{label}: {checkpoint}"
+            );
+            drop(server);
+            let server = Server::open(&root, config(1)).unwrap();
+            server.run_until_idle().unwrap();
+            assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+            assert_eq!(
+                std::fs::read(server.store().outcome_path(id)).unwrap(),
+                outcomes[0],
+                "{label}: killed after slice {boundary}, resumed to different bytes"
+            );
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
-
-    // The island arm is a cellular preset, so a sliced island job really
-    // suspends: killed after two slices it leaves a cellular checkpoint
-    // on disk, and a restarted daemon resumes it to the unpreempted bytes.
-    let root = scratch_dir("preempt-island-kill");
-    let server = Server::open(&root, config(1)).unwrap();
-    let spec = JobSpec::new(
-        "preempt-island",
-        ProblemSpec::Schaffer,
-        AlgoSpec::Island {
-            pop: 32,
-            gens: 10,
-            islands: 2,
-        },
-        42,
-    )
-    .slice(3);
-    let id = server.submit(spec).unwrap();
-    assert!(!server.run_slices_at_most(2).unwrap());
-    let checkpoint = server.store().read_checkpoint(id).unwrap();
-    assert!(
-        checkpoint.starts_with("cellular-checkpoint v1\n"),
-        "{checkpoint}"
-    );
-    assert_eq!(server.status(id).unwrap().generations, 6);
-    drop(server);
-    let server = Server::open(&root, config(1)).unwrap();
-    server.run_until_idle().unwrap();
-    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
-    assert_eq!(
-        std::fs::read(server.store().outcome_path(id)).unwrap(),
-        island_reference
-    );
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
