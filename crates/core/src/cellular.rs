@@ -661,7 +661,6 @@ impl<P: Problem + Sync> CellularGa<P> {
 
             // --- generation boundary: history row and events
             let row = generation_row(gen, migrated, &cells);
-            let feasible = row.feasible;
             history.push(row);
             let faults = session.take_fault_events();
             if want_fault {
@@ -680,8 +679,8 @@ impl<P: Problem + Sync> CellularGa<P> {
                     phase: 2,
                     temperature: 1.0,
                     promoted: migrated,
-                    feasible,
-                    population: per_cell * k,
+                    feasible: row.feasible,
+                    population: row.population,
                     evaluations: session.stats().evaluations,
                     // One cell's ranks are already the global ranks:
                     // environmental selection keeps whole fronts in

@@ -20,10 +20,11 @@ use engine::EngineStats;
 
 /// Per-generation statistics recorded by every run loop.
 ///
-/// The phase/temperature/promotion fields follow SACGA semantics; loops
-/// without an annealed promotion mechanism (NSGA-II, the island model)
-/// record phase 2 (pure global competition), temperature 1 and zero
-/// promotions for every generation.
+/// The phase/temperature/promotion fields follow SACGA semantics; the
+/// structured loop (the cellular GA, the island model and NSGA-II), which
+/// has no annealed promotion, records phase 2 (pure global competition)
+/// and temperature 1 for every generation, and counts the members that
+/// migrated as promoted (always zero for NSGA-II's single cell).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStats {
     /// Generation index (0 = initial population).
