@@ -786,11 +786,8 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// The engine setup of this job: the tenant cache (when given), the
-    /// fault-injection harness (when `inject_nonfinite > 0`), the
-    /// surrogate screen (when `screen` is set) and a live
-    /// [`EngineMetrics`] bundle (when given; observation only, results
-    /// are unchanged).
+    /// The engine setup [`build_optimizer`](JobSpec::build_optimizer)
+    /// hands to the arm's builder.
     fn engine_setup(
         &self,
         cache: Option<SharedCache<Evaluation>>,
@@ -818,9 +815,11 @@ impl JobSpec {
         setup
     }
 
-    /// Instantiates the optimizer for this job on its
-    /// [engine setup](JobSpec::engine_setup), which every arm's builder
-    /// accepts whole.
+    /// Instantiates the optimizer for this job on one engine setup: the
+    /// tenant cache (when given), the fault-injection harness (when
+    /// `inject_nonfinite > 0`), the surrogate screen (when `screen` is
+    /// set) and a live [`EngineMetrics`] bundle (when given; observation
+    /// only, results are unchanged). Every arm's builder takes it whole.
     ///
     /// # Errors
     ///
