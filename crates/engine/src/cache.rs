@@ -148,6 +148,19 @@ impl<T: Clone> MemoCache<T> {
         self.push_front(idx);
     }
 
+    /// The entries from most to least recently used.
+    #[cfg(test)]
+    pub(crate) fn lru_entries(&self) -> Vec<(Vec<i64>, T)> {
+        let mut out = Vec::with_capacity(self.entries.len());
+        let mut idx = self.head;
+        while idx != NIL {
+            let entry = &self.entries[idx];
+            out.push((entry.key.clone(), entry.value.clone()));
+            idx = entry.next;
+        }
+        out
+    }
+
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.entries[idx].prev, self.entries[idx].next);
         if prev != NIL {

@@ -80,6 +80,8 @@ pub mod metrics;
 pub mod pool;
 mod screen;
 pub mod session;
+#[cfg(test)]
+mod session_model;
 mod shared;
 mod stats;
 mod timing;

@@ -179,6 +179,16 @@ impl<T: Clone> SharedCache<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The entries from most to least recently used.
+    #[cfg(test)]
+    pub(crate) fn lru_entries(&self) -> Vec<(Vec<i64>, T)> {
+        self.store
+            .cache
+            .lock()
+            .expect("shared cache poisoned")
+            .lru_entries()
+    }
 }
 
 #[cfg(test)]
