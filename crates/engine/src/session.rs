@@ -47,7 +47,7 @@
 //! drain's submissions are lost and further use is unsupported (a
 //! one-shot batch call loses its whole batch in the same way).
 
-use crate::cache::MemoCache;
+use crate::cache::{Key, MemoCache, WordHash};
 use crate::engine::{push_fault_event, CacheCanonicalizer, ExecutionEngine};
 use crate::evaluator::EvaluatorKind;
 use crate::fault::{
@@ -77,17 +77,30 @@ enum Slot<T> {
     Queued(Vec<f64>),
     /// Outcome available but not yet folded into stats.
     Arrived(EvalOutcome<T>),
-    /// Drained. `Some` retains the value for aliases; `None` marks a
-    /// candidate lost to a fatal failure (the session is poisoned).
+    /// Drained. `Some` keeps the value while an undrained alias reads
+    /// it; `None` once none does, or for a candidate lost to a fatal
+    /// failure (the session is poisoned).
     Done(Option<T>),
 }
 
-/// Per-submission record: lifecycle slot plus the cache key a completed
+/// Per-submission record: lifecycle slot, the cache key a completed
 /// miss should be stored under (`None` for hits, aliases, screened
-/// candidates, and cache-disabled sessions).
+/// candidates, and cache-disabled sessions), and how many undrained
+/// aliases read its value.
 struct Entry<T> {
     slot: Slot<T>,
-    key: Option<Vec<i64>>,
+    key: Option<Key>,
+    readers: usize,
+}
+
+impl<T> Entry<T> {
+    fn new(slot: Slot<T>, key: Option<Key>) -> Self {
+        Entry {
+            slot,
+            key,
+            readers: 0,
+        }
+    }
 }
 
 /// The cache layer borrowed from the engine for the session's lifetime.
@@ -99,7 +112,7 @@ struct CacheView<'a, T> {
 }
 
 impl<T: Clone> CacheView<'_, T> {
-    fn key_of(&self, genes: &[f64]) -> Vec<i64> {
+    fn key(&self, genes: &[f64]) -> Key {
         let canonical;
         let genes = match self.canonicalize {
             Some(f) => {
@@ -109,22 +122,22 @@ impl<T: Clone> CacheView<'_, T> {
             None => genes,
         };
         match self.shared {
-            Some(shared) => shared.key_of(genes),
-            None => self.private.key_of(genes),
+            Some(shared) => shared.config().key(genes),
+            None => self.private.config().key(genes),
         }
     }
 
-    fn get(&mut self, key: &[i64]) -> Option<T> {
+    fn get(&mut self, key: &Key) -> Option<T> {
         match self.shared {
-            Some(shared) => shared.get(key),
-            None => self.private.get(key),
+            Some(shared) => shared.get_key(key),
+            None => self.private.get_key(key),
         }
     }
 
-    fn put(&mut self, key: Vec<i64>, value: T) {
+    fn put(&mut self, key: Key, value: T) {
         match self.shared {
-            Some(shared) => shared.insert(key, value),
-            None => self.private.insert(key, value),
+            Some(shared) => shared.insert_key(key, value),
+            None => self.private.insert_key(key, value),
         }
     }
 }
@@ -164,7 +177,8 @@ pub struct EvaluationSession<'a, T, F> {
     entries: VecDeque<Entry<T>>,
     base: usize,
     /// Cache key → submission index of the pending miss that owns it.
-    pending: HashMap<Vec<i64>, usize>,
+    /// The key is the one its entry holds, sharing its allocation.
+    pending: HashMap<Key, usize, WordHash>,
     drained: usize,
     /// Live metric handles mirroring the stats counters (observation
     /// only; never steers evaluation).
@@ -237,16 +251,13 @@ where
             m.candidates.inc();
         }
         if self.cache.enabled {
-            let key = self.cache.key_of(genes);
+            let key = self.cache.key(genes);
             if let Some(value) = self.cache.get(&key) {
                 self.stats.cache_hits += 1;
                 if let Some(m) = &self.metrics {
                     m.cache_hits.inc();
                 }
-                self.entries.push_back(Entry {
-                    slot: Slot::Ready(value),
-                    key: None,
-                });
+                self.entries.push_back(Entry::new(Slot::Ready(value), None));
                 return idx;
             }
             if let Some(&m) = self.pending.get(&key) {
@@ -254,10 +265,8 @@ where
                 if let Some(mm) = &self.metrics {
                     mm.cache_hits.inc();
                 }
-                self.entries.push_back(Entry {
-                    slot: Slot::Alias(m),
-                    key: None,
-                });
+                self.entries[m - self.base].readers += 1;
+                self.entries.push_back(Entry::new(Slot::Alias(m), None));
                 return idx;
             }
             // A genuinely new candidate: later duplicates alias it even
@@ -284,10 +293,7 @@ where
     /// submission index.
     pub fn prime(&mut self, value: T) -> usize {
         let idx = self.submitted();
-        self.entries.push_back(Entry {
-            slot: Slot::Ready(value),
-            key: None,
-        });
+        self.entries.push_back(Entry::new(Slot::Ready(value), None));
         idx
     }
 
@@ -300,10 +306,7 @@ where
                 if let Some(m) = &self.metrics {
                     m.screened.inc();
                 }
-                self.entries.push_back(Entry {
-                    slot: Slot::Ready(value),
-                    key: None,
-                });
+                self.entries.push_back(Entry::new(Slot::Ready(value), None));
                 return true;
             }
         }
@@ -311,7 +314,7 @@ where
     }
 
     /// Routes a cache-miss submission to the backend.
-    fn dispatch(&mut self, idx: usize, genes: &[f64], key: Option<Vec<i64>>) {
+    fn dispatch(&mut self, idx: usize, genes: &[f64], key: Option<Key>) {
         self.stats.evaluations += 1;
         if let Some(m) = &self.metrics {
             m.evaluations.inc();
@@ -325,7 +328,7 @@ where
             }
             Backend::Inline => Slot::Queued(genes.to_vec()),
         };
-        self.entries.push_back(Entry { slot, key });
+        self.entries.push_back(Entry::new(slot, key));
     }
 
     /// Drains every outstanding submission (a full barrier).
@@ -399,35 +402,38 @@ where
 
         // Success: store completed misses in the cache and emit values,
         // both in submission order (misses enter the cache in
-        // first-occurrence order).
+        // first-occurrence order). A miss's key moves into the cache and
+        // its value is cloned once, into the cache; a value moves into
+        // the output unless an undrained alias still reads it.
         let mut out = Vec::with_capacity(count);
         for i in lo..hi {
-            let value = match &self.entries[i - base].slot {
-                Slot::Ready(v) => {
-                    let v = v.clone();
-                    self.entries[i - base].slot = Slot::Done(Some(v.clone()));
-                    v
-                }
-                Slot::Alias(m) => {
-                    let m = *m;
-                    let Slot::Done(Some(v)) = &self.entries[m - base].slot else {
-                        unreachable!("an alias always drains after its target")
-                    };
-                    let v = v.clone();
-                    self.entries[i - base].slot = Slot::Done(Some(v.clone()));
-                    v
-                }
+            let entry = &mut self.entries[i - base];
+            let value = match std::mem::replace(&mut entry.slot, Slot::Done(None)) {
+                Slot::Ready(v) => v,
                 Slot::Done(Some(v)) => {
-                    let v = v.clone();
-                    if let Some(key) = self.entries[i - base].key.take() {
+                    if let Some(key) = entry.key.take() {
                         if !v.is_tainted() {
                             self.cache.put(key, v.clone());
                         }
                     }
                     v
                 }
+                Slot::Alias(m) => {
+                    let target = &mut self.entries[m - base];
+                    target.readers -= 1;
+                    let last = target.readers == 0;
+                    let Slot::Done(value) = &mut target.slot else {
+                        unreachable!("an alias always drains after its target")
+                    };
+                    if last { value.take() } else { value.clone() }
+                        .expect("an alias's target keeps its value until its last alias drains")
+                }
                 _ => unreachable!("every drained slot is ready, aliased, or arrived"),
             };
+            let entry = &mut self.entries[i - base];
+            if entry.readers > 0 {
+                entry.slot = Slot::Done(Some(value.clone()));
+            }
             out.push(value);
         }
         self.drained = hi;
@@ -655,7 +661,7 @@ where
             backend: Backend::Inline,
             entries: VecDeque::new(),
             base: 0,
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             drained: 0,
             metrics,
         };
@@ -708,7 +714,7 @@ where
             }),
             entries: VecDeque::new(),
             base: 0,
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             drained: 0,
             metrics,
         };

@@ -22,7 +22,7 @@
 //! exact but — like any contended counter — their split across runs
 //! varies with thread interleaving.
 
-use crate::cache::{CacheConfig, MemoCache};
+use crate::cache::{CacheConfig, Key, MemoCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -97,10 +97,7 @@ impl<T> SharedCache<T> {
     /// Maps a gene vector onto its quantized cache key (lock-free; the
     /// grid is immutable).
     pub fn key_of(&self, genes: &[f64]) -> Vec<i64> {
-        genes
-            .iter()
-            .map(|&x| (x / self.store.config.grid).round() as i64)
-            .collect()
+        self.store.config.key_words(genes)
     }
 
     /// A snapshot of the global counters across all handles.
@@ -140,14 +137,23 @@ impl<T: Clone> SharedCache<T> {
         SharedCache::new(CacheConfig::with_capacity(capacity))
     }
 
+    fn cache(&self) -> std::sync::MutexGuard<'_, MemoCache<T>> {
+        self.store.cache.lock().expect("shared cache poisoned")
+    }
+
     /// Looks up a previously stored result, refreshing its recency.
     pub fn get(&self, key: &[i64]) -> Option<T> {
-        let hit = self
-            .store
-            .cache
-            .lock()
-            .expect("shared cache poisoned")
-            .get(key);
+        let hit = self.cache().get(key);
+        self.count(hit)
+    }
+
+    /// [`get`](SharedCache::get) by a built key, reading its stored hash.
+    pub(crate) fn get_key(&self, key: &Key) -> Option<T> {
+        let hit = self.cache().get_key(key);
+        self.count(hit)
+    }
+
+    fn count(&self, hit: Option<T>) -> Option<T> {
         match &hit {
             Some(_) => self.store.hits.fetch_add(1, Ordering::Relaxed),
             None => self.store.misses.fetch_add(1, Ordering::Relaxed),
@@ -158,21 +164,19 @@ impl<T: Clone> SharedCache<T> {
     /// Stores a result, evicting the least recently used entry when
     /// full.
     pub fn insert(&self, key: Vec<i64>, value: T) {
-        self.store
-            .cache
-            .lock()
-            .expect("shared cache poisoned")
-            .insert(key, value);
+        self.insert_key(Key::from_words(key), value);
+    }
+
+    /// [`insert`](SharedCache::insert) of a built key, which the store
+    /// then shares.
+    pub(crate) fn insert_key(&self, key: Key, value: T) {
+        self.cache().insert_key(key, value);
         self.store.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.store
-            .cache
-            .lock()
-            .expect("shared cache poisoned")
-            .len()
+        self.cache().len()
     }
 
     /// Whether the store holds no entries.
@@ -183,11 +187,7 @@ impl<T: Clone> SharedCache<T> {
     /// The entries from most to least recently used.
     #[cfg(test)]
     pub(crate) fn lru_entries(&self) -> Vec<(Vec<i64>, T)> {
-        self.store
-            .cache
-            .lock()
-            .expect("shared cache poisoned")
-            .lru_entries()
+        self.cache().lru_entries()
     }
 }
 
