@@ -21,9 +21,9 @@
 //! * [`hub`] — the per-job [`ProgressHub`] ring that late subscribers
 //!   replay and live subscribers follow;
 //! * [`server`] — the [`Server`] tying it together: cooperative
-//!   preemption at generation-slice boundaries, per-tenant
-//!   [`SharedCache`](engine::SharedCache) pools with exact per-job hit
-//!   attribution, and watchdog-driven health
+//!   preemption at generation-slice boundaries,
+//!   [`SharedCache`](engine::SharedCache) pools per tenant and problem
+//!   with exact per-job hit attribution, and watchdog-driven health
 //!   (`healthy`/`stalled`/`faulty`/`done`/`failed`);
 //! * [`protocol`] — the text protocol
 //!   (`submit`/`status`/`health`/`list`/`stream`/`cancel`/`shutdown`).

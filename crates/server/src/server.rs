@@ -1,7 +1,7 @@
 //! The in-process optimization service: a bounded priority queue of
 //! [`JobSpec`]s executed by a worker pool (built on [`engine::pool`])
-//! through the object-safe [`DynOptimizer`](sacga::telemetry::DynOptimizer) API, with per-tenant shared
-//! evaluation caches, crash-safe persistence ([`JobStore`]), streaming
+//! through the object-safe [`DynOptimizer`](sacga::telemetry::DynOptimizer) API, with shared
+//! evaluation caches per tenant and problem, crash-safe persistence ([`JobStore`]), streaming
 //! progress ([`ProgressHub`]) and per-job watchdog health.
 //!
 //! # Execution model
@@ -35,7 +35,7 @@ use crate::error::ServerError;
 use crate::hub::ProgressHub;
 use crate::protocol::MAX_CONNECTIONS;
 use crate::queue::{JobQueue, PopMode};
-use crate::spec::{JobId, JobSpec};
+use crate::spec::{JobId, JobSpec, ProblemSpec};
 use crate::store::{JobHealth, JobState, JobStatus, JobStore};
 use campaign::CellResult;
 use engine::{
@@ -64,7 +64,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Maximum queued (not yet running) jobs accepted from clients.
     pub queue_capacity: usize,
-    /// Template for per-tenant shared evaluation caches.
+    /// Template for the shared evaluation caches, one per tenant and
+    /// problem.
     pub cache: CacheConfig,
 }
 
@@ -312,7 +313,9 @@ pub struct Server {
     store: JobStore,
     queue: JobQueue,
     jobs: Mutex<HashMap<JobId, Arc<JobRuntime>>>,
-    tenants: Mutex<HashMap<String, SharedCache<Evaluation>>>,
+    /// Shared caches by (tenant, problem token): a cached value is a
+    /// function of the genes only within one problem.
+    tenants: Mutex<HashMap<(String, String), SharedCache<Evaluation>>>,
     shutdown: AtomicBool,
     registry: MetricsRegistry,
     metrics: ServerMetrics,
@@ -712,11 +715,11 @@ impl Server {
         })
     }
 
-    fn tenant_cache(&self, tenant: &str) -> SharedCache<Evaluation> {
+    fn tenant_cache(&self, tenant: &str, problem: &ProblemSpec) -> SharedCache<Evaluation> {
         self.tenants
             .lock()
             .unwrap()
-            .entry(tenant.to_string())
+            .entry((tenant.to_string(), problem.token()))
             .or_insert_with(|| SharedCache::new(self.config.cache.clone()))
             .clone()
     }
@@ -758,7 +761,10 @@ impl Server {
             return;
         }
         let spec = rt.spec.clone();
-        let cache = spec.tenant.as_deref().map(|t| self.tenant_cache(t));
+        let cache = spec
+            .tenant
+            .as_deref()
+            .map(|t| self.tenant_cache(t, &spec.problem));
         // Per-job labeled series in the shared registry. Registration is
         // idempotent, so a requeued job keeps accumulating into the same
         // handles.
@@ -934,7 +940,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AlgoSpec, ProblemSpec};
+    use crate::spec::AlgoSpec;
 
     fn tmp_root(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dse-server-{tag}-{}", std::process::id()));

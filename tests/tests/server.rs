@@ -338,6 +338,49 @@ fn shared_tenant_cache_attribution_is_exact() {
 }
 
 #[test]
+fn tenant_caches_are_kept_apart_per_problem() {
+    // ZDT1 and ZDT2 have the same bounds, so one seed draws the same
+    // genes on both; a cache shared across the two problems would answer
+    // the ZDT2 job with ZDT1 objectives.
+    let zdt = |name: &str, problem: ProblemSpec| {
+        JobSpec::new(
+            name,
+            problem,
+            AlgoSpec::Sacga {
+                pop: 16,
+                gens: 6,
+                parts: 4,
+            },
+            42,
+        )
+    };
+    let root = scratch_dir("tenant-problems");
+    let server = Server::open(&root, config(1)).unwrap();
+    let first = server
+        .submit(zdt("lab-zdt1", ProblemSpec::Zdt1(8)).tenant("lab"))
+        .unwrap();
+    let second = server
+        .submit(zdt("lab-zdt2", ProblemSpec::Zdt2(8)).tenant("lab"))
+        .unwrap();
+    server.run_until_idle().unwrap();
+    assert_eq!(server.status(first).unwrap().status, JobStatus::Done);
+    let view = server.status(second).unwrap();
+    assert_eq!(view.status, JobStatus::Done);
+    assert!(
+        view.cache_hits < view.candidates,
+        "the ZDT2 job was answered from the ZDT1 job's entries"
+    );
+    let reference = reference_outcomes(
+        "tenant-problems-ref",
+        &[zdt("solo-zdt2", ProblemSpec::Zdt2(8))],
+        1,
+    );
+    let out = std::fs::read(server.store().outcome_path(second)).unwrap();
+    assert_eq!(out, reference[0], "a tenant cache changed a ZDT2 front");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn health_transitions_healthy_to_stalled_mid_run() {
     // Schaffer converges in a handful of generations; a 5-generation
     // stall window over a 60-generation run must fire long before the
