@@ -4,7 +4,7 @@
 
 use analog_circuits::{DrivableLoadProblem, Spec};
 use criterion::{criterion_group, criterion_main, Criterion};
-use engine::{EngineConfig, EvaluatorKind, ExecutionEngine, ParallelEvaluator, SerialEvaluator};
+use engine::{EngineConfig, EvaluatorKind, ExecutionEngine};
 use moea::{Evaluation, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,11 +24,9 @@ fn bench_engine(c: &mut Criterion) {
     let eval = |genes: &[f64]| problem.evaluate(genes);
     let batch = gene_batch();
 
-    let serial: EvaluatorKind = SerialEvaluator.into();
-    let parallel: EvaluatorKind = ParallelEvaluator::default().into();
     for (name, evaluator) in [
-        ("engine_batch100_serial", serial),
-        ("engine_batch100_parallel", parallel),
+        ("engine_batch100_serial", EvaluatorKind::Serial),
+        ("engine_batch100_parallel", EvaluatorKind::Parallel),
     ] {
         c.bench_function(name, |b| {
             let mut exec: ExecutionEngine<Evaluation> =

@@ -21,7 +21,7 @@ use campaign::{
 };
 use dse_bench::{paper_problem, PHASE1_MAX, POP};
 use engine::{CacheConfig, SharedCache};
-use moea::Evaluation;
+use moea::{EngineSetup, Evaluation};
 use sacga::cellular::{CellularConfig, CellularGa};
 use sacga::sacga::{Sacga, SacgaConfig};
 use sacga::steady::{SteadyConfig, SteadySacga};
@@ -65,7 +65,7 @@ fn main() {
                 .phase1_max(PHASE1_MAX.min(gens / 2))
                 .slice_range(lo, hi);
             if let Some(cache) = shared {
-                b = b.shared_cache(cache.clone());
+                b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
             }
             let config = b.build().expect("static config");
             Box::new(Sacga::new(paper_problem(), config)) as Box<dyn DynOptimizer>
@@ -80,7 +80,7 @@ fn main() {
             .phase1_max(PHASE1_MAX.min(gens / 2))
             .slice_range(lo, hi);
         if let Some(cache) = shared {
-            b = b.shared_cache(cache.clone());
+            b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
         }
         let config = b.build().expect("static config");
         Box::new(SteadySacga::new(paper_problem(), config)) as Box<dyn DynOptimizer>
@@ -100,7 +100,7 @@ fn main() {
                 .migrants(1)
                 .openness(0.25);
             if let Some(cache) = shared {
-                b = b.shared_cache(cache.clone());
+                b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
             }
             let config = b.build().expect("static config");
             Box::new(CellularGa::new(paper_problem(), config)) as Box<dyn DynOptimizer>

@@ -11,7 +11,7 @@ use moea::evaluation::Evaluation;
 use moea::individual::Individual;
 use moea::metrics::{bin_occupancy, spread};
 use moea::nsga2::{Nsga2, Nsga2Config};
-use moea::RunOutcome;
+use moea::{EngineSetup, RunOutcome};
 use sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use sacga::sacga::{Sacga, SacgaConfig};
 use sacga::telemetry::{JsonlSink, MemorySink, Optimizer, RunEvent, Sink, Tee};
@@ -65,7 +65,7 @@ pub fn tpg_ga(problem: &DrivableLoadProblem, gens: usize) -> Nsga2<&DrivableLoad
     let cfg = Nsga2Config::builder()
         .population_size(POP)
         .generations(gens)
-        .cache_capacity(FIG_CACHE_CAPACITY)
+        .engine_setup(EngineSetup::new().cache_capacity(FIG_CACHE_CAPACITY))
         .build()
         .expect("static config");
     Nsga2::new(problem, cfg)
@@ -113,7 +113,7 @@ pub fn sacga_ga(
         .partitions(partitions)
         .phase1_max(PHASE1_MAX.min(gens / 2))
         .slice_range(lo, hi)
-        .cache_capacity(FIG_CACHE_CAPACITY)
+        .engine_setup(EngineSetup::new().cache_capacity(FIG_CACHE_CAPACITY))
         .build()
         .expect("static config");
     Sacga::new(problem, cfg)
@@ -173,7 +173,7 @@ pub fn mesacga_ga(
                 .collect(),
         )
         .slice_range(lo, hi)
-        .cache_capacity(FIG_CACHE_CAPACITY)
+        .engine_setup(EngineSetup::new().cache_capacity(FIG_CACHE_CAPACITY))
         .build()
         .expect("static config");
     Mesacga::new(problem, cfg)

@@ -53,7 +53,7 @@
 //!             .generations(10)
 //!             .partitions(partitions);
 //!         if let Some(cache) = shared {
-//!             b = b.shared_cache(cache.clone());
+//!             b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
 //!         }
 //!         let config = b.build().expect("static config");
 //!         Box::new(Sacga::new(Schaffer::new(), config)) as Box<dyn DynOptimizer>

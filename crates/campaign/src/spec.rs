@@ -18,9 +18,9 @@ pub type ArmFactory<'p> =
 /// The factory is invoked once per cell, inside whichever worker thread
 /// claims the cell. It receives the campaign-wide [`SharedCache`] when
 /// the runner is configured with one, and must thread it into the
-/// optimizer's configuration (every config builder in the workspace has
-/// a `.shared_cache(..)` method) — or ignore it to keep that arm's
-/// caching private.
+/// optimizer's configuration (every config builder in the workspace
+/// takes `.engine_setup(EngineSetup::new().shared_cache(..))`) — or
+/// ignore it to keep that arm's caching private.
 pub struct Arm<'p> {
     label: String,
     factory: ArmFactory<'p>,

@@ -55,13 +55,11 @@
 pub mod bias;
 pub mod capacitor;
 pub mod drivable;
-pub mod frequency;
 pub mod integrator;
 pub mod mosfet;
 pub mod opamp;
 pub mod problem;
 pub mod process;
-pub mod sigma_delta;
 pub mod sizing;
 pub mod specs;
 pub mod surrogate;

@@ -55,7 +55,7 @@
 use crate::checkpoint::{CellularCheckpoint, SavedIndividual};
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
 use crate::topology::Topology;
-use engine::{EvaluationSession, EvaluatorKind, Stage, StageTimer};
+use engine::{EvaluationSession, Stage, StageTimer};
 use moea::individual::Individual;
 use moea::operators::{random_vector, Variation};
 use moea::problem::Problem;
@@ -201,73 +201,11 @@ impl CellularConfigBuilder {
         self
     }
 
-    /// Replaces the whole engine-knob bundle at once (see
-    /// [`moea::EngineSetup`]); the individual knob methods below
-    /// delegate to the same bundle.
+    /// Sets the engine knobs (evaluator, memo cache, fault handling,
+    /// pooled cache, screen, metrics, per-cell series) as one
+    /// [`EngineSetup`] bundle (default: [`EngineSetup::new`]).
     pub fn engine_setup(mut self, exec: EngineSetup) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
-        self.exec = self.exec.evaluator(evaluator);
-        self
-    }
-
-    /// Enables evaluation memoization with room for `capacity` entries
-    /// (default: disabled).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.exec = self.exec.cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the memoization quantization grid (must be positive).
-    pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.exec = self.exec.cache_grid(grid);
-        self
-    }
-
-    /// Sets the fault-handling policy for candidate evaluation.
-    pub fn fault_policy(mut self, fault: engine::FaultPolicy) -> Self {
-        self.exec = self.exec.fault_policy(fault);
-        self
-    }
-
-    /// Enables deterministic fault injection with the given plan.
-    pub fn inject_faults(mut self, plan: engine::FaultPlan) -> Self {
-        self.exec = self.exec.inject_faults(plan);
-        self
-    }
-
-    /// Routes memoization through a pooled [`engine::SharedCache`].
-    pub fn shared_cache(mut self, cache: engine::SharedCache<Evaluation>) -> Self {
-        self.exec = self.exec.shared_cache(cache);
-        self
-    }
-
-    /// Attaches an opt-in [`engine::SurrogateScreen`] (screening changes
-    /// which candidates reach the model; leave unset for pinned
-    /// artifacts).
-    pub fn surrogate_screen(mut self, screen: engine::SurrogateScreen<Evaluation>) -> Self {
-        self.exec = self.exec.surrogate_screen(screen);
-        self
-    }
-
-    /// Attaches a live [`engine::EngineMetrics`] bundle. Observation
-    /// only — an instrumented run is bit-identical to a bare one.
-    pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.exec = self.exec.metrics(metrics);
-        self
-    }
-
-    /// Attaches a per-cell [`engine::CellSeries`]: each cell mirrors its
-    /// breeding/selection timings, offspring counter, and local front
-    /// size into the series' registry under `cell="<index>"` labels.
-    /// Observation only — an instrumented run is bit-identical to a
-    /// bare one.
-    pub fn cell_series(mut self, series: engine::CellSeries) -> Self {
-        self.exec = self.exec.cell_series(series);
         self
     }
 
@@ -497,8 +435,7 @@ impl<P: Problem + Sync> CellularGa<P> {
                 for cell in &mut cells {
                     rank_and_crowd(cell);
                 }
-                history = Vec::with_capacity(cfg.generations + 1);
-                history.push(generation_row(0, 0, &cells));
+                history = vec![generation_row(0, 0, &cells)];
                 gen = 0;
                 migrations = 0;
             }
@@ -1096,7 +1033,7 @@ mod tests {
             .topology(ring4())
             .migration_interval(10)
             .migrants(2)
-            .cell_series(series.clone())
+            .engine_setup(EngineSetup::new().cell_series(series.clone()))
             .build()
             .unwrap();
         let watched = CellularGa::new(Schaffer::new(), instrumented)

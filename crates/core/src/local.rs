@@ -15,6 +15,7 @@
 
 use crate::sacga::{CompetitionMode, Sacga, SacgaConfig, SacgaConfigBuilder};
 use moea::problem::Problem;
+use moea::setup::EngineSetup;
 use moea::OptimizeError;
 
 /// The pure local-competition GA: a [`Sacga`] in
@@ -91,62 +92,11 @@ impl LocalCompetitionGaBuilder {
         self
     }
 
-    /// Replaces the whole engine-knob bundle at once (see
-    /// [`moea::EngineSetup`]).
-    pub fn engine_setup(mut self, exec: moea::setup::EngineSetup) -> Self {
+    /// Sets the engine knobs (evaluator, memo cache, fault handling,
+    /// pooled cache, screen, metrics) as one [`EngineSetup`] bundle
+    /// (default: [`EngineSetup::new`]).
+    pub fn engine_setup(mut self, exec: EngineSetup) -> Self {
         self.inner = self.inner.engine_setup(exec);
-        self
-    }
-
-    /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<engine::EvaluatorKind>) -> Self {
-        self.inner = self.inner.evaluator(evaluator);
-        self
-    }
-
-    /// Enables evaluation memoization with room for `capacity` entries.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.inner = self.inner.cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the memoization quantization grid (must be positive).
-    pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.inner = self.inner.cache_grid(grid);
-        self
-    }
-
-    /// Sets the fault-handling policy for candidate evaluation.
-    pub fn fault_policy(mut self, fault: engine::FaultPolicy) -> Self {
-        self.inner = self.inner.fault_policy(fault);
-        self
-    }
-
-    /// Enables deterministic fault injection with the given plan.
-    pub fn inject_faults(mut self, plan: engine::FaultPlan) -> Self {
-        self.inner = self.inner.inject_faults(plan);
-        self
-    }
-
-    /// Routes memoization through a cache pooled across concurrent runs
-    /// (see [`SacgaConfigBuilder::shared_cache`]).
-    pub fn shared_cache(mut self, cache: engine::SharedCache<moea::Evaluation>) -> Self {
-        self.inner = self.inner.shared_cache(cache);
-        self
-    }
-
-    /// Attaches an opt-in analytic surrogate screen (see
-    /// [`SacgaConfigBuilder::surrogate_screen`]): screened runs are not
-    /// byte-identical to unscreened ones.
-    pub fn surrogate_screen(mut self, screen: engine::SurrogateScreen<moea::Evaluation>) -> Self {
-        self.inner = self.inner.surrogate_screen(screen);
-        self
-    }
-
-    /// Attaches a live [`engine::EngineMetrics`] bundle (see
-    /// [`SacgaConfigBuilder::metrics`]).
-    pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.inner = self.inner.metrics(metrics);
         self
     }
 

@@ -27,6 +27,7 @@ use crate::sacga::SacgaConfig;
 use crate::steady::{self, Launch, Phases, Plan, Resume};
 use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
 use moea::problem::Problem;
+use moea::setup::EngineSetup;
 use moea::{OptimizeError, RunOutcome, RunStatus};
 
 /// One MESACGA phase: a partition count and how many generations to spend.
@@ -81,7 +82,7 @@ pub struct MesacgaConfigBuilder {
     slice_objective: usize,
     slice_range: Option<(f64, f64)>,
     variation: Option<moea::operators::Variation>,
-    exec: moea::setup::EngineSetup,
+    exec: EngineSetup,
 }
 
 impl Default for MesacgaConfigBuilder {
@@ -96,7 +97,7 @@ impl Default for MesacgaConfigBuilder {
             slice_objective: 0,
             slice_range: None,
             variation: None,
-            exec: moea::setup::EngineSetup::new(),
+            exec: EngineSetup::new(),
         }
     }
 }
@@ -171,66 +172,11 @@ impl MesacgaConfigBuilder {
         self
     }
 
-    /// Replaces the whole engine-knob bundle at once (see
-    /// [`moea::EngineSetup`]); the individual knob methods below
-    /// delegate to the same bundle.
-    pub fn engine_setup(mut self, exec: moea::setup::EngineSetup) -> Self {
+    /// Sets the engine knobs (evaluator, memo cache, fault handling,
+    /// pooled cache, screen, metrics) as one [`EngineSetup`] bundle
+    /// (default: [`EngineSetup::new`]).
+    pub fn engine_setup(mut self, exec: EngineSetup) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<engine::EvaluatorKind>) -> Self {
-        self.exec = self.exec.evaluator(evaluator);
-        self
-    }
-
-    /// Enables evaluation memoization with room for `capacity` entries
-    /// (default: disabled).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.exec = self.exec.cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the memoization quantization grid (must be positive).
-    pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.exec = self.exec.cache_grid(grid);
-        self
-    }
-
-    /// Sets the fault-handling policy for candidate evaluation: retry
-    /// budget, non-finite quarantine, and exhaustion behavior.
-    pub fn fault_policy(mut self, fault: engine::FaultPolicy) -> Self {
-        self.exec = self.exec.fault_policy(fault);
-        self
-    }
-
-    /// Enables deterministic fault injection with the given plan (a
-    /// testing/chaos harness — injected faults are reproducible per
-    /// candidate).
-    pub fn inject_faults(mut self, plan: engine::FaultPlan) -> Self {
-        self.exec = self.exec.inject_faults(plan);
-        self
-    }
-
-    /// Routes memoization through a cache pooled across concurrent runs
-    /// (see [`SacgaConfigBuilder::shared_cache`](crate::sacga::SacgaConfigBuilder::shared_cache)).
-    pub fn shared_cache(mut self, cache: engine::SharedCache<moea::Evaluation>) -> Self {
-        self.exec = self.exec.shared_cache(cache);
-        self
-    }
-
-    /// Attaches an opt-in surrogate pre-screen (see
-    /// [`SacgaConfigBuilder::surrogate_screen`](crate::sacga::SacgaConfigBuilder::surrogate_screen)).
-    pub fn surrogate_screen(mut self, screen: engine::SurrogateScreen<moea::Evaluation>) -> Self {
-        self.exec = self.exec.surrogate_screen(screen);
-        self
-    }
-
-    /// Attaches a live [`engine::EngineMetrics`] bundle (see
-    /// [`SacgaConfigBuilder::metrics`](crate::sacga::SacgaConfigBuilder::metrics)).
-    pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.exec = self.exec.metrics(metrics);
         self
     }
 
@@ -271,15 +217,15 @@ impl MesacgaConfigBuilder {
             .phase1_max(self.phase1_max)
             .shaper(self.shaper)
             .roulette_decay(self.roulette_decay)
-            .slice_objective(self.slice_objective);
+            .slice_objective(self.slice_objective)
+            .engine_setup(self.exec);
         if let Some((lo, hi)) = self.slice_range {
             base_builder = base_builder.slice_range(lo, hi);
         }
         if let Some(v) = self.variation {
             base_builder = base_builder.variation(v);
         }
-        let mut base = base_builder.build()?;
-        base.exec = self.exec;
+        let base = base_builder.build()?;
         Ok(MesacgaConfig {
             base,
             phases: self.phases,
@@ -643,8 +589,11 @@ mod tests {
             .phases(vec![PhaseSpec::new(6, 8), PhaseSpec::new(2, 8)]);
         let clean_cfg = base.clone().build().unwrap();
         let faulty_cfg = base
-            .fault_policy(engine::FaultPolicy::tolerant(3))
-            .inject_faults(engine::FaultPlan::seeded(21).panics(0.05).nonfinite(0.05))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(engine::FaultPolicy::tolerant(3))
+                    .inject_faults(engine::FaultPlan::seeded(21).panics(0.05).nonfinite(0.05)),
+            )
             .build()
             .unwrap();
         let clean = Mesacga::new(Schaffer::new(), clean_cfg)

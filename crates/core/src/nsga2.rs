@@ -116,6 +116,7 @@ mod tests {
     use super::*;
     use crate::telemetry::{MemorySink, RunEvent};
     use moea::problems::{Schaffer, Zdt1};
+    use moea::EngineSetup;
 
     fn config(population: usize, generations: usize) -> Nsga2Config {
         Nsga2Config::builder()
@@ -245,8 +246,11 @@ mod tests {
         let cfg = Nsga2Config::builder()
             .population_size(16)
             .generations(6)
-            .fault_policy(engine::FaultPolicy::tolerant(3))
-            .inject_faults(engine::FaultPlan::seeded(5).panics(0.1))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(engine::FaultPolicy::tolerant(3))
+                    .inject_faults(engine::FaultPlan::seeded(5).panics(0.1)),
+            )
             .build()
             .unwrap();
         let mut sink = MemorySink::new();
@@ -267,8 +271,11 @@ mod tests {
         let base = Nsga2Config::builder().population_size(24).generations(12);
         let clean_cfg = base.clone().build().unwrap();
         let faulty_cfg = base
-            .fault_policy(engine::FaultPolicy::tolerant(3))
-            .inject_faults(engine::FaultPlan::seeded(5).panics(0.05).nonfinite(0.05))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(engine::FaultPolicy::tolerant(3))
+                    .inject_faults(engine::FaultPlan::seeded(5).panics(0.05).nonfinite(0.05)),
+            )
             .build()
             .unwrap();
         let clean = Nsga2::new(Schaffer::new(), clean_cfg).run(9).unwrap();
@@ -288,7 +295,9 @@ mod tests {
         let cfg = Nsga2Config::builder()
             .population_size(8)
             .generations(2)
-            .inject_faults(engine::FaultPlan::seeded(1).panics(1.0))
+            .engine_setup(
+                EngineSetup::new().inject_faults(engine::FaultPlan::seeded(1).panics(1.0)),
+            )
             .build()
             .unwrap();
         let err = Nsga2::new(Schaffer::new(), cfg).run(1).unwrap_err();

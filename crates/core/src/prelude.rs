@@ -1,5 +1,6 @@
 //! One-stop imports for driving any of the seven optimizer arms
 //! through the unified [`Optimizer`] API with instrumentation attached.
+//! Every arm's builder takes its engine knobs as one [`EngineSetup`].
 //!
 //! ```
 //! use sacga::prelude::*;
@@ -36,4 +37,4 @@ pub use crate::telemetry::{
 };
 pub use crate::topology::Topology;
 pub use moea::nsga2::Nsga2;
-pub use moea::{GenerationStats, OptimizeError, RunOutcome, RunStatus};
+pub use moea::{EngineSetup, GenerationStats, OptimizeError, RunOutcome, RunStatus};

@@ -31,11 +31,11 @@ use crate::anneal::ProbabilityShaper;
 use crate::checkpoint::SacgaCheckpoint;
 use crate::steady::{self, Launch, Phases, Plan, Resume};
 use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
-use engine::{EngineConfig, EvaluatorKind, FaultPlan, FaultPolicy, SharedCache, SurrogateScreen};
+use engine::EngineConfig;
 use moea::operators::Variation;
 use moea::problem::Problem;
 use moea::setup::EngineSetup;
-use moea::{Evaluation, OptimizeError, RunOutcome, RunStatus};
+use moea::{OptimizeError, RunOutcome, RunStatus};
 
 pub use moea::GenerationStats;
 
@@ -199,75 +199,11 @@ impl SacgaConfigBuilder {
         self
     }
 
-    /// Replaces the whole engine-knob bundle at once (see
-    /// [`EngineSetup`]); the individual knob methods below delegate to
-    /// the same bundle.
+    /// Sets the engine knobs (evaluator, memo cache, fault handling,
+    /// pooled cache, screen, metrics) as one [`EngineSetup`] bundle
+    /// (default: [`EngineSetup::new`]).
     pub fn engine_setup(mut self, exec: EngineSetup) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
-        self.exec = self.exec.evaluator(evaluator);
-        self
-    }
-
-    /// Enables evaluation memoization with room for `capacity` entries
-    /// (default: disabled).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.exec = self.exec.cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the memoization quantization grid (must be positive).
-    pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.exec = self.exec.cache_grid(grid);
-        self
-    }
-
-    /// Sets the fault-handling policy for candidate evaluation: retry
-    /// budget, non-finite quarantine, and exhaustion behavior.
-    pub fn fault_policy(mut self, fault: FaultPolicy) -> Self {
-        self.exec = self.exec.fault_policy(fault);
-        self
-    }
-
-    /// Enables deterministic fault injection with the given plan (a
-    /// testing/chaos harness — injected faults are reproducible per
-    /// candidate).
-    pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
-        self.exec = self.exec.inject_faults(plan);
-        self
-    }
-
-    /// Routes memoization through a [`SharedCache`] pooled across
-    /// concurrent runs (a campaign) instead of a private per-run cache.
-    /// Cached evaluations are pure functions of the genes, so sharing
-    /// never changes a run's results — only how many model evaluations
-    /// it performs.
-    pub fn shared_cache(mut self, cache: SharedCache<Evaluation>) -> Self {
-        self.exec = self.exec.shared_cache(cache);
-        self
-    }
-
-    /// Attaches an opt-in [`SurrogateScreen`]: candidates the screen
-    /// answers skip the full model (counted in
-    /// [`engine::EngineStats::screened`], never cached). Screening changes which
-    /// candidates reach the model, so runs with an active screen are
-    /// *not* byte-identical to unscreened runs — leave this unset (or use
-    /// a never-firing screen) to keep pinned artifacts reproducible.
-    pub fn surrogate_screen(mut self, screen: SurrogateScreen<Evaluation>) -> Self {
-        self.exec = self.exec.surrogate_screen(screen);
-        self
-    }
-
-    /// Attaches a live [`engine::EngineMetrics`] bundle: the engine
-    /// mirrors its counters and latency/batch-size histograms into the
-    /// bundle's registry as evaluation happens. Observation only — an
-    /// instrumented run is bit-identical to a bare one.
-    pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.exec = self.exec.metrics(metrics);
         self
     }
 
@@ -441,7 +377,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
 mod tests {
     use super::*;
     use crate::telemetry::{EventKind, MemorySink, RunEvent};
-    use engine::EngineStats;
+    use engine::{EngineStats, FaultPlan, FaultPolicy};
     use moea::individual::Individual;
     use moea::problems::{NarrowingCorridor, Schaffer, Zdt1};
 
@@ -868,8 +804,11 @@ mod tests {
             .partitions(4);
         let clean_cfg = base.clone().build().unwrap();
         let faulty_cfg = base
-            .fault_policy(FaultPolicy::tolerant(3))
-            .inject_faults(FaultPlan::seeded(11).panics(0.05).nonfinite(0.05))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(FaultPolicy::tolerant(3))
+                    .inject_faults(FaultPlan::seeded(11).panics(0.05).nonfinite(0.05)),
+            )
             .build()
             .unwrap();
         let clean = Sacga::new(Schaffer::new(), clean_cfg)
@@ -894,8 +833,11 @@ mod tests {
             .population_size(24)
             .generations(16)
             .partitions(4)
-            .fault_policy(FaultPolicy::tolerant(3))
-            .inject_faults(FaultPlan::seeded(13).panics(0.08))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(FaultPolicy::tolerant(3))
+                    .inject_faults(FaultPlan::seeded(13).panics(0.08)),
+            )
             .build()
             .unwrap();
         let full = Sacga::new(Schaffer::new(), cfg.clone())
@@ -917,7 +859,7 @@ mod tests {
         let cfg = SacgaConfig::builder()
             .population_size(8)
             .generations(2)
-            .inject_faults(FaultPlan::seeded(1).panics(1.0))
+            .engine_setup(EngineSetup::new().inject_faults(FaultPlan::seeded(1).panics(1.0)))
             .build()
             .unwrap();
         let err = Sacga::new(Schaffer::new(), cfg).run_seeded(1).unwrap_err();

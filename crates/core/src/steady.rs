@@ -54,10 +54,7 @@ use crate::mesacga::PhaseSpec;
 use crate::partition::{PartitionGrid, PartitionedPopulation};
 use crate::sacga::{CompetitionMode, GenerationStats, SacgaConfig, SacgaConfigBuilder};
 use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
-use engine::{
-    EngineConfig, EngineStats, EvaluationSession, EvaluatorKind, FaultPlan, FaultPolicy,
-    SharedCache, Stage, StageTimer, SurrogateScreen,
-};
+use engine::{EngineConfig, EngineStats, EvaluationSession, Stage, StageTimer};
 use moea::individual::Individual;
 use moea::operators::{random_vector, Variation};
 use moea::problem::Problem;
@@ -228,63 +225,11 @@ impl SteadyConfigBuilder {
         self
     }
 
-    /// Replaces the whole engine-knob bundle at once (see
-    /// [`EngineSetup`]); the individual knob methods below delegate to
-    /// the same bundle.
+    /// Sets the engine knobs (evaluator, memo cache, fault handling,
+    /// pooled cache, screen, metrics) as one [`EngineSetup`] bundle
+    /// (default: [`EngineSetup::new`]).
     pub fn engine_setup(mut self, exec: EngineSetup) -> Self {
         self.inner = self.inner.engine_setup(exec);
-        self
-    }
-
-    /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
-        self.inner = self.inner.evaluator(evaluator);
-        self
-    }
-
-    /// Enables evaluation memoization with room for `capacity` entries.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.inner = self.inner.cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the memoization quantization grid (must be positive).
-    pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.inner = self.inner.cache_grid(grid);
-        self
-    }
-
-    /// Sets the fault-handling policy for candidate evaluation.
-    pub fn fault_policy(mut self, fault: FaultPolicy) -> Self {
-        self.inner = self.inner.fault_policy(fault);
-        self
-    }
-
-    /// Enables deterministic fault injection with the given plan.
-    pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
-        self.inner = self.inner.inject_faults(plan);
-        self
-    }
-
-    /// Routes memoization through a cache pooled across concurrent runs
-    /// (see [`SacgaConfigBuilder::shared_cache`]).
-    pub fn shared_cache(mut self, cache: SharedCache<Evaluation>) -> Self {
-        self.inner = self.inner.shared_cache(cache);
-        self
-    }
-
-    /// Attaches an opt-in analytic surrogate screen (see
-    /// [`SacgaConfigBuilder::surrogate_screen`]): screened runs are not
-    /// byte-identical to unscreened ones.
-    pub fn surrogate_screen(mut self, screen: SurrogateScreen<Evaluation>) -> Self {
-        self.inner = self.inner.surrogate_screen(screen);
-        self
-    }
-
-    /// Attaches a live [`engine::EngineMetrics`] bundle (see
-    /// [`SacgaConfigBuilder::metrics`]).
-    pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.inner = self.inner.metrics(metrics);
         self
     }
 
@@ -1276,6 +1221,7 @@ mod tests {
     use super::*;
     use crate::sacga::Sacga;
     use crate::telemetry::MemorySink;
+    use engine::{EvaluatorKind, FaultPlan, FaultPolicy};
     use moea::problems::{NarrowingCorridor, Schaffer};
 
     fn config(generations: usize, partitions: usize) -> SteadyConfig {
@@ -1366,7 +1312,9 @@ mod tests {
                 .window(48)
                 .quantum(8);
             if threads > 0 {
-                b = b.evaluator(EvaluatorKind::ParallelWith(threads));
+                b = b.engine_setup(
+                    EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(threads)),
+                );
             }
             SteadySacga::new(Schaffer::new(), b.build().unwrap())
         };
@@ -1433,7 +1381,7 @@ mod tests {
             .partitions(4)
             .window(32)
             .quantum(5)
-            .evaluator(EvaluatorKind::ParallelWith(4))
+            .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(4)))
             .build()
             .unwrap();
         let full = SteadySacga::new(Schaffer::new(), cfg.clone())
@@ -1560,8 +1508,11 @@ mod tests {
             .quantum(6);
         let clean_cfg = base.clone().build().unwrap();
         let faulty_cfg = base
-            .fault_policy(FaultPolicy::tolerant(3))
-            .inject_faults(FaultPlan::seeded(11).panics(0.05).nonfinite(0.05))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(FaultPolicy::tolerant(3))
+                    .inject_faults(FaultPlan::seeded(11).panics(0.05).nonfinite(0.05)),
+            )
             .build()
             .unwrap();
         let clean = SteadySacga::new(Schaffer::new(), clean_cfg)

@@ -119,7 +119,7 @@ impl Topology {
                     "neighborhood radius must be at least 1",
                 ));
             }
-            if 2 * radius >= cells {
+            if radius.saturating_mul(2) >= cells {
                 return Err(OptimizeError::invalid_config(
                     "topology",
                     format!(

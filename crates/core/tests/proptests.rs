@@ -4,7 +4,7 @@ use engine::{EngineConfig, EvalOutcome, ExecutionEngine, ExhaustedAction, FaultP
 use moea::evaluation::Evaluation;
 use moea::individual::Individual;
 use moea::problems::Schaffer;
-use moea::RunStatus;
+use moea::{EngineSetup, RunStatus};
 use proptest::prelude::*;
 use sacga::anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
 use sacga::partition::{PartitionGrid, PartitionedPopulation};
@@ -323,8 +323,11 @@ proptest! {
             .panics(f64::from(panic_pct) / 100.0)
             .nonfinite(f64::from(nan_pct) / 100.0);
         let faulty_cfg = base
-            .fault_policy(FaultPolicy::tolerant(4))
-            .inject_faults(plan)
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(FaultPolicy::tolerant(4))
+                    .inject_faults(plan),
+            )
             .build()
             .unwrap();
         let faulty = Sacga::new(Schaffer::new(), faulty_cfg).run_seeded(seed).unwrap();
@@ -397,7 +400,8 @@ proptest! {
                 .window(2 + window_extra)
                 .quantum(quantum);
             if threads > 0 {
-                b = b.evaluator(engine::EvaluatorKind::ParallelWith(threads));
+                let parallel = engine::EvaluatorKind::ParallelWith(threads);
+                b = b.engine_setup(EngineSetup::new().evaluator(parallel));
             }
             SteadySacga::new(Schaffer::new(), b.build().unwrap())
         };

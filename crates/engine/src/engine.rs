@@ -29,11 +29,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Selects the evaluation strategy; accepts an [`EvaluatorKind`] or a
-    /// concrete strategy such as
-    /// [`ParallelEvaluator`](crate::ParallelEvaluator).
-    pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
-        self.evaluator = evaluator.into();
+    /// Selects the evaluation strategy (default: serial).
+    pub fn evaluator(mut self, evaluator: EvaluatorKind) -> Self {
+        self.evaluator = evaluator;
         self
     }
 
@@ -441,7 +439,7 @@ mod tests {
     #[test]
     fn config_builders_compose() {
         let cfg = EngineConfig::default()
-            .evaluator(crate::ParallelEvaluator::with_threads(2))
+            .evaluator(EvaluatorKind::ParallelWith(2))
             .cache_capacity(64)
             .cache_grid(1e-6)
             .fault_policy(crate::FaultPolicy::tolerant(3))

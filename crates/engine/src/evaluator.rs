@@ -1,48 +1,25 @@
 //! Evaluation strategies: the serial default or a scoped-thread pool.
 //!
-//! These types only *name* a strategy for
+//! [`EvaluatorKind`] only *names* a strategy for
 //! [`EngineConfig::evaluator`](crate::EngineConfig::evaluator); the
 //! [`EvaluationSession`](crate::EvaluationSession) carries it out. Every
 //! strategy hands results back in submission order, and evaluation
 //! functions in this workspace consume no randomness, so a seeded
 //! optimizer run reproduces bit-for-bit under any of them.
 
-/// Evaluates candidates one at a time on the calling thread.
-///
-/// This reproduces the behavior of the original inline run loops exactly
-/// and is the default strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SerialEvaluator;
-
-/// Evaluates candidates on a pool of scoped OS threads.
-///
-/// Workers take candidates one at a time as they are submitted; results
-/// still come back in submission order, so they are identical to
-/// [`SerialEvaluator`]'s no matter how the threads are scheduled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelEvaluator {
-    /// Worker-thread cap; `0` means "use available parallelism".
-    pub threads: usize,
-}
-
-impl ParallelEvaluator {
-    /// A parallel evaluator capped at `threads` workers (`0` = automatic).
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelEvaluator { threads }
-    }
-}
-
-/// Enum-dispatched evaluator choice, used inside optimizer configs.
+/// The evaluation strategy of an engine.
 ///
 /// The run-loop configs derive `Clone`/`Debug`/`PartialEq`, so they store
-/// this enum rather than a boxed trait object. [`From`] impls let builder
-/// methods accept the concrete strategy types directly.
+/// this enum rather than a boxed trait object. Results come back in
+/// submission order under every strategy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvaluatorKind {
     /// One-at-a-time evaluation on the calling thread (the default).
     #[default]
     Serial,
-    /// Scoped-thread fan-out with automatic worker count.
+    /// Scoped OS worker threads, as many as the host's available
+    /// parallelism; workers take candidates one at a time as they are
+    /// submitted.
     Parallel,
     /// Scoped-thread fan-out capped at a fixed worker count.
     ParallelWith(
@@ -61,22 +38,6 @@ impl EvaluatorKind {
     }
 }
 
-impl From<SerialEvaluator> for EvaluatorKind {
-    fn from(_: SerialEvaluator) -> Self {
-        EvaluatorKind::Serial
-    }
-}
-
-impl From<ParallelEvaluator> for EvaluatorKind {
-    fn from(p: ParallelEvaluator) -> Self {
-        if p.threads == 0 {
-            EvaluatorKind::Parallel
-        } else {
-            EvaluatorKind::ParallelWith(p.threads)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +52,7 @@ mod tests {
     }
 
     /// One batch through a fresh engine running `evaluator`.
-    fn run(evaluator: impl Into<EvaluatorKind>, b: &[Vec<f64>]) -> Vec<f64> {
+    fn run(evaluator: EvaluatorKind, b: &[Vec<f64>]) -> Vec<f64> {
         let mut engine: ExecutionEngine<f64> =
             ExecutionEngine::new(EngineConfig::default().evaluator(evaluator));
         engine.evaluate_batch(b, &sum)
@@ -99,23 +60,23 @@ mod tests {
 
     #[test]
     fn serial_preserves_order() {
-        let out = run(SerialEvaluator, &batch(7));
+        let out = run(EvaluatorKind::Serial, &batch(7));
         assert_eq!(out, vec![0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0]);
     }
 
     #[test]
     fn parallel_matches_serial() {
         let b = batch(101);
-        let serial = run(SerialEvaluator, &b);
+        let serial = run(EvaluatorKind::Serial, &b);
         for threads in [0, 1, 2, 3, 8, 200] {
-            let par = run(ParallelEvaluator::with_threads(threads), &b);
+            let par = run(EvaluatorKind::ParallelWith(threads), &b);
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
 
     #[test]
     fn parallel_handles_empty_and_single() {
-        let e = ParallelEvaluator::with_threads(4);
+        let e = EvaluatorKind::ParallelWith(4);
         assert!(run(e, &[]).is_empty());
         assert_eq!(run(e, &batch(1)), vec![0.0]);
     }
@@ -128,9 +89,8 @@ mod tests {
         let ids = Mutex::new(HashSet::new());
         let (tx, rx) = mpsc::channel::<()>();
         let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
-        let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(
-            EngineConfig::default().evaluator(ParallelEvaluator::with_threads(4)),
-        );
+        let mut engine: ExecutionEngine<f64> =
+            ExecutionEngine::new(EngineConfig::default().evaluator(EvaluatorKind::ParallelWith(4)));
         // Candidate 0 holds its worker until candidate 1 has run, so
         // candidate 1 must run on another worker (a serial run times out
         // and records one thread).
@@ -152,15 +112,6 @@ mod tests {
         let serial = run(EvaluatorKind::Serial, &b);
         assert_eq!(run(EvaluatorKind::Parallel, &b), serial);
         assert_eq!(run(EvaluatorKind::ParallelWith(2), &b), serial);
-        assert_eq!(EvaluatorKind::from(SerialEvaluator), EvaluatorKind::Serial);
-        assert_eq!(
-            EvaluatorKind::from(ParallelEvaluator::default()),
-            EvaluatorKind::Parallel
-        );
-        assert_eq!(
-            EvaluatorKind::from(ParallelEvaluator::with_threads(3)),
-            EvaluatorKind::ParallelWith(3)
-        );
         assert_eq!(EvaluatorKind::default(), EvaluatorKind::Serial);
         assert_eq!(EvaluatorKind::Serial.label(), "serial");
         assert_eq!(EvaluatorKind::Parallel.label(), "parallel");

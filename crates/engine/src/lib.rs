@@ -7,11 +7,11 @@
 //! against a (potentially expensive) circuit model, and feed the results
 //! back into selection. This crate owns that evaluation step end-to-end:
 //!
-//! * [`EvaluatorKind`] — the fan-out strategy. [`SerialEvaluator`]
-//!   evaluates on the calling thread; [`ParallelEvaluator`] spreads
+//! * [`EvaluatorKind`] — the fan-out strategy. `Serial` evaluates on
+//!   the calling thread; `Parallel` and `ParallelWith(n)` spread
 //!   candidates across scoped OS threads while preserving input order,
 //!   so a seeded run produces bit-for-bit identical results under
-//!   either evaluator.
+//!   either strategy.
 //! * [`MemoCache`] — an LRU memoization cache keyed by gene vectors
 //!   quantized to a configurable grid, so re-visited (or near-identical)
 //!   candidates skip the expensive model call. [`SharedCache`] promotes
@@ -88,7 +88,7 @@ mod timing;
 
 pub use cache::{CacheConfig, MemoCache};
 pub use engine::{CacheCanonicalizer, EngineConfig, ExecutionEngine};
-pub use evaluator::{EvaluatorKind, ParallelEvaluator, SerialEvaluator};
+pub use evaluator::EvaluatorKind;
 pub use fault::{
     silence_injected_panics, EvalFailure, EvalOutcome, ExhaustedAction, FaultEvent, FaultInjector,
     FaultKind, FaultPlan, FaultPolicy, FaultResolution, InjectedPanic, InjectionCounts, Quarantine,

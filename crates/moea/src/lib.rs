@@ -25,8 +25,7 @@
 //! * [`metrics`] — spacing, spread, generational distance, set coverage;
 //! * [`problems`] — standard benchmark suites (SCH, ZDT, BNH, SRN, TNK,
 //!   OSY, CONSTR) used to validate the machinery independently of any
-//!   application domain;
-//! * [`archive`] — a bounded Pareto archive.
+//!   application domain.
 //!
 //! All stochastic components are driven by caller-supplied [`rand::Rng`]
 //! values, so every run is reproducible from a seed.
@@ -58,7 +57,6 @@
 //! assert!(population.iter().any(|m| m.rank == 0));
 //! ```
 
-pub mod archive;
 pub mod dominance;
 pub mod error;
 pub mod evaluation;
@@ -70,12 +68,10 @@ pub mod operators;
 pub mod outcome;
 pub mod problem;
 pub mod problems;
-pub mod scalarize;
 pub mod selection;
 pub mod setup;
 pub mod sorting;
 
-pub use archive::ParetoArchive;
 pub use dominance::{constrained_dominates, dominates, Dominance};
 pub use error::OptimizeError;
 pub use evaluation::Evaluation;

@@ -19,7 +19,7 @@ use crate::error::OptimizeError;
 use crate::operators::Variation;
 use crate::problem::Problem;
 use crate::setup::EngineSetup;
-use engine::{EngineConfig, EvaluatorKind, FaultPlan, FaultPolicy, SharedCache, SurrogateScreen};
+use engine::EngineConfig;
 
 /// Configuration of an NSGA-II run. Build with [`Nsga2Config::builder`].
 #[derive(Debug, Clone, PartialEq)]
@@ -92,72 +92,11 @@ impl Nsga2ConfigBuilder {
         self
     }
 
-    /// Replaces the whole engine-knob bundle at once (see
-    /// [`EngineSetup`]); the individual knob methods below delegate to
-    /// the same bundle.
+    /// Sets the engine knobs (evaluator, memo cache, fault handling,
+    /// pooled cache, screen, metrics) as one [`EngineSetup`] bundle
+    /// (default: [`EngineSetup::new`]).
     pub fn engine_setup(mut self, exec: EngineSetup) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
-        self.exec = self.exec.evaluator(evaluator);
-        self
-    }
-
-    /// Enables evaluation memoization with room for `capacity` entries
-    /// (default: disabled).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.exec = self.exec.cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the memoization quantization grid (must be positive).
-    pub fn cache_grid(mut self, grid: f64) -> Self {
-        self.exec = self.exec.cache_grid(grid);
-        self
-    }
-
-    /// Sets the fault-handling policy (retry budget, non-finite
-    /// quarantine, exhausted action) applied to every evaluation.
-    pub fn fault_policy(mut self, fault: FaultPolicy) -> Self {
-        self.exec = self.exec.fault_policy(fault);
-        self
-    }
-
-    /// Enables deterministic fault injection (test harness).
-    pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
-        self.exec = self.exec.inject_faults(plan);
-        self
-    }
-
-    /// Routes memoization through a [`SharedCache`] pooled across
-    /// concurrent runs (a campaign) instead of a private per-run cache.
-    /// Cached evaluations are pure functions of the genes, so sharing
-    /// never changes a run's results — only how many model evaluations
-    /// it performs.
-    pub fn shared_cache(mut self, cache: SharedCache<crate::Evaluation>) -> Self {
-        self.exec = self.exec.shared_cache(cache);
-        self
-    }
-
-    /// Attaches an opt-in [`SurrogateScreen`]: candidates the screen
-    /// answers skip the full model (counted in
-    /// [`engine::EngineStats::screened`], never cached). Screening
-    /// changes which candidates reach the model, so screened runs are
-    /// *not* byte-identical to unscreened ones.
-    pub fn surrogate_screen(mut self, screen: SurrogateScreen<crate::Evaluation>) -> Self {
-        self.exec = self.exec.surrogate_screen(screen);
-        self
-    }
-
-    /// Attaches a live [`engine::EngineMetrics`] bundle: the engine
-    /// mirrors its counters and latency/batch-size histograms into the
-    /// bundle's registry as evaluation happens. Observation only — an
-    /// instrumented run is bit-identical to a bare one.
-    pub fn metrics(mut self, metrics: engine::EngineMetrics) -> Self {
-        self.exec = self.exec.metrics(metrics);
         self
     }
 

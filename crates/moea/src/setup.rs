@@ -1,16 +1,34 @@
-//! Shared evaluation-engine wiring for optimizer config builders.
+//! The engine knobs of every optimizer, in one bundle.
 //!
 //! Every loop in the workspace — NSGA-II here, SACGA/MESACGA/local/island
-//! and the steady-state variant in the `sacga` crate — exposes the same
-//! engine knobs on its config builder: evaluator strategy, memoization
-//! capacity and grid, fault policy, fault injection, a pooled
-//! [`SharedCache`] and an opt-in [`SurrogateScreen`]. [`EngineSetup`]
-//! owns that bundle once, so each builder stores one field and delegates
-//! its knob methods instead of duplicating the plumbing, and
-//! [`EngineSetup::build_engine`] performs the (previously copy-pasted)
-//! engine construction: config, pooled cache, the problem's cache
-//! canonicalizer, and the screen — in that order, identically for fresh
-//! and resumed runs.
+//! and the steady-state variant in the `sacga` crate — takes the same
+//! engine knobs: evaluator strategy, memoization capacity and grid, fault
+//! policy, fault injection, a pooled [`SharedCache`], an opt-in
+//! [`SurrogateScreen`], live metrics and per-cell series. [`EngineSetup`]
+//! holds them, and each config builder takes one whole through its
+//! `engine_setup` method, the only way a builder sets them; handing the
+//! same setup to several arms runs them under the same evaluation
+//! settings. [`EngineSetup::build_engine`] performs the engine
+//! construction: config, pooled cache, the problem's cache
+//! canonicalizer, the screen and the metrics — in that order,
+//! identically for fresh and resumed runs.
+//!
+//! ```
+//! use engine::EvaluatorKind;
+//! use moea::nsga2::Nsga2Config;
+//! use moea::EngineSetup;
+//!
+//! let config = Nsga2Config::builder()
+//!     .population_size(40)
+//!     .engine_setup(
+//!         EngineSetup::new()
+//!             .evaluator(EvaluatorKind::ParallelWith(2))
+//!             .cache_capacity(1 << 12),
+//!     )
+//!     .build()
+//!     .unwrap();
+//! assert_eq!(config.engine().cache.capacity, 1 << 12);
+//! ```
 
 use engine::{
     CacheCanonicalizer, CellSeries, EngineConfig, EngineMetrics, EvaluatorKind, ExecutionEngine,
@@ -38,7 +56,7 @@ impl EngineSetup {
     }
 
     /// Selects the candidate-evaluation strategy (default: serial).
-    pub fn evaluator(mut self, evaluator: impl Into<EvaluatorKind>) -> Self {
+    pub fn evaluator(mut self, evaluator: EvaluatorKind) -> Self {
         self.engine = self.engine.evaluator(evaluator);
         self
     }

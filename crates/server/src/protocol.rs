@@ -30,6 +30,15 @@
 //!                              end
 //! shutdown                  -> ok shutting-down
 //! ```
+//!
+//! A `submit` whose spec [`JobSpec::parse`] refuses — an unknown or
+//! repeated key, or a size past [`MAX_ZDT_DIMENSION`],
+//! [`MAX_POPULATION`] or [`MAX_GENERATIONS`] — gets one `err` line and
+//! creates no job.
+//!
+//! [`MAX_ZDT_DIMENSION`]: crate::spec::MAX_ZDT_DIMENSION
+//! [`MAX_POPULATION`]: crate::spec::MAX_POPULATION
+//! [`MAX_GENERATIONS`]: crate::spec::MAX_GENERATIONS
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

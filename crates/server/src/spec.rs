@@ -12,6 +12,11 @@
 //! (shown wrapped; the wire format is a single line). The [`JobId`] is
 //! the FNV-1a 64-bit hash of that canonical line, so resubmitting the
 //! identical spec is detected as a duplicate — vary `name=` to rerun.
+//!
+//! Specs arrive from outside the process, so parsing rejects unknown
+//! and repeated keys, and validation caps every size a job allocates
+//! by: [`MAX_ZDT_DIMENSION`], [`MAX_POPULATION`] and
+//! [`MAX_GENERATIONS`].
 
 use std::fmt;
 
@@ -27,6 +32,18 @@ use sacga::{
     CellularConfig, CellularGa, DynOptimizer, IslandConfig, IslandGa, Mesacga, MesacgaConfig,
     Sacga, SacgaConfig, SteadyConfig, SteadySacga, Topology,
 };
+
+/// Largest ZDT dimension a job may ask for.
+pub const MAX_ZDT_DIMENSION: usize = 100;
+
+/// Largest population a job may ask for. It also caps the partition
+/// count, the steady arm's look-ahead window and the cellular
+/// neighborhood radius, which are sized like a population.
+pub const MAX_POPULATION: usize = 10_000;
+
+/// Largest generation budget a job may ask for (for MESACGA, its total
+/// phase span).
+pub const MAX_GENERATIONS: usize = 100_000;
 
 /// Deterministic job identifier: FNV-1a 64 of the canonical spec line,
 /// printed as 16 lower-case hex digits.
@@ -101,7 +118,8 @@ impl ProblemSpec {
     /// # Errors
     ///
     /// Returns [`ServerError::InvalidSpec`] for unknown tokens, and for a
-    /// ZDT dimension below 2, which the problem cannot be built with.
+    /// ZDT dimension below 2, which the problem cannot be built with, or
+    /// above [`MAX_ZDT_DIMENSION`].
     pub fn parse(token: &str) -> Result<Self, ServerError> {
         let (head, arg) = match token.split_once(':') {
             Some((h, a)) => (h, Some(a)),
@@ -135,13 +153,15 @@ impl ProblemSpec {
         Ok(spec)
     }
 
-    /// Rejects a ZDT dimension below 2: [`ProblemSpec::build`] would panic
-    /// on it.
+    /// Rejects a ZDT dimension below 2, which [`ProblemSpec::build`]
+    /// would panic on, or above [`MAX_ZDT_DIMENSION`].
     fn check_dimension(&self) -> Result<(), ServerError> {
         match self {
-            ProblemSpec::Zdt1(n) | ProblemSpec::Zdt2(n) | ProblemSpec::Zdt3(n) if *n < 2 => {
+            ProblemSpec::Zdt1(n) | ProblemSpec::Zdt2(n) | ProblemSpec::Zdt3(n)
+                if !(2..=MAX_ZDT_DIMENSION).contains(n) =>
+            {
                 Err(ServerError::InvalidSpec(format!(
-                    "problem {} needs at least 2 variables",
+                    "problem {} needs 2 to {MAX_ZDT_DIMENSION} variables",
                     self.token()
                 )))
             }
@@ -356,12 +376,24 @@ impl CellTopo {
     }
 }
 
-fn algo_params(body: &str, head: &str) -> Result<Vec<(String, usize)>, ServerError> {
-    let mut out = Vec::new();
+/// Parses `key=value` pairs, accepting only the arm's `keys`, each at
+/// most once.
+fn algo_params(body: &str, head: &str, keys: &[&str]) -> Result<Vec<(String, usize)>, ServerError> {
+    let mut out: Vec<(String, usize)> = Vec::new();
     for part in body.split(',') {
         let (k, v) = part.split_once('=').ok_or_else(|| {
             ServerError::InvalidSpec(format!("algo {head}: expected key=value, got {part:?}"))
         })?;
+        if !keys.contains(&k) {
+            return Err(ServerError::InvalidSpec(format!(
+                "algo {head}: unknown key {k:?}"
+            )));
+        }
+        if out.iter().any(|(seen, _)| seen == k) {
+            return Err(ServerError::InvalidSpec(format!(
+                "algo {head}: repeated key {k:?}"
+            )));
+        }
         let v = v
             .parse::<usize>()
             .map_err(|_| ServerError::InvalidSpec(format!("algo {head}: bad value in {part:?}")))?;
@@ -392,7 +424,7 @@ impl AlgoSpec {
     /// # Errors
     ///
     /// Returns [`ServerError::InvalidSpec`] for unknown algorithms,
-    /// missing or malformed parameters.
+    /// missing, malformed, unknown or repeated parameters.
     pub fn parse(token: &str) -> Result<Self, ServerError> {
         let (head, body) = token.split_once(':').ok_or_else(|| {
             ServerError::InvalidSpec(format!(
@@ -406,6 +438,11 @@ impl AlgoSpec {
             let mut numeric = Vec::new();
             for part in body.split(',') {
                 if let Some(t) = part.strip_prefix("topo=") {
+                    if topo.is_some() {
+                        return Err(ServerError::InvalidSpec(format!(
+                            "algo {head}: repeated key \"topo\""
+                        )));
+                    }
                     topo = Some(CellTopo::parse(t, head)?);
                 } else {
                     numeric.push(part);
@@ -415,7 +452,18 @@ impl AlgoSpec {
         } else {
             body.to_string()
         };
-        let p = algo_params(&body, head)?;
+        let keys: &[&str] = match head {
+            "sacga" | "local" => &["pop", "gens", "parts"],
+            "mesacga" => &["pop", "span"],
+            "steady" => &["pop", "gens", "parts", "window", "quantum"],
+            "nsga2" => &["pop", "gens"],
+            "island" => &["pop", "gens", "islands"],
+            "cellular" => &[
+                "pop", "gens", "cells", "radius", "interval", "migrants", "open", "aniso",
+            ],
+            other => return Err(ServerError::InvalidSpec(format!("unknown algo {other:?}"))),
+        };
+        let p = algo_params(&body, head, keys)?;
         match head {
             "sacga" => Ok(AlgoSpec::Sacga {
                 pop: take(&p, "pop", head)?,
@@ -465,7 +513,7 @@ impl AlgoSpec {
                 open: take_or(&p, "open", 0),
                 aniso: take_or(&p, "aniso", 50),
             }),
-            other => Err(ServerError::InvalidSpec(format!("unknown algo {other:?}"))),
+            _ => unreachable!("the key table above lists every arm"),
         }
     }
 
@@ -527,10 +575,47 @@ impl AlgoSpec {
             AlgoSpec::Cellular { .. } => "cellular",
         }
     }
+
+    /// Rejects a population, partition count, look-ahead window or
+    /// neighborhood radius above [`MAX_POPULATION`] and a generation
+    /// budget above [`MAX_GENERATIONS`]: past them a run's allocations
+    /// overflow or exhaust memory. Island and cell counts need no cap of
+    /// their own, since the builders require at least 4 members per
+    /// cell.
+    fn check_sizes(&self) -> Result<(), ServerError> {
+        let (pop, gens, sized_like_pop) = match *self {
+            AlgoSpec::Sacga { pop, gens, parts } | AlgoSpec::Local { pop, gens, parts } => {
+                (pop, gens, parts)
+            }
+            AlgoSpec::Mesacga { pop, span } => (pop, span, 0),
+            AlgoSpec::Steady {
+                pop,
+                gens,
+                parts,
+                window,
+                ..
+            } => (pop, gens, parts.max(window)),
+            AlgoSpec::Nsga2 { pop, gens } | AlgoSpec::Island { pop, gens, .. } => (pop, gens, 0),
+            AlgoSpec::Cellular {
+                pop, gens, radius, ..
+            } => (pop, gens, radius),
+        };
+        if pop.max(sized_like_pop) > MAX_POPULATION || gens > MAX_GENERATIONS {
+            return Err(ServerError::InvalidSpec(format!(
+                "algo {}: pop, parts, window and radius may not exceed {MAX_POPULATION}, \
+                 gens and span {MAX_GENERATIONS}",
+                self.token()
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// A complete job description: problem + algorithm arm + seed + service
 /// policy. The canonical text form is one line (see module docs).
+/// [`JobSpec::validate`], which parsing and `Server::submit` run, caps
+/// its sizes at [`MAX_ZDT_DIMENSION`], [`MAX_POPULATION`] and
+/// [`MAX_GENERATIONS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Human-chosen job name; part of the identity hash, so reruns of an
@@ -633,7 +718,8 @@ impl JobSpec {
         self
     }
 
-    /// Validates field ranges and cross-field constraints.
+    /// Validates field ranges and cross-field constraints, the size
+    /// limits included.
     ///
     /// # Errors
     ///
@@ -641,6 +727,7 @@ impl JobSpec {
     /// violation found.
     pub fn validate(&self) -> Result<(), ServerError> {
         self.problem.check_dimension()?;
+        self.algo.check_sizes()?;
         if !valid_token(&self.name) {
             return Err(ServerError::InvalidSpec(format!(
                 "name {:?} must be non-empty [A-Za-z0-9._-]",
@@ -711,8 +798,8 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::InvalidSpec`] on malformed input or
-    /// failed validation.
+    /// Returns [`ServerError::InvalidSpec`] on malformed input, an
+    /// unknown or repeated key, or failed validation.
     pub fn parse(line: &str) -> Result<JobSpec, ServerError> {
         let mut tokens = line.split_whitespace();
         match (tokens.next(), tokens.next()) {
@@ -734,10 +821,15 @@ impl JobSpec {
         let mut fault = None;
         let mut inject = 0.0f64;
         let mut screen = false;
+        let mut seen = Vec::new();
         for tok in tokens {
             let (k, v) = tok.split_once('=').ok_or_else(|| {
                 ServerError::InvalidSpec(format!("expected key=value, got {tok:?}"))
             })?;
+            if seen.contains(&k) {
+                return Err(ServerError::InvalidSpec(format!("repeated key {k:?}")));
+            }
+            seen.push(k);
             let bad = |what: &str| ServerError::InvalidSpec(format!("bad {what} value {v:?}"));
             match k {
                 "name" => name = Some(v.to_string()),
@@ -1115,6 +1207,28 @@ mod tests {
         )
         .is_err());
         assert!(JobSpec::parse("job v1 name=x problem=schaffer algo=sacga:pop=1 seed=0").is_err());
+        // Unknown keys (a typo, another arm's key) and repeated keys.
+        for token in [
+            "steady:pop=16,gens=10,parts=4,windw=8",
+            "nsga2:pop=16,gens=10,parts=4",
+            "cellular:pop=32,gens=4,cells=4,window=8",
+            "sacga:pop=16,pop=32,gens=10,parts=4",
+            "steady:pop=16,gens=10,parts=4,window=8,window=16",
+            "cellular:pop=32,gens=4,topo=ring,topo=torus,cells=4",
+        ] {
+            assert!(
+                matches!(AlgoSpec::parse(token), Err(ServerError::InvalidSpec(_))),
+                "{token}"
+            );
+        }
+        let line = demo().canonical();
+        for extra in ["name=b", "seed=43", "priority=1", "tenant=acme", "screen=0"] {
+            let repeated = format!("{line} {extra}");
+            assert!(
+                matches!(JobSpec::parse(&repeated), Err(ServerError::InvalidSpec(_))),
+                "{repeated}"
+            );
+        }
     }
 
     #[test]
@@ -1133,6 +1247,44 @@ mod tests {
             0,
         );
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_jobs_are_rejected() {
+        for token in ["zdt1:101", "zdt2:18446744073709551615", "zdt3:4294967296"] {
+            assert!(
+                matches!(ProblemSpec::parse(token), Err(ServerError::InvalidSpec(_))),
+                "{token}"
+            );
+        }
+        assert_eq!(
+            ProblemSpec::parse("zdt1:100").unwrap(),
+            ProblemSpec::Zdt1(MAX_ZDT_DIMENSION)
+        );
+        for token in [
+            "nsga2:pop=4,gens=1152921504606846976",
+            "sacga:pop=10002,gens=2,parts=2",
+            "local:pop=8,gens=2,parts=18446744073709551615",
+            "mesacga:pop=8,span=100001",
+            "steady:pop=8,gens=2,parts=2,window=10001",
+            "island:pop=8,gens=100001,islands=2",
+            "cellular:pop=32,gens=2,cells=4,radius=9223372036854775808",
+        ] {
+            let spec = JobSpec::new(
+                "big",
+                ProblemSpec::Schaffer,
+                AlgoSpec::parse(token).unwrap(),
+                0,
+            );
+            assert!(
+                matches!(spec.validate(), Err(ServerError::InvalidSpec(_))),
+                "{token}"
+            );
+            assert!(JobSpec::parse(&spec.canonical()).is_err(), "{token}");
+        }
+        let at_limit = AlgoSpec::parse("steady:pop=10000,gens=100000,parts=10000,window=10000");
+        let spec = JobSpec::new("max", ProblemSpec::Zdt1(100), at_limit.unwrap(), 0);
+        assert!(spec.validate().is_ok());
     }
 
     #[test]
@@ -1179,6 +1331,41 @@ mod tests {
             let opt = spec.build_optimizer(None, None).unwrap();
             let outcome = opt.run_dyn(7).unwrap();
             assert!(!outcome.front.is_empty(), "{}", algo.token());
+
+            // The whole engine setup reaches the engine: the second run
+            // reads every candidate from the first run's cache, and both
+            // runs count into the one metrics bundle.
+            let cache = SharedCache::with_capacity(1 << 16);
+            let registry = engine::MetricsRegistry::new();
+            let metrics = EngineMetrics::register(&registry, &[("arm", algo.arm())]);
+            let run = || {
+                spec.build_optimizer(Some(cache.clone()), Some(metrics.clone()))
+                    .unwrap()
+                    .run_dyn(7)
+                    .unwrap()
+            };
+            let (first, second) = (run(), run());
+            assert_eq!(first.front_objectives(), outcome.front_objectives());
+            assert!(first.stats.evaluations > 0, "{}", algo.token());
+            assert_eq!(second.stats.evaluations, 0, "{}", algo.token());
+            assert_eq!(
+                second.stats.cache_hits,
+                second.stats.candidates,
+                "{}",
+                algo.token()
+            );
+            assert_eq!(
+                metrics.candidates.get(),
+                first.stats.candidates + second.stats.candidates,
+                "{}",
+                algo.token()
+            );
+            assert_eq!(
+                metrics.candidates.get(),
+                metrics.evaluations.get() + metrics.cache_hits.get() + metrics.screened.get(),
+                "{}",
+                algo.token()
+            );
         }
     }
 

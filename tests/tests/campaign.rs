@@ -10,7 +10,7 @@ use campaign::{Campaign, CampaignReport, CampaignRunner, CellResult, MetricSpec,
 use engine::{CacheConfig, SharedCache};
 use moea::nsga2::{Nsga2, Nsga2Config};
 use moea::problems::Schaffer;
-use moea::Evaluation;
+use moea::{EngineSetup, Evaluation};
 use sacga::sacga::{Sacga, SacgaConfig};
 use sacga::telemetry::DynOptimizer;
 use std::path::PathBuf;
@@ -34,14 +34,14 @@ fn schaffer_campaign() -> Campaign<'static> {
                 .generations(10)
                 .partitions(4);
             if let Some(cache) = shared {
-                b = b.shared_cache(cache.clone());
+                b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
             }
             Box::new(Sacga::new(Schaffer::new(), b.build().unwrap())) as Box<dyn DynOptimizer>
         })
         .arm("nsga2", |shared: Option<&SharedCache<Evaluation>>| {
             let mut b = Nsga2Config::builder().population_size(16).generations(10);
             if let Some(cache) = shared {
-                b = b.shared_cache(cache.clone());
+                b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
             }
             Box::new(Nsga2::new(Schaffer::new(), b.build().unwrap())) as Box<dyn DynOptimizer>
         })

@@ -15,9 +15,9 @@
 //! Re-record snapshots with
 //! `UPDATE_GOLDEN=1 cargo test -p integration-tests --test cellular`.
 
-use analog_dse::engine::ParallelEvaluator;
+use analog_dse::engine::EvaluatorKind;
 use analog_dse::moea::problems::Schaffer;
-use analog_dse::moea::{RunOutcome, RunStatus};
+use analog_dse::moea::{EngineSetup, RunOutcome, RunStatus};
 use analog_dse::sacga::cellular::{CellularConfig, CellularGa};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
 use analog_dse::sacga::telemetry::Optimizer;
@@ -111,7 +111,7 @@ fn cellular_parallel_fronts_match_snapshot_across_worker_counts() {
     // in submission order, so worker count {1, 2, 4} is invisible.
     for threads in [2usize, 4] {
         let cfg = ring_builder()
-            .evaluator(ParallelEvaluator::with_threads(threads))
+            .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(threads)))
             .build()
             .unwrap();
         let r = CellularGa::new(Schaffer::new(), cfg)
@@ -174,8 +174,11 @@ fn cellular_front_with_metrics_registry_attached_matches_snapshot() {
     let metrics = EngineMetrics::register(&registry, &labels);
     let series = CellSeries::register(&registry, &labels);
     let cfg = ring_builder()
-        .metrics(metrics.clone())
-        .cell_series(series.clone())
+        .engine_setup(
+            EngineSetup::new()
+                .metrics(metrics.clone())
+                .cell_series(series.clone()),
+        )
         .build()
         .unwrap();
     let mut sink = RegistrySink::register(&registry, &labels);

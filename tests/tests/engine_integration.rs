@@ -1,13 +1,10 @@
 //! Execution-engine integration: serial/parallel parity, memoization
 //! behavior, and the run-level instrumentation surfaced by the optimizers.
 
-use analog_dse::engine::{
-    CacheConfig, EngineConfig, EvaluatorKind, ExecutionEngine, MemoCache, ParallelEvaluator,
-    SerialEvaluator,
-};
+use analog_dse::engine::{CacheConfig, EngineConfig, EvaluatorKind, ExecutionEngine, MemoCache};
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problems::{Schaffer, Zdt1};
-use analog_dse::moea::{Evaluation, Problem};
+use analog_dse::moea::{EngineSetup, Evaluation, Problem};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
@@ -74,9 +71,12 @@ fn sacga_front_identical_under_serial_and_parallel_evaluators() {
             .generations(25)
             .partitions(6)
     };
-    let serial_cfg = base().evaluator(SerialEvaluator).build().unwrap();
+    let serial_cfg = base()
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::Serial))
+        .build()
+        .unwrap();
     let parallel_cfg = base()
-        .evaluator(ParallelEvaluator::default())
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::Parallel))
         .build()
         .unwrap();
     let serial = Sacga::new(Schaffer::new(), serial_cfg)
@@ -100,7 +100,7 @@ fn nsga2_front_identical_under_serial_and_parallel_evaluators() {
     let base = || Nsga2Config::builder().population_size(24).generations(15);
     let serial_cfg = base().build().unwrap();
     let parallel_cfg = base()
-        .evaluator(ParallelEvaluator::with_threads(4))
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(4)))
         .build()
         .unwrap();
     let serial = Nsga2::new(Zdt1::new(6), serial_cfg).run(9).unwrap();
@@ -121,8 +121,7 @@ fn mesacga_multi_phase_run_reports_cache_hits() {
             PhaseSpec::new(4, 10),
             PhaseSpec::new(1, 10),
         ])
-        .cache_capacity(4096)
-        .cache_grid(1e-3)
+        .engine_setup(EngineSetup::new().cache_capacity(4096).cache_grid(1e-3))
         .build()
         .unwrap();
     let r = Mesacga::new(Schaffer::new(), cfg).run_seeded(5).unwrap();
@@ -167,7 +166,7 @@ fn island_engine_stats_cover_archipelago() {
         .population_size(40)
         .generations(10)
         .islands(4)
-        .evaluator(ParallelEvaluator::default())
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::Parallel))
         .build()
         .unwrap();
     let r = IslandGa::new(Schaffer::new(), cfg).run_seeded(3).unwrap();

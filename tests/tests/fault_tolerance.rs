@@ -15,8 +15,8 @@
 use analog_dse::circuits::{DrivableLoadProblem, Spec};
 use analog_dse::engine::{EngineStats, FaultKind, FaultPlan, FaultPolicy};
 use analog_dse::moea::problems::Schaffer;
-use analog_dse::moea::OptimizeError;
 use analog_dse::moea::RunStatus;
+use analog_dse::moea::{EngineSetup, OptimizeError};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
 use analog_dse::sacga::telemetry::Optimizer;
@@ -109,8 +109,11 @@ fn recovered_faults_leave_the_front_untouched_with_exact_accounting() {
         ]);
     let clean_cfg = base.clone().build().unwrap();
     let faulty_cfg = base
-        .fault_policy(FaultPolicy::tolerant(3))
-        .inject_faults(FaultPlan::seeded(19).panics(0.04).nonfinite(0.04))
+        .engine_setup(
+            EngineSetup::new()
+                .fault_policy(FaultPolicy::tolerant(3))
+                .inject_faults(FaultPlan::seeded(19).panics(0.04).nonfinite(0.04)),
+        )
         .build()
         .unwrap();
     let clean = Mesacga::new(Schaffer::new(), clean_cfg)
@@ -143,11 +146,14 @@ fn quarantined_candidates_never_reach_the_front() {
         .population_size(24)
         .generations(10)
         .partitions(4)
-        .fault_policy(FaultPolicy::tolerant(2))
-        .inject_faults(
-            FaultPlan::seeded(3)
-                .nonfinite(0.1)
-                .faults_per_candidate(u32::MAX),
+        .engine_setup(
+            EngineSetup::new()
+                .fault_policy(FaultPolicy::tolerant(2))
+                .inject_faults(
+                    FaultPlan::seeded(3)
+                        .nonfinite(0.1)
+                        .faults_per_candidate(u32::MAX),
+                ),
         )
         .build()
         .unwrap();
@@ -164,7 +170,7 @@ fn exhausted_retry_budget_aborts_with_typed_error() {
     let cfg = SacgaConfig::builder()
         .population_size(8)
         .generations(2)
-        .inject_faults(FaultPlan::seeded(1).panics(1.0))
+        .engine_setup(EngineSetup::new().inject_faults(FaultPlan::seeded(1).panics(1.0)))
         .build()
         .unwrap();
     let err = Sacga::new(Schaffer::new(), cfg).run_seeded(1).unwrap_err();

@@ -11,10 +11,10 @@
 //! UPDATE_GOLDEN=1 cargo test -p integration-tests --test golden_master
 //! ```
 
-use analog_dse::engine::{EvaluatorKind, ParallelEvaluator};
+use analog_dse::engine::EvaluatorKind;
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problems::{Dtlz2, Schaffer, Tanaka};
-use analog_dse::moea::{Problem, RunOutcome, RunStatus};
+use analog_dse::moea::{EngineSetup, Problem, RunOutcome, RunStatus};
 use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig, SacgaConfigBuilder};
 use analog_dse::sacga::steady::{SteadyConfig, SteadySacga};
@@ -61,7 +61,7 @@ fn sacga_parallel_front_matches_snapshot() {
         .population_size(32)
         .generations(20)
         .partitions(5)
-        .evaluator(ParallelEvaluator::with_threads(4))
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(4)))
         .build()
         .unwrap();
     let r = Sacga::new(Schaffer::new(), cfg).run_seeded(SEED).unwrap();
@@ -99,7 +99,7 @@ fn mesacga_parallel_front_matches_snapshot() {
             PhaseSpec::new(3, 7),
             PhaseSpec::new(1, 7),
         ])
-        .evaluator(ParallelEvaluator::with_threads(4))
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(4)))
         .build()
         .unwrap();
     let r = Mesacga::new(Schaffer::new(), cfg).run_seeded(SEED).unwrap();
@@ -147,7 +147,7 @@ fn steady_parallel_front_matches_snapshot() {
         .partitions(5)
         .window(48)
         .quantum(8)
-        .evaluator(ParallelEvaluator::with_threads(4))
+        .engine_setup(EngineSetup::new().evaluator(EvaluatorKind::ParallelWith(4)))
         .build()
         .unwrap();
     let r = SteadySacga::new(Schaffer::new(), cfg)
@@ -201,7 +201,7 @@ fn nsga2_run<P: Problem + Sync>(
     let cfg = Nsga2Config::builder()
         .population_size(40)
         .generations(generations)
-        .evaluator(evaluator)
+        .engine_setup(EngineSetup::new().evaluator(evaluator))
         .build()
         .unwrap();
     Nsga2::new(problem, cfg).run(SEED).unwrap()
@@ -255,7 +255,10 @@ fn sacga_drivable_with_never_screen_matches_the_same_snapshot() {
     use analog_circuits::surrogate::{drivable_screen, ScreenThresholds};
     let problem = analog_circuits::DrivableLoadProblem::new(analog_circuits::Spec::featured());
     let screen = drivable_screen(problem.process(), ScreenThresholds::never());
-    let cfg = drivable_builder().surrogate_screen(screen).build().unwrap();
+    let cfg = drivable_builder()
+        .engine_setup(EngineSetup::new().surrogate_screen(screen))
+        .build()
+        .unwrap();
     let r = Sacga::new(problem, cfg).run_seeded(SEED).unwrap();
     assert!(!r.front.is_empty());
     check_golden("sacga_drivable_seed42.txt", &render_front(&r.front));
@@ -268,7 +271,10 @@ fn sacga_schaffer_with_never_screen_matches_the_same_snapshot() {
         .population_size(32)
         .generations(20)
         .partitions(5)
-        .surrogate_screen(SurrogateScreen::new("never", |_genes: &[f64]| None))
+        .engine_setup(
+            EngineSetup::new()
+                .surrogate_screen(SurrogateScreen::new("never", |_genes: &[f64]| None)),
+        )
         .build()
         .unwrap();
     let r = Sacga::new(Schaffer::new(), cfg).run_seeded(SEED).unwrap();
@@ -358,7 +364,7 @@ fn sacga_front_with_metrics_registry_attached_matches_snapshot() {
         .population_size(32)
         .generations(20)
         .partitions(5)
-        .metrics(metrics.clone())
+        .engine_setup(EngineSetup::new().metrics(metrics.clone()))
         .build()
         .unwrap();
     let mut sink = RegistrySink::register(&registry, &labels);
@@ -392,7 +398,7 @@ fn mesacga_front_with_metrics_registry_attached_matches_snapshot() {
             PhaseSpec::new(3, 7),
             PhaseSpec::new(1, 7),
         ])
-        .metrics(metrics.clone())
+        .engine_setup(EngineSetup::new().metrics(metrics.clone()))
         .build()
         .unwrap();
     let mut sink = RegistrySink::register(&registry, &labels);
@@ -420,7 +426,7 @@ fn steady_front_with_metrics_registry_attached_matches_snapshot() {
         .partitions(5)
         .window(48)
         .quantum(8)
-        .metrics(metrics.clone())
+        .engine_setup(EngineSetup::new().metrics(metrics.clone()))
         .build()
         .unwrap();
     let mut sink = RegistrySink::register(&registry, &labels);
@@ -459,7 +465,7 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
             .generations(12)
             .partitions(4);
         if let Some(m) = metrics {
-            b = b.metrics(m);
+            b = b.engine_setup(EngineSetup::new().metrics(m));
         }
         b.build(Schaffer::new()).unwrap().run_seeded(SEED).unwrap()
     };
@@ -476,7 +482,7 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
             .generations(12)
             .islands(3);
         if let Some(m) = metrics {
-            b = b.metrics(m);
+            b = b.engine_setup(EngineSetup::new().metrics(m));
         }
         IslandGa::new(Schaffer::new(), b.build().unwrap())
             .run_seeded(SEED)
@@ -492,7 +498,7 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
     let nsga2 = |metrics: Option<EngineMetrics>| {
         let mut b = Nsga2Config::builder().population_size(24).generations(12);
         if let Some(m) = metrics {
-            b = b.metrics(m);
+            b = b.engine_setup(EngineSetup::new().metrics(m));
         }
         Nsga2::new(Schaffer::new(), b.build().unwrap())
             .run(SEED)

@@ -10,7 +10,7 @@ use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{CompetitionMode, Sacga, SacgaConfig};
 use campaign::{Campaign, CampaignReport, CampaignRunner, Metric, MetricSpec, RunnerConfig};
 use engine::{CacheConfig, SharedCache};
-use moea::Evaluation;
+use moea::{EngineSetup, Evaluation};
 use sacga::telemetry::DynOptimizer;
 
 fn corridor() -> NarrowingCorridor {
@@ -49,7 +49,7 @@ fn sacga_diversity_beats_only_global_across_seed_campaign() {
                 .slice_range(-1.0, 0.0)
                 .mode(CompetitionMode::Annealed);
             if let Some(cache) = shared {
-                b = b.shared_cache(cache.clone());
+                b = b.engine_setup(EngineSetup::new().shared_cache(cache.clone()));
             }
             let cfg = b.build().unwrap();
             Box::new(Sacga::new(corridor(), cfg)) as Box<dyn DynOptimizer>

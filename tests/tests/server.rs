@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dse_server::protocol::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
+use dse_server::spec::{MAX_GENERATIONS, MAX_POPULATION, MAX_ZDT_DIMENSION};
 use dse_server::{
     AlgoSpec, JobHealth, JobSpec, JobState, JobStatus, JobStore, ProblemSpec, Server, ServerConfig,
     ServerError,
@@ -623,9 +624,48 @@ fn undersized_zdt_specs() -> Vec<JobSpec> {
     .collect()
 }
 
+/// Specs past a size limit. The first is cheap to run, so a server
+/// that accepted it would finish the job instead of losing a worker;
+/// the others overflow an allocation.
+fn oversized_specs() -> Vec<JobSpec> {
+    let small = AlgoSpec::Sacga {
+        pop: 8,
+        gens: 2,
+        parts: 2,
+    };
+    vec![
+        JobSpec::new(
+            "big",
+            ProblemSpec::Zdt1(MAX_ZDT_DIMENSION + 1),
+            small.clone(),
+            42,
+        ),
+        JobSpec::new("big", ProblemSpec::Zdt2(usize::MAX), small, 42),
+        JobSpec::new(
+            "big",
+            ProblemSpec::Schaffer,
+            AlgoSpec::Nsga2 {
+                pop: 4,
+                gens: 1 << 60,
+            },
+            42,
+        ),
+        JobSpec::new(
+            "big",
+            ProblemSpec::Schaffer,
+            AlgoSpec::Sacga {
+                pop: MAX_POPULATION + 2,
+                gens: MAX_GENERATIONS + 1,
+                parts: usize::MAX,
+            },
+            42,
+        ),
+    ]
+}
+
 #[test]
 fn zdt_specs_below_two_variables_are_rejected() {
-    for spec in undersized_zdt_specs() {
+    for spec in undersized_zdt_specs().into_iter().chain(oversized_specs()) {
         let line = spec.canonical();
         assert!(
             matches!(JobSpec::parse(&line), Err(ServerError::InvalidSpec(_))),
@@ -634,11 +674,12 @@ fn zdt_specs_below_two_variables_are_rejected() {
     }
     let root = scratch_dir("zdt-submit");
     let server = Server::open(&root, config(1)).unwrap();
-    for spec in undersized_zdt_specs() {
-        assert!(matches!(
-            server.submit(spec),
-            Err(ServerError::InvalidSpec(_))
-        ));
+    for spec in undersized_zdt_specs().into_iter().chain(oversized_specs()) {
+        let line = spec.canonical();
+        assert!(
+            matches!(server.submit(spec), Err(ServerError::InvalidSpec(_))),
+            "{line}"
+        );
     }
     assert!(server.list().is_empty());
     server.run_until_idle().unwrap();
@@ -652,9 +693,10 @@ fn tcp_submit_of_an_undersized_zdt_job_gets_one_err() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let line = format!("submit {}", undersized_zdt_specs()[0].canonical());
+    let big_line = format!("submit {}", oversized_specs()[0].canonical());
 
-    // Both exchanges are checked after the daemon is joined.
-    let (submitted, pong) = std::thread::scope(|scope| {
+    // Every exchange is checked after the daemon is joined.
+    let (submitted, big, pong) = std::thread::scope(|scope| {
         let daemon = scope.spawn(|| server.serve(listener));
         let exchange = |request: &str| -> std::io::Result<String> {
             let mut stream = TcpStream::connect(addr)?;
@@ -666,14 +708,16 @@ fn tcp_submit_of_an_undersized_zdt_job_gets_one_err() {
             Ok(reply)
         };
         let submitted = exchange(&line);
+        let big = exchange(&big_line);
         let pong = exchange("ping");
         server.request_shutdown();
         daemon.join().unwrap().unwrap();
-        (submitted, pong)
+        (submitted, big, pong)
     });
-    let reply = submitted.unwrap();
-    assert!(reply.starts_with("err "), "{reply:?}");
-    assert_eq!(reply.lines().count(), 1, "{reply:?}");
+    for reply in [submitted.unwrap(), big.unwrap()] {
+        assert!(reply.starts_with("err "), "{reply:?}");
+        assert_eq!(reply.lines().count(), 1, "{reply:?}");
+    }
     assert_eq!(pong.unwrap(), "ok pong\n");
     assert!(server.list().is_empty());
     let _ = std::fs::remove_dir_all(&root);
@@ -685,22 +729,29 @@ fn stored_undersized_zdt_job_is_skipped_on_reopen() {
     // a queued state, written as that daemon wrote them.
     let root = scratch_dir("zdt-store");
     let store = JobStore::open(&root).unwrap();
-    let spec = undersized_zdt_specs().remove(0);
-    let id = spec.id();
-    std::fs::create_dir_all(store.job_dir(id)).unwrap();
-    std::fs::write(
-        store.job_dir(id).join("spec.job"),
-        format!("{}\n", spec.canonical()),
-    )
-    .unwrap();
-    store.write_state(id, &JobState::queued()).unwrap();
+    let specs = [
+        undersized_zdt_specs().remove(0),
+        oversized_specs().remove(0),
+    ];
+    for spec in &specs {
+        let id = spec.id();
+        std::fs::create_dir_all(store.job_dir(id)).unwrap();
+        std::fs::write(
+            store.job_dir(id).join("spec.job"),
+            format!("{}\n", spec.canonical()),
+        )
+        .unwrap();
+        store.write_state(id, &JobState::queued()).unwrap();
+    }
 
     for _reopen in 0..2 {
         let server = Server::open(&root, config(1)).unwrap();
         server.run_until_idle().unwrap();
         assert!(server.list().is_empty());
         // Left in place for manual inspection.
-        assert!(store.job_dir(id).join("spec.job").exists());
+        for spec in &specs {
+            assert!(store.job_dir(spec.id()).join("spec.job").exists());
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -8,7 +8,7 @@
 use analog_dse::engine::EvaluatorKind;
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
 use analog_dse::moea::problems::{Schaffer, Tanaka};
-use analog_dse::moea::{RunOutcome, RunStatus};
+use analog_dse::moea::{EngineSetup, RunOutcome, RunStatus};
 use analog_dse::sacga::cellular::{CellularConfig, CellularGa};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
 use analog_dse::sacga::local::LocalCompetitionGaBuilder;
@@ -538,7 +538,7 @@ fn nsga2_runs_suspend_and_resume_onto_the_tanaka_golden() {
             Nsga2Config::builder()
                 .population_size(40)
                 .generations(40)
-                .evaluator(evaluator)
+                .engine_setup(EngineSetup::new().evaluator(evaluator))
                 .build()
                 .unwrap(),
         );
@@ -621,8 +621,11 @@ fn promotion_precedes_its_generations_faults_end_and_timing() {
             .population_size(24)
             .generations(14)
             .partitions(4)
-            .fault_policy(FaultPolicy::tolerant(3))
-            .inject_faults(FaultPlan::seeded(31).panics(0.08).nonfinite(0.04))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(FaultPolicy::tolerant(3))
+                    .inject_faults(FaultPlan::seeded(31).panics(0.08).nonfinite(0.04)),
+            )
             .build()
             .unwrap(),
     );
@@ -632,8 +635,11 @@ fn promotion_precedes_its_generations_faults_end_and_timing() {
             .population_size(24)
             .phase1_max(4)
             .phases(vec![PhaseSpec::new(4, 6), PhaseSpec::new(1, 6)])
-            .fault_policy(FaultPolicy::tolerant(3))
-            .inject_faults(FaultPlan::seeded(32).panics(0.08).nonfinite(0.04))
+            .engine_setup(
+                EngineSetup::new()
+                    .fault_policy(FaultPolicy::tolerant(3))
+                    .inject_faults(FaultPlan::seeded(32).panics(0.08).nonfinite(0.04)),
+            )
             .build()
             .unwrap(),
     );
