@@ -399,10 +399,6 @@ impl<P: Problem + Sync> CellularGa<P> {
             .unwrap_or_else(|| Variation::standard(bounds.len()));
         let adjacency: Vec<Vec<usize>> = (0..k).map(|i| topo.neighbors(i)).collect();
         let oriented: Vec<(Vec<usize>, Vec<usize>)> = (0..k).map(|i| topo.orientation(i)).collect();
-        let cell_metrics: Option<Vec<engine::CellMetrics>> = cfg
-            .exec
-            .cell_series_ref()
-            .map(|series| (0..k).map(|i| series.cell(i)).collect());
 
         let fresh = matches!(launch, CellularLaunch::Seed(_));
         let (mut rng, mut cells, mut history, mut gen, mut migrations): (
@@ -481,17 +477,15 @@ impl<P: Problem + Sync> CellularGa<P> {
                     .filter(|m| m.rank == 0 && m.is_feasible())
                     .cloned()
                     .collect();
-                let stats = session.stats().clone();
                 return Ok(RunStatus::Complete(Box::new(RunOutcome {
                     population,
                     front,
-                    evaluations: stats.evaluations as usize,
                     generations: gen,
                     gen_t: 0,
                     history,
                     phase_fronts: Vec::new(),
                     migrations,
-                    stats,
+                    stats: session.stats().clone(),
                 })));
             }
             if stop_after.is_some_and(|cap| gen >= cap) {
@@ -517,7 +511,6 @@ impl<P: Problem + Sync> CellularGa<P> {
             let mut queues: Vec<Vec<Vec<f64>>> = Vec::with_capacity(k);
             for i in 0..k {
                 timer.start(Stage::Variation);
-                let t0 = cell_metrics.as_ref().map(|_| std::time::Instant::now());
                 let cell = &cells[i];
                 let mut child_genes: Vec<Vec<f64>> = Vec::with_capacity(per_cell);
                 while child_genes.len() < per_cell {
@@ -545,10 +538,6 @@ impl<P: Problem + Sync> CellularGa<P> {
                 for genes in &child_genes {
                     session.submit(genes);
                 }
-                if let (Some(ms), Some(t0)) = (&cell_metrics, t0) {
-                    ms[i].candidates.add(child_genes.len() as u64);
-                    ms[i].variation_nanos.add(elapsed_nanos(t0));
-                }
                 queues.push(child_genes);
             }
 
@@ -559,7 +548,6 @@ impl<P: Problem + Sync> CellularGa<P> {
                 timer.start(Stage::Evaluation);
                 let evals = session.drain(per_cell)?;
                 timer.start(Stage::Selection);
-                let t0 = cell_metrics.as_ref().map(|_| std::time::Instant::now());
                 let offspring: Vec<Individual> = child_genes
                     .into_iter()
                     .zip(evals)
@@ -569,13 +557,6 @@ impl<P: Problem + Sync> CellularGa<P> {
                 combined.extend(offspring);
                 cells[i] = environmental_selection(combined, per_cell);
                 timer.stop();
-                if let (Some(ms), Some(t0)) = (&cell_metrics, t0) {
-                    ms[i].selection_nanos.add(elapsed_nanos(t0));
-                    #[allow(clippy::cast_precision_loss)]
-                    ms[i]
-                        .front_size
-                        .set(cells[i].iter().filter(|m| m.rank == 0).count() as f64);
-                }
             }
 
             // --- neighborhood migration
@@ -744,11 +725,6 @@ fn pick_neighbor(rng: &mut StdRng, oriented: &(Vec<usize>, Vec<usize>), anisotro
     pool[rng.gen_range(0..pool.len())]
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn elapsed_nanos(t0: std::time::Instant) -> u64 {
-    t0.elapsed().as_nanos() as u64
-}
-
 impl<P: Problem + Sync> Optimizer for CellularGa<P> {
     type Checkpoint = CellularCheckpoint;
 
@@ -856,7 +832,7 @@ mod tests {
             .run_seeded(3)
             .unwrap();
         assert_eq!(a.front_objectives(), b.front_objectives());
-        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.stats.evaluations, b.stats.evaluations);
     }
 
     #[test]
@@ -864,7 +840,7 @@ mod tests {
         let r = CellularGa::new(Schaffer::new(), quick(ring4(), 10))
             .run_seeded(2)
             .unwrap();
-        assert_eq!(r.evaluations, 40 + 30 * 40);
+        assert_eq!(r.stats.evaluations, 40 + 30 * 40);
         assert_eq!(r.migrations, 3); // generations 10, 20, 30
     }
 
@@ -934,7 +910,7 @@ mod tests {
         let resumed = ga.resume(&cp).unwrap();
         assert_eq!(whole.front_objectives(), resumed.front_objectives());
         assert_eq!(whole.history, resumed.history);
-        assert_eq!(whole.evaluations, resumed.evaluations);
+        assert_eq!(whole.stats.evaluations, resumed.stats.evaluations);
     }
 
     #[test]
@@ -1021,36 +997,6 @@ mod tests {
             .filter(|e| matches!(e, RunEvent::Promotion { .. }))
             .count();
         assert_eq!(promotions, watched.migrations);
-    }
-
-    #[test]
-    fn per_cell_metrics_observe_without_steering() {
-        let registry = engine::MetricsRegistry::new();
-        let series = engine::CellSeries::register(&registry, &[("arm", "cellular")]);
-        let instrumented = CellularConfig::builder()
-            .population_size(40)
-            .generations(30)
-            .topology(ring4())
-            .migration_interval(10)
-            .migrants(2)
-            .engine_setup(EngineSetup::new().cell_series(series.clone()))
-            .build()
-            .unwrap();
-        let watched = CellularGa::new(Schaffer::new(), instrumented)
-            .run_seeded(4)
-            .unwrap();
-        let bare = CellularGa::new(Schaffer::new(), quick(ring4(), 10))
-            .run_seeded(4)
-            .unwrap();
-        assert_eq!(watched.front_objectives(), bare.front_objectives());
-        // 10 offspring per cell per generation over 30 generations.
-        for i in 0..4 {
-            assert_eq!(series.cell(i).candidates.get(), 300);
-            assert!(series.cell(i).front_size.get() >= 1.0);
-        }
-        assert!(registry
-            .render_text()
-            .contains("dse_cell_candidates_total{arm=\"cellular\",cell=\"0\"} 300"));
     }
 
     #[test]

@@ -177,14 +177,14 @@ impl MesacgaCheckpoint {
         let phase_index = lines.tagged_usize("phase_index")?;
         let phase_start = lines.tagged_usize("phase_start")?;
         let n_fronts = lines.tagged_usize("phase_fronts")?;
-        let mut phase_fronts = Vec::with_capacity(n_fronts);
+        let mut phase_fronts = Vec::new();
         for fi in 0..n_fronts {
             let (no, toks) = lines.tagged("f", 2)?;
             if parse_usize(toks[0], no)? != fi {
                 return Err(bad(no, "front records out of order"));
             }
             let count = parse_usize(toks[1], no)?;
-            let mut front = Vec::with_capacity(count);
+            let mut front = Vec::new();
             for _ in 0..count {
                 front.push(parse_individual(&mut lines)?);
             }
@@ -248,7 +248,7 @@ impl SteadyCheckpoint {
         lines.expect_literal(STEADY_HEADER)?;
         let state = parse_state(&mut lines)?;
         let n_pending = lines.tagged_usize("pending")?;
-        let mut pending = Vec::with_capacity(n_pending);
+        let mut pending = Vec::new();
         for _ in 0..n_pending {
             pending.push(parse_individual(&mut lines)?);
         }
@@ -327,14 +327,14 @@ impl CellularCheckpoint {
         let history = parse_history(&mut lines)?;
         let stats = parse_stats(&mut lines)?;
         let n_cells = lines.tagged_usize("cells")?;
-        let mut cells = Vec::with_capacity(n_cells);
+        let mut cells = Vec::new();
         for ci in 0..n_cells {
             let (no, toks) = lines.tagged("c", 2)?;
             if parse_usize(toks[0], no)? != ci {
                 return Err(bad(no, "cell records out of order"));
             }
             let count = parse_usize(toks[1], no)?;
-            let mut cell = Vec::with_capacity(count);
+            let mut cell = Vec::new();
             for _ in 0..count {
                 cell.push(parse_individual(&mut lines)?);
             }
@@ -453,6 +453,9 @@ fn write_stats(out: &mut String, st: &EngineStats) {
 
 // ---------------------------------------------------------------------------
 // Parsing
+//
+// A count read from the text never sizes an allocation: a corrupt count
+// fails on the records it promises, as a truncated text does.
 
 fn bad(line: usize, why: impl std::fmt::Display) -> OptimizeError {
     OptimizeError::invalid_checkpoint(format!("line {line}: {why}"))
@@ -567,10 +570,11 @@ fn parse_individual(lines: &mut Lines<'_>) -> Result<SavedIndividual, OptimizeEr
     let nobj = parse_usize(toks[3], no)?;
     let nv = parse_usize(toks[4], no)?;
     let values = &toks[5..];
-    if values.len() != ng + nobj + nv {
+    let want = ng.checked_add(nobj).and_then(|n| n.checked_add(nv));
+    if want != Some(values.len()) {
         return Err(bad(
             no,
-            format!("expected {} values, got {}", ng + nobj + nv, values.len()),
+            format!("expected {ng} + {nobj} + {nv} values, got {}", values.len()),
         ));
     }
     let mut parsed = Vec::with_capacity(values.len());
@@ -626,14 +630,14 @@ fn parse_state(lines: &mut Lines<'_>) -> Result<EngineState, OptimizeError> {
             alive.len()
         )));
     }
-    let mut partitions = Vec::with_capacity(n_partitions);
+    let mut partitions = Vec::new();
     for pi in 0..n_partitions {
         let (no, toks) = lines.tagged("p", 2)?;
         if parse_usize(toks[0], no)? != pi {
             return Err(bad(no, "partition records out of order"));
         }
         let count = parse_usize(toks[1], no)?;
-        let mut part = Vec::with_capacity(count);
+        let mut part = Vec::new();
         for _ in 0..count {
             part.push(parse_individual(lines)?);
         }
@@ -657,7 +661,7 @@ fn parse_state(lines: &mut Lines<'_>) -> Result<EngineState, OptimizeError> {
 
 fn parse_history(lines: &mut Lines<'_>) -> Result<Vec<GenerationStats>, OptimizeError> {
     let n_history = lines.tagged_usize("history")?;
-    let mut history = Vec::with_capacity(n_history);
+    let mut history = Vec::new();
     for _ in 0..n_history {
         let (no, toks) = lines.tagged("h", 6)?;
         history.push(GenerationStats {
@@ -1022,6 +1026,12 @@ mod tests {
         // corrupt hex
         let corrupt = text.replace("rng", "rng zz");
         assert!(SacgaCheckpoint::from_text(&corrupt).is_err());
+        // a huge member count fails on the members it promises
+        for huge in ["18446744073709551615", "4611686018427387904"] {
+            let corrupt = text.replace("p 0 1\n", &format!("p 0 {huge}\n"));
+            assert_ne!(corrupt, text);
+            assert!(SacgaCheckpoint::from_text(&corrupt).is_err());
+        }
         // trailing garbage
         let mut trailing = text.clone();
         trailing.push_str("junk\n");

@@ -125,7 +125,7 @@ mod tests {
             .run_seeded(3)
             .unwrap();
         assert_eq!(a.front_objectives(), b.front_objectives());
-        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.stats.evaluations, b.stats.evaluations);
     }
 
     #[test]
@@ -214,6 +214,6 @@ mod tests {
         let r = IslandGa::new(Schaffer::new(), quick(4, 10))
             .run_seeded(2)
             .unwrap();
-        assert_eq!(r.evaluations, 40 + 30 * 40);
+        assert_eq!(r.stats.evaluations, 40 + 30 * 40);
     }
 }

@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn evaluation_budget_accounted() {
         let r = Nsga2::new(Schaffer::new(), config(10, 5)).run(1).unwrap();
-        assert_eq!(r.evaluations, 10 + 5 * 10);
+        assert_eq!(r.stats.evaluations, 10 + 5 * 10);
         assert_eq!(r.generations, 5);
         assert_eq!(r.migrations, 0);
     }
@@ -226,7 +226,7 @@ mod tests {
         // Cumulative evaluation counters are non-decreasing and end at
         // the run total.
         assert!(seen.windows(2).all(|w| w[0].2 <= w[1].2));
-        assert_eq!(seen.last().unwrap().2 as usize, r.evaluations);
+        assert_eq!(seen.last().unwrap().2, r.stats.evaluations);
         // History holds the initial population and every generation.
         assert_eq!(r.history.len(), 5);
         assert!(r.history.iter().all(|h| h.phase == 2 && h.promoted == 0));

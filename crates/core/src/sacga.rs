@@ -413,7 +413,7 @@ mod tests {
             .unwrap();
         let b = Sacga::new(Schaffer::new(), cfg).run_seeded(5).unwrap();
         assert_eq!(a.front_objectives(), b.front_objectives());
-        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.stats.evaluations, b.stats.evaluations);
     }
 
     #[test]
@@ -517,7 +517,7 @@ mod tests {
         let cfg = small_config(15, 4);
         let r = Sacga::new(Schaffer::new(), cfg).run_seeded(9).unwrap();
         // init + one offspring batch per generation
-        assert_eq!(r.evaluations, 40 + 15 * 40);
+        assert_eq!(r.stats.evaluations, 40 + 15 * 40);
     }
 
     #[test]

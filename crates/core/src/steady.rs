@@ -1201,17 +1201,15 @@ impl<'a> Flow<'a> {
             .filter(|m| m.rank == 0 && m.is_feasible())
             .cloned()
             .collect();
-        let stats = session.stats().clone();
         RunOutcome {
             population,
             front,
-            evaluations: stats.evaluations as usize,
             generations: self.gen,
             gen_t: self.gen_t,
             history: self.history,
             phase_fronts: self.phase_fronts,
             migrations: 0,
-            stats,
+            stats: session.stats().clone(),
         }
     }
 }
@@ -1440,7 +1438,7 @@ mod tests {
         let s = &r.stats;
         assert_eq!(s.candidates, s.evaluations + s.cache_hits + s.screened);
         // init + one offspring batch per generation, no cache configured
-        assert_eq!(r.evaluations, 40 + 15 * 40);
+        assert_eq!(s.evaluations, 40 + 15 * 40);
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct ExecutionEngine<T> {
     // Resolved fault episodes not yet drained by `take_fault_events`,
     // in batch order. Bounded: see `MAX_PENDING_FAULT_EVENTS`.
     pub(crate) fault_events: Vec<FaultEvent>,
-    // Opt-in live metric handles mirroring `stats` into a registry.
+    // Opt-in live metric handles that sessions publish `stats` into.
     // Recording is observation only: it never steers evaluation.
     pub(crate) metrics: Option<EngineMetrics>,
 }
@@ -185,12 +185,12 @@ impl<T: Clone + Send> ExecutionEngine<T> {
     }
 
     /// Attaches a live metric bundle (see
-    /// [`EngineMetrics::register`]): every counter mirrored from
-    /// [`EngineStats`] is also recorded into the bundle's registry as it
-    /// happens, plus per-evaluation latency and batch-size histograms.
-    /// Recording is atomic and observation-only — it never touches the
-    /// RNG, candidate ordering, or results, so an instrumented run stays
-    /// bit-identical to a bare one.
+    /// [`EngineMetrics::register`]): each session adds what the
+    /// [`EngineStats`] counters gained to the bundle at the end of every
+    /// drain and when it closes, and records per-evaluation latency and
+    /// batch-size histograms. Recording is atomic and observation-only —
+    /// it never touches the RNG, candidate ordering, or results, so an
+    /// instrumented run stays bit-identical to a bare one.
     pub fn attach_metrics(&mut self, metrics: EngineMetrics) {
         self.metrics = Some(metrics);
     }

@@ -28,16 +28,6 @@ pub enum EvaluatorKind {
     ),
 }
 
-impl EvaluatorKind {
-    /// A short human-readable name for logs and stats.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EvaluatorKind::Serial => "serial",
-            EvaluatorKind::Parallel | EvaluatorKind::ParallelWith(_) => "parallel",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +103,5 @@ mod tests {
         assert_eq!(run(EvaluatorKind::Parallel, &b), serial);
         assert_eq!(run(EvaluatorKind::ParallelWith(2), &b), serial);
         assert_eq!(EvaluatorKind::default(), EvaluatorKind::Serial);
-        assert_eq!(EvaluatorKind::Serial.label(), "serial");
-        assert_eq!(EvaluatorKind::Parallel.label(), "parallel");
     }
 }

@@ -94,9 +94,7 @@ pub use fault::{
     FaultKind, FaultPlan, FaultPolicy, FaultResolution, InjectedPanic, InjectionCounts, Quarantine,
     RetryPolicy,
 };
-pub use metrics::{
-    CellMetrics, CellSeries, Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, PoolMetrics,
-};
+pub use metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry};
 pub use screen::SurrogateScreen;
 pub use session::EvaluationSession;
 pub use shared::{SharedCache, SharedCacheStats};

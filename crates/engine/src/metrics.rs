@@ -7,8 +7,8 @@
 //! never takes the registry lock while recording — only registration and
 //! snapshotting do.
 //!
-//! Metrics carry a small label model: `tenant`, `job`, `arm`, `stage`
-//! and `worker`. Registration is idempotent — asking for the same name,
+//! Metrics carry a small label model: `tenant`, `job`, `arm` and
+//! `stage`. Registration is idempotent — asking for the same name,
 //! label set and type returns a handle to the same underlying cell, so a
 //! resumed job keeps incrementing the counters its first slice created.
 //!
@@ -20,10 +20,9 @@
 //! snapshots of equal state are byte-identical regardless of
 //! registration order or thread interleaving.
 //!
-//! [`EngineMetrics`] and [`PoolMetrics`] bundle the handles the
-//! execution engine and the worker pool record into; attaching them to
-//! an engine observes evaluation without steering it (recording never
-//! touches the RNG or candidate ordering).
+//! [`EngineMetrics`] bundles the handles the execution engine records
+//! into; attaching it to an engine observes evaluation without steering
+//! it (recording never touches the RNG or candidate ordering).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Label names a metric may carry, in the canonical emission order.
-pub const LABEL_NAMES: [&str; 6] = ["tenant", "job", "arm", "stage", "worker", "cell"];
+pub const LABEL_NAMES: [&str; 4] = ["tenant", "job", "arm", "stage"];
 
 /// A monotonic counter. Cloning shares the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -241,11 +240,6 @@ impl MetricsRegistry {
     /// A fresh, empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether `other` is a handle to the same registry.
-    pub fn same_registry(&self, other: &MetricsRegistry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Registers (or retrieves) a counter.
@@ -484,9 +478,16 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// The engine-side metric bundle: evaluation counters mirroring
+/// The engine-side metric bundle: the seven evaluation counters of
 /// [`EngineStats`](crate::EngineStats), a per-evaluation latency
 /// histogram and a batch-size histogram.
+///
+/// An [`EvaluationSession`](crate::EvaluationSession) adds what its
+/// `EngineStats` counters gained to the bundle at the end of every drain
+/// and when it closes. At those boundaries each counter equals its
+/// `EngineStats` field (for a fresh engine; a restored one adds only
+/// what it gains); a scrape in between misses the submissions made
+/// since the last boundary.
 ///
 /// Handles are shared clones; equality is *identity* (same underlying
 /// cells), so configs holding a bundle stay `PartialEq`-derivable.
@@ -537,146 +538,6 @@ impl EngineMetrics {
 }
 
 impl PartialEq for EngineMetrics {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.candidates.0, &other.candidates.0)
-    }
-}
-
-/// Worker-pool metric bundle: queue-wait and task-run histograms plus
-/// per-worker busy-fraction gauges (labeled `worker="<index>"`).
-#[derive(Clone, Debug)]
-pub struct PoolMetrics {
-    /// Seconds between pool/task availability and a worker claiming the
-    /// item (`dse_pool_queue_wait_seconds`).
-    pub queue_wait: Histogram,
-    /// Seconds spent running one claimed item (`dse_pool_task_run_seconds`).
-    pub task_run: Histogram,
-    registry: MetricsRegistry,
-    labels: Vec<(String, String)>,
-}
-
-impl PoolMetrics {
-    /// Registers the bundle under `labels` in `registry`.
-    pub fn register(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
-        PoolMetrics {
-            queue_wait: registry.histogram(
-                "dse_pool_queue_wait_seconds",
-                labels,
-                &latency_buckets(),
-            ),
-            task_run: registry.histogram("dse_pool_task_run_seconds", labels, &latency_buckets()),
-            registry: registry.clone(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-                .collect(),
-        }
-    }
-
-    /// The busy-fraction gauge for worker `w`
-    /// (`dse_pool_worker_busy_ratio{worker="<w>"}`).
-    pub fn worker_busy(&self, w: usize) -> Gauge {
-        let w = w.to_string();
-        let mut labels: Vec<(&str, &str)> = self
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        labels.retain(|(k, _)| *k != "worker");
-        labels.push(("worker", w.as_str()));
-        self.registry.gauge("dse_pool_worker_busy_ratio", &labels)
-    }
-}
-
-impl PartialEq for PoolMetrics {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.queue_wait.0, &other.queue_wait.0)
-    }
-}
-
-/// A factory for per-cell metric bundles of a structured-population
-/// (cellular) run: each cell of the topology gets its own label slice
-/// (`cell="<index>"`) under the base labels the series was registered
-/// with.
-///
-/// Like the other bundles this is observation only — recording never
-/// touches the optimizer's RNG — and equality is identity, so configs
-/// holding a series stay `PartialEq`-derivable.
-#[derive(Clone, Debug)]
-pub struct CellSeries {
-    registry: MetricsRegistry,
-    labels: Vec<(String, String)>,
-}
-
-impl CellSeries {
-    /// Registers a series under `labels` in `registry`.
-    pub fn register(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
-        CellSeries {
-            registry: registry.clone(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-                .collect(),
-        }
-    }
-
-    /// The underlying registry (for scraping in tests and endpoints).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The metric bundle of cell `index` (`cell="<index>"` replaces any
-    /// inherited `cell` label). Registration is idempotent, so calling
-    /// this again — e.g. after a resume — returns handles to the same
-    /// cells.
-    pub fn cell(&self, index: usize) -> CellMetrics {
-        let idx = index.to_string();
-        let mut labels: Vec<(&str, &str)> = self
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        labels.retain(|(k, _)| *k != "cell");
-        labels.push(("cell", idx.as_str()));
-        let stage = |stage: &'static str| {
-            let mut with_stage = labels.clone();
-            with_stage.retain(|(k, _)| *k != "stage");
-            with_stage.push(("stage", stage));
-            self.registry
-                .counter("dse_cell_stage_nanos_total", &with_stage)
-        };
-        CellMetrics {
-            candidates: self.registry.counter("dse_cell_candidates_total", &labels),
-            variation_nanos: stage("variation"),
-            selection_nanos: stage("selection"),
-            front_size: self.registry.gauge("dse_cell_front_size", &labels),
-        }
-    }
-}
-
-impl PartialEq for CellSeries {
-    fn eq(&self, other: &Self) -> bool {
-        self.registry.same_registry(&other.registry) && self.labels == other.labels
-    }
-}
-
-/// Per-cell metric bundle handed out by [`CellSeries::cell`].
-#[derive(Clone, Debug)]
-pub struct CellMetrics {
-    /// Offspring bred by this cell (`dse_cell_candidates_total`).
-    pub candidates: Counter,
-    /// Nanoseconds this cell spent breeding
-    /// (`dse_cell_stage_nanos_total{stage="variation"}`).
-    pub variation_nanos: Counter,
-    /// Nanoseconds this cell spent on survivor selection
-    /// (`dse_cell_stage_nanos_total{stage="selection"}`).
-    pub selection_nanos: Counter,
-    /// Size of the cell's local rank-0 front after the latest selection
-    /// (`dse_cell_front_size`).
-    pub front_size: Gauge,
-}
-
-impl PartialEq for CellMetrics {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.candidates.0, &other.candidates.0)
     }
@@ -802,37 +663,5 @@ mod tests {
         let c = EngineMetrics::register(&reg, &[("tenant", "u")]);
         assert_eq!(a, b, "same cells");
         assert_ne!(a, c, "different label set, different cells");
-    }
-
-    #[test]
-    fn cell_series_hands_out_per_cell_bundles() {
-        let reg = MetricsRegistry::new();
-        let series = CellSeries::register(&reg, &[("job", "j1"), ("arm", "cellular")]);
-        series.cell(0).candidates.add(8);
-        series.cell(1).variation_nanos.add(250);
-        series.cell(1).front_size.set(3.0);
-        // Idempotent: a second hand-out shares the same cells.
-        assert_eq!(series.cell(0).candidates.get(), 8);
-        assert_eq!(series.cell(0), series.cell(0));
-        assert_ne!(series.cell(0), series.cell(1));
-        let text = reg.render_text();
-        assert!(
-            text.contains("dse_cell_candidates_total{arm=\"cellular\",cell=\"0\",job=\"j1\"} 8")
-        );
-        assert!(text.contains(
-            "dse_cell_stage_nanos_total{arm=\"cellular\",cell=\"1\",job=\"j1\",stage=\"variation\"} 250"
-        ));
-        assert!(text.contains("dse_cell_front_size{arm=\"cellular\",cell=\"1\",job=\"j1\"} 3"));
-    }
-
-    #[test]
-    fn pool_metrics_worker_gauges_are_labeled() {
-        let reg = MetricsRegistry::new();
-        let pool = PoolMetrics::register(&reg, &[("tenant", "t")]);
-        pool.worker_busy(0).set(0.5);
-        pool.worker_busy(1).set(1.0);
-        let text = reg.render_text();
-        assert!(text.contains("dse_pool_worker_busy_ratio{tenant=\"t\",worker=\"0\"} 0.5"));
-        assert!(text.contains("dse_pool_worker_busy_ratio{tenant=\"t\",worker=\"1\"} 1"));
     }
 }

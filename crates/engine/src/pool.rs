@@ -21,10 +21,8 @@
 //!   the remaining workers stop claiming new items (in-flight items
 //!   finish).
 
-use crate::metrics::PoolMetrics;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Runs `work(0..count)` across at most `threads` scoped workers,
 /// returning results in index order.
@@ -42,56 +40,9 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    try_map_indexed_metered(threads, count, None, work)
-}
-
-/// [`try_map_indexed`] with an optional [`PoolMetrics`] bundle: each
-/// claimed item records its queue wait (pool launch to claim) and run
-/// time, and each worker publishes its busy fraction (run time over the
-/// pool's wall time) as a `worker`-labeled gauge when the pool drains.
-/// Recording is observation only — results, ordering, and error
-/// semantics are identical to the unmetered call.
-///
-/// # Errors
-///
-/// Returns the first error any worker produced; remaining workers stop
-/// claiming new items.
-pub fn try_map_indexed_metered<T, E, F>(
-    threads: usize,
-    count: usize,
-    metrics: Option<&PoolMetrics>,
-    work: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
     let workers = threads.clamp(1, count.max(1));
-    let t_start = metrics.map(|_| Instant::now());
     if workers <= 1 {
-        let mut out = Vec::with_capacity(count);
-        let mut busy = std::time::Duration::ZERO;
-        for i in 0..count {
-            if let (Some(m), Some(t_start)) = (metrics, t_start) {
-                m.queue_wait.observe_duration(t_start.elapsed() - busy);
-                let t0 = Instant::now();
-                let value = work(i);
-                let dt = t0.elapsed();
-                busy += dt;
-                m.task_run.observe_duration(dt);
-                out.push(value?);
-            } else {
-                out.push(work(i)?);
-            }
-        }
-        if let (Some(m), Some(t_start)) = (metrics, t_start) {
-            let wall = t_start.elapsed().as_secs_f64();
-            if wall > 0.0 {
-                m.worker_busy(0).set(busy.as_secs_f64() / wall);
-            }
-        }
-        return Ok(out);
+        return (0..count).map(work).collect();
     }
 
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
@@ -108,8 +59,6 @@ where
             let work = &work;
             scope.spawn(move || {
                 let mut seeded = Some(w);
-                let mut busy = std::time::Duration::ZERO;
-                let mut idle_mark = t_start.map(|_| Instant::now());
                 loop {
                     if failure
                         .lock()
@@ -125,21 +74,7 @@ where
                     if i >= count {
                         break;
                     }
-                    let t0 = match (metrics, idle_mark) {
-                        (Some(m), Some(mark)) => {
-                            m.queue_wait.observe_duration(mark.elapsed());
-                            Some(Instant::now())
-                        }
-                        _ => None,
-                    };
-                    let result = work(i);
-                    if let (Some(m), Some(t0)) = (metrics, t0) {
-                        let dt = t0.elapsed();
-                        busy += dt;
-                        m.task_run.observe_duration(dt);
-                        idle_mark = Some(Instant::now());
-                    }
-                    match result {
+                    match work(i) {
                         Ok(value) => {
                             *slots[i].lock().expect("pool result slot poisoned") = Some(value);
                         }
@@ -150,12 +85,6 @@ where
                             }
                             break;
                         }
-                    }
-                }
-                if let (Some(m), Some(t_start)) = (metrics, t_start) {
-                    let wall = t_start.elapsed().as_secs_f64();
-                    if wall > 0.0 {
-                        m.worker_busy(w).set(busy.as_secs_f64() / wall);
                     }
                 }
             });
@@ -234,21 +163,6 @@ mod tests {
         // calls happen (each in-flight worker finishes at most its
         // current item).
         assert!(calls.load(Ordering::SeqCst) < 1000);
-    }
-
-    #[test]
-    fn metered_pool_matches_unmetered_and_records() {
-        let registry = crate::MetricsRegistry::new();
-        let metrics = PoolMetrics::register(&registry, &[("stage", "test")]);
-        for threads in [1, 4] {
-            let out: Result<Vec<usize>, std::convert::Infallible> =
-                try_map_indexed_metered(threads, 37, Some(&metrics), |i| Ok(3 * i));
-            assert_eq!(out.unwrap(), (0..37).map(|i| 3 * i).collect::<Vec<_>>());
-        }
-        assert_eq!(metrics.task_run.count(), 74);
-        assert_eq!(metrics.queue_wait.count(), 74);
-        let text = registry.render_text();
-        assert!(text.contains("dse_pool_worker_busy_ratio{stage=\"test\",worker=\"0\"}"));
     }
 
     #[test]

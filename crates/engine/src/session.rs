@@ -34,7 +34,10 @@
 //!   is its batch position.
 //! * **Accounting**: `candidates == evaluations + cache_hits + screened`
 //!   holds at every drain boundary. Each drain counts one batch;
-//!   `max_batch` tracks the largest drain.
+//!   `max_batch` tracks the largest drain. [`EngineStats`] is the only
+//!   record of the counters: an attached [`EngineMetrics`] bundle
+//!   receives what they gained at the end of every drain and when the
+//!   session closes, so it equals them at each of those boundaries.
 //!
 //! Under the serial evaluator (or a parallel one that resolves to a
 //! single worker), evaluation is deferred to the drain, which runs each
@@ -180,9 +183,10 @@ pub struct EvaluationSession<'a, T, F> {
     /// The key is the one its entry holds, sharing its allocation.
     pending: HashMap<Key, usize, WordHash>,
     drained: usize,
-    /// Live metric handles mirroring the stats counters (observation
-    /// only; never steers evaluation).
+    /// Live metric handles (observation only; never steers evaluation).
     metrics: Option<EngineMetrics>,
+    /// The stats as last added to `metrics`.
+    published: EngineStats,
 }
 
 /// One candidate evaluation under the fault policy (and the injector,
@@ -247,24 +251,15 @@ where
     pub fn submit(&mut self, genes: &[f64]) -> usize {
         let idx = self.submitted();
         self.stats.candidates += 1;
-        if let Some(m) = &self.metrics {
-            m.candidates.inc();
-        }
         if self.cache.enabled {
             let key = self.cache.key(genes);
             if let Some(value) = self.cache.get(&key) {
                 self.stats.cache_hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.cache_hits.inc();
-                }
                 self.entries.push_back(Entry::new(Slot::Ready(value), None));
                 return idx;
             }
             if let Some(&m) = self.pending.get(&key) {
                 self.stats.cache_hits += 1;
-                if let Some(mm) = &self.metrics {
-                    mm.cache_hits.inc();
-                }
                 self.entries[m - self.base].readers += 1;
                 self.entries.push_back(Entry::new(Slot::Alias(m), None));
                 return idx;
@@ -303,9 +298,6 @@ where
         if let Some(screen) = &self.screen {
             if let Some(value) = screen.screen(genes) {
                 self.stats.screened += 1;
-                if let Some(m) = &self.metrics {
-                    m.screened.inc();
-                }
                 self.entries.push_back(Entry::new(Slot::Ready(value), None));
                 return true;
             }
@@ -316,9 +308,6 @@ where
     /// Routes a cache-miss submission to the backend.
     fn dispatch(&mut self, idx: usize, genes: &[f64], key: Option<Key>) {
         self.stats.evaluations += 1;
-        if let Some(m) = &self.metrics {
-            m.evaluations.inc();
-        }
         let slot = match &self.backend {
             Backend::Workers(link) => {
                 link.jobs
@@ -386,7 +375,6 @@ where
                 let value = fold_outcome(
                     self.stats,
                     self.fault_events,
-                    self.metrics.as_ref(),
                     i - lo,
                     outcome,
                     &mut first_failure,
@@ -397,6 +385,7 @@ where
         refresh_injection_stats(self.stats, self.injector, self.injected_base);
         if let Some(failure) = first_failure {
             self.drained = hi;
+            self.publish();
             return Err(failure);
         }
 
@@ -438,7 +427,25 @@ where
         }
         self.drained = hi;
         self.forget_drained();
+        self.publish();
         Ok(out)
+    }
+
+    /// Adds what the seven engine counters gained since the last call to
+    /// the attached metric bundle: the one place they reach the registry.
+    fn publish(&mut self) {
+        let Some(m) = &self.metrics else {
+            return;
+        };
+        let gained = self.stats.since(&self.published);
+        m.candidates.add(gained.candidates);
+        m.evaluations.add(gained.evaluations);
+        m.cache_hits.add(gained.cache_hits);
+        m.screened.add(gained.screened);
+        m.fault_retries.add(gained.retries);
+        m.fault_recovered.add(gained.recovered);
+        m.fault_quarantined.add(gained.quarantined);
+        self.published = self.stats.clone();
     }
 
     /// Drops drained entries from the front, keeping those that an
@@ -506,7 +513,6 @@ where
 fn fold_outcome<T>(
     stats: &mut EngineStats,
     events: &mut Vec<FaultEvent>,
-    metrics: Option<&EngineMetrics>,
     index: usize,
     outcome: EvalOutcome<T>,
     first_failure: &mut Option<EvalFailure>,
@@ -524,10 +530,6 @@ fn fold_outcome<T>(
             stats.retries += retries;
             stats.recovered += 1;
             stats.backoff_time += backoff;
-            if let Some(m) = metrics {
-                m.fault_retries.add(retries);
-                m.fault_recovered.inc();
-            }
             push_fault_event(
                 events,
                 FaultEvent {
@@ -549,10 +551,6 @@ fn fold_outcome<T>(
             stats.retries += retries;
             stats.quarantined += 1;
             stats.backoff_time += backoff;
-            if let Some(m) = metrics {
-                m.fault_retries.add(retries);
-                m.fault_quarantined.inc();
-            }
             push_fault_event(
                 events,
                 FaultEvent {
@@ -568,9 +566,6 @@ fn fold_outcome<T>(
             stats.failures += failure.attempts as u64;
             stats.retries += retries;
             stats.backoff_time += failure.backoff;
-            if let Some(m) = metrics {
-                m.fault_retries.add(retries);
-            }
             if first_failure.is_none() {
                 failure.index = index;
                 *first_failure = Some(failure);
@@ -615,7 +610,9 @@ fn worker_count(kind: EvaluatorKind) -> usize {
 }
 
 /// Opens a session over `engine`'s borrowed internals, spawning the
-/// scoped worker pool when the evaluator is parallel, and runs `f`.
+/// scoped worker pool when the evaluator is parallel, runs `f`, and
+/// closes the session by publishing the counters its last submissions
+/// added (a session that `f` unwinds keeps what its drains published).
 pub(crate) fn run_session<T, F, R>(
     engine: &mut ExecutionEngine<T>,
     eval: &F,
@@ -641,6 +638,7 @@ where
     let injector = injector.as_ref();
     let injected_base = *injected_base;
     let metrics = metrics.clone();
+    let published = stats.clone();
     let cache_view = CacheView {
         enabled: shared.is_some() || config.cache.capacity > 0,
         shared: shared.as_ref(),
@@ -664,8 +662,11 @@ where
             pending: HashMap::default(),
             drained: 0,
             metrics,
+            published,
         };
-        return f(&mut session);
+        let result = f(&mut session);
+        session.publish();
+        return result;
     }
     let (job_tx, job_rx) = std::sync::mpsc::channel::<(usize, Vec<f64>)>();
     let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, EvalOutcome<T>)>();
@@ -717,8 +718,10 @@ where
             pending: HashMap::default(),
             drained: 0,
             metrics,
+            published,
         };
         let result = f(&mut session);
+        session.publish();
         // Dropping the session closes the job channel; workers drain any
         // leftover jobs and exit, then the scope joins them.
         drop(session);
@@ -729,7 +732,8 @@ where
 #[cfg(test)]
 mod tests {
     use crate::{
-        EngineConfig, EvaluatorKind, ExecutionEngine, FaultPlan, FaultPolicy, SurrogateScreen,
+        EngineConfig, EngineMetrics, EvaluatorKind, ExecutionEngine, FaultPlan, FaultPolicy,
+        MetricsRegistry, SurrogateScreen,
     };
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -912,6 +916,8 @@ mod tests {
         let batch: Vec<Vec<f64>> = (0..48).map(|i| vec![i as f64]).collect();
         let run = |cfg: EngineConfig| {
             let mut engine: ExecutionEngine<f64> = ExecutionEngine::new(cfg);
+            let metrics = EngineMetrics::register(&MetricsRegistry::new(), &[]);
+            engine.attach_metrics(metrics.clone());
             let eval = |g: &[f64]| g[0] * 2.0;
             let out = engine.with_session(&eval, |session| {
                 for genes in &batch {
@@ -922,13 +928,18 @@ mod tests {
                 out
             });
             let events = engine.take_fault_events();
-            (out, engine.into_stats(), events)
+            let stats = engine.into_stats();
+            // The registry's fault counters are the stats' own.
+            assert_eq!(metrics.fault_retries.get(), stats.retries);
+            assert_eq!(metrics.fault_recovered.get(), stats.recovered);
+            assert_eq!(metrics.fault_quarantined.get(), stats.quarantined);
+            (out, stats, events)
         };
         let (serial_out, serial_stats, serial_events) = run(base.clone());
         let (par_out, par_stats, par_events) = run(base.evaluator(EvaluatorKind::ParallelWith(4)));
         assert_eq!(serial_out, par_out);
         assert_eq!(serial_events, par_events);
-        assert!(serial_stats.failures > 0);
+        assert!(serial_stats.failures > 0 && serial_stats.recovered > 0);
         assert_eq!(serial_stats.failures, par_stats.failures);
         assert_eq!(serial_stats.recovered, par_stats.recovered);
         assert_eq!(serial_stats.retries, par_stats.retries);

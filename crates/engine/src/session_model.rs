@@ -9,11 +9,14 @@
 //! bits), every `EngineStats` counter at every drain, the evaluator's
 //! call sequence (serial only) and the cache's final entries in LRU order
 //! must match the reference, under `Serial` and `ParallelWith(2)`, on the
-//! private and the shared cache.
+//! private and the shared cache. An [`EngineMetrics`] bundle is attached
+//! throughout, and after every drain and every session close its seven
+//! counters must equal the `EngineStats` ones, with one batch-size
+//! sample per drain.
 
 use crate::{
-    CacheConfig, EngineConfig, EngineStats, EvaluatorKind, ExecutionEngine, SharedCache,
-    SharedCacheStats, SurrogateScreen,
+    CacheConfig, EngineConfig, EngineMetrics, EngineStats, EvaluatorKind, ExecutionEngine,
+    MetricsRegistry, SharedCache, SharedCacheStats, SurrogateScreen,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -345,6 +348,35 @@ impl Model {
     }
 }
 
+/// The seven engine counters and the batch count, as the registry holds
+/// them.
+fn published(m: &EngineMetrics) -> [u64; 8] {
+    [
+        m.candidates.get(),
+        m.evaluations.get(),
+        m.cache_hits.get(),
+        m.screened.get(),
+        m.fault_retries.get(),
+        m.fault_recovered.get(),
+        m.fault_quarantined.get(),
+        m.batch_size.count(),
+    ]
+}
+
+/// The same eight counts, as `EngineStats` holds them.
+fn recorded(s: &EngineStats) -> [u64; 8] {
+    [
+        s.candidates,
+        s.evaluations,
+        s.cache_hits,
+        s.screened,
+        s.retries,
+        s.recovered,
+        s.quarantined,
+        s.batches,
+    ]
+}
+
 fn run_engine(s: &Schedule, kind: EvaluatorKind) -> Observed {
     let calls = Mutex::new(Vec::new());
     let eval = |genes: &[f64]| {
@@ -362,6 +394,8 @@ fn run_engine(s: &Schedule, kind: EvaluatorKind) -> Observed {
     if s.screen {
         engine.attach_screen(SurrogateScreen::new("model", model_screen));
     }
+    let metrics = EngineMetrics::register(&MetricsRegistry::new(), &[]);
+    engine.attach_metrics(metrics.clone());
     let mut drains = Vec::new();
     for segment in s.ops.split(|op| matches!(op, Op::NewSession)) {
         engine.with_session(&eval, |session| {
@@ -380,9 +414,19 @@ fn run_engine(s: &Schedule, kind: EvaluatorKind) -> Observed {
                     Op::NewSession => unreachable!("split at session boundaries"),
                 };
                 let out = out.expect("no evaluation fails in the model");
+                assert_eq!(
+                    published(&metrics),
+                    recorded(session.stats()),
+                    "registry after a drain"
+                );
                 drains.push((bits(&out), counters(session.stats())));
             }
         });
+        assert_eq!(
+            published(&metrics),
+            recorded(engine.stats()),
+            "registry after a session close"
+        );
     }
     let lru = match engine.shared_cache() {
         Some(shared) => shared.lru_entries(),

@@ -3,7 +3,7 @@
 //! Historically each run loop returned its own result struct (`RunResult`
 //! for NSGA-II, `SacgaResult`, `MesacgaResult`, `IslandResult`), all
 //! carrying the same core payload — final population, feasible front,
-//! evaluation counters, engine stats — plus one or two loop-specific
+//! generation count, engine stats — plus one or two loop-specific
 //! extras. [`RunOutcome`] collapses them into a single type: the
 //! loop-specific extras ([`gen_t`](RunOutcome::gen_t),
 //! [`phase_fronts`](RunOutcome::phase_fronts),
@@ -43,15 +43,15 @@ pub struct GenerationStats {
 }
 
 /// Outcome of a completed optimizer run: final population and its
-/// feasible non-dominated front, per-generation history, and counters.
+/// feasible non-dominated front, per-generation history, and the engine
+/// counters ([`stats`](RunOutcome::stats); `stats.evaluations` counts the
+/// objective evaluations performed).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Final population (globally ranked and crowded).
     pub population: Vec<Individual>,
     /// Feasible, globally non-dominated front of the final population.
     pub front: Vec<Individual>,
-    /// Objective evaluations performed.
-    pub evaluations: usize,
     /// Generations executed.
     pub generations: usize,
     /// Length of the pure-local phase I (0 for algorithms without one).
@@ -105,7 +105,6 @@ mod tests {
         let outcome = RunOutcome {
             population: vec![],
             front: vec![],
-            evaluations: 0,
             generations: 0,
             gen_t: 0,
             history: vec![],

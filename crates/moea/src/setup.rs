@@ -4,7 +4,7 @@
 //! and the steady-state variant in the `sacga` crate — takes the same
 //! engine knobs: evaluator strategy, memoization capacity and grid, fault
 //! policy, fault injection, a pooled [`SharedCache`], an opt-in
-//! [`SurrogateScreen`], live metrics and per-cell series. [`EngineSetup`]
+//! [`SurrogateScreen`] and live metrics. [`EngineSetup`]
 //! holds them, and each config builder takes one whole through its
 //! `engine_setup` method, the only way a builder sets them; handing the
 //! same setup to several arms runs them under the same evaluation
@@ -31,8 +31,8 @@
 //! ```
 
 use engine::{
-    CacheCanonicalizer, CellSeries, EngineConfig, EngineMetrics, EvaluatorKind, ExecutionEngine,
-    FaultPlan, FaultPolicy, SharedCache, SurrogateScreen,
+    CacheCanonicalizer, EngineConfig, EngineMetrics, EvaluatorKind, ExecutionEngine, FaultPlan,
+    FaultPolicy, SharedCache, SurrogateScreen,
 };
 
 use crate::evaluation::Evaluation;
@@ -45,7 +45,6 @@ pub struct EngineSetup {
     shared_cache: Option<SharedCache<Evaluation>>,
     surrogate_screen: Option<SurrogateScreen<Evaluation>>,
     metrics: Option<EngineMetrics>,
-    cell_series: Option<CellSeries>,
 }
 
 impl EngineSetup {
@@ -112,28 +111,13 @@ impl EngineSetup {
     }
 
     /// Attaches a live [`EngineMetrics`] bundle (handles into a
-    /// [`engine::MetricsRegistry`]): the engine mirrors its counters into
-    /// the registry as evaluation happens and records latency/batch-size
-    /// histograms. Observation only — an instrumented run is
-    /// bit-identical to a bare one.
+    /// [`engine::MetricsRegistry`]): the engine adds its counters' gains
+    /// to the registry at every drain boundary and records
+    /// latency/batch-size histograms. Observation only — an instrumented
+    /// run is bit-identical to a bare one.
     pub fn metrics(mut self, metrics: EngineMetrics) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// Attaches a [`CellSeries`]: optimizers with a structured
-    /// population (the cellular loop) mirror per-cell stage timings and
-    /// counters into the series' registry under `cell="<index>"`
-    /// labels. Loops without cells ignore it. Observation only — an
-    /// instrumented run is bit-identical to a bare one.
-    pub fn cell_series(mut self, series: CellSeries) -> Self {
-        self.cell_series = Some(series);
-        self
-    }
-
-    /// The attached per-cell metric series, if any.
-    pub fn cell_series_ref(&self) -> Option<&CellSeries> {
-        self.cell_series.as_ref()
     }
 
     /// The raw engine configuration.

@@ -23,10 +23,12 @@
 //! produced, and the final front is bit-identical to an uninterrupted
 //! run of the same spec.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::BufWriter;
 use std::net::TcpListener;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -296,6 +298,17 @@ impl JobRuntime {
             watch: Mutex::new(None),
             flight: Mutex::new(FlightRecorder::default()),
         }
+    }
+}
+
+/// The message a caught panic carried.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string payload"
     }
 }
 
@@ -657,18 +670,21 @@ impl Server {
     fn run_workers(&self, mode: PopMode, budget: Option<usize>) -> Result<bool, ServerError> {
         let spent = AtomicUsize::new(0);
         let halt = AtomicBool::new(false);
-        let pool = engine::PoolMetrics::register(&self.registry, &[("stage", "serve")]);
-        engine::pool::try_map_indexed_metered(
-            self.config.workers,
-            self.config.workers,
-            Some(&pool),
-            |_w| {
-                while let Some(id) = self.queue.pop(mode, &halt) {
+        engine::pool::try_map_indexed(self.config.workers, self.config.workers, |_w| {
+            while let Some(id) = self.queue.pop(mode, &halt) {
+                // A job that panics fails alone: its worker serves on,
+                // and every pop is balanced, so a drain still returns.
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
                     self.run_one(id, budget, &spent, &halt);
+                }));
+                if let Err(payload) = run {
+                    let message = panic_message(payload.as_ref());
+                    self.fail_job(id, &format!("job panicked: {message}"));
                 }
-                Ok::<(), ServerError>(())
-            },
-        )?;
+                self.queue.task_done();
+            }
+            Ok::<(), ServerError>(())
+        })?;
         Ok(!halt.load(Ordering::SeqCst))
     }
 
@@ -745,19 +761,14 @@ impl Server {
 
     /// Executes one popped job until it completes, fails, is cancelled,
     /// yields to a contended queue, or the slice budget kills the pool.
-    /// Always balances the pop with [`JobQueue::task_done`].
+    /// The caller balances the pop with [`JobQueue::task_done`].
     fn run_one(&self, id: JobId, budget: Option<usize>, spent: &AtomicUsize, halt: &AtomicBool) {
-        let rt = match self.runtime(id) {
-            Ok(rt) => rt,
-            Err(_) => {
-                self.queue.task_done();
-                return;
-            }
+        let Ok(rt) = self.runtime(id) else {
+            return;
         };
         if rt.cancel.load(Ordering::SeqCst) {
             self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
             rt.hub.finish();
-            self.queue.task_done();
             return;
         }
         let spec = rt.spec.clone();
@@ -785,7 +796,6 @@ impl Server {
             Ok(opt) => opt,
             Err(e) => {
                 self.fail_job(id, &e.to_string());
-                self.queue.task_done();
                 return;
             }
         };
@@ -804,7 +814,6 @@ impl Server {
             Ok(sink) => sink,
             Err(e) => {
                 self.fail_job(id, &format!("cannot open event stream: {e}"));
-                self.queue.task_done();
                 return;
             }
         };
@@ -824,7 +833,6 @@ impl Server {
                     halt.store(true, Ordering::SeqCst);
                     self.queue.interrupt();
                     *rt.watch.lock().unwrap() = Some(watch);
-                    self.queue.task_done();
                     return;
                 }
             }
@@ -853,14 +861,12 @@ impl Server {
                         s.error = Some(e.to_string());
                     });
                     rt.hub.finish();
-                    self.queue.task_done();
                     return;
                 }
                 Ok(DynRunStatus::Complete(outcome)) => {
                     let _ = jsonl.flush();
                     self.complete_job(id, &rt, &spec, &outcome, &watch);
                     *rt.watch.lock().unwrap() = Some(watch);
-                    self.queue.task_done();
                     return;
                 }
                 Ok(DynRunStatus::Suspended {
@@ -871,7 +877,6 @@ impl Server {
                     if let Err(e) = self.store.write_checkpoint(id, &checkpoint) {
                         self.fail_job(id, &format!("cannot persist checkpoint: {e}"));
                         *rt.watch.lock().unwrap() = Some(watch);
-                        self.queue.task_done();
                         return;
                     }
                     done_gens = generations;
@@ -885,13 +890,11 @@ impl Server {
                         self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
                         rt.hub.finish();
                         *rt.watch.lock().unwrap() = Some(watch);
-                        self.queue.task_done();
                         return;
                     }
                     if self.is_shutting_down() {
                         // Graceful: leave suspended; resumes next boot.
                         *rt.watch.lock().unwrap() = Some(watch);
-                        self.queue.task_done();
                         return;
                     }
                     if self.queue.contended() {
@@ -900,7 +903,6 @@ impl Server {
                         self.update_state(id, &rt, |s| s.status = JobStatus::Queued);
                         *rt.watch.lock().unwrap() = Some(watch);
                         self.queue.requeue(id, spec.priority);
-                        self.queue.task_done();
                         return;
                     }
                     checkpoint_text = Some(checkpoint);

@@ -32,7 +32,7 @@ fn main() -> Result<(), OptimizeError> {
 
     println!(
         "phase I took {} generations; {} evaluations total",
-        result.gen_t, result.evaluations
+        result.gen_t, result.stats.evaluations
     );
     println!("Pareto front ({} designs):", result.front.len());
     let mut rows: Vec<(f64, f64)> = result

@@ -122,7 +122,7 @@ fn seeds_reproduce_entire_pipeline() {
     let a = Sacga::new(&problem, cfg()).run_seeded(99).unwrap();
     let b = Sacga::new(&problem, cfg()).run_seeded(99).unwrap();
     assert_eq!(a.front_objectives(), b.front_objectives());
-    assert_eq!(a.evaluations, b.evaluations);
+    assert_eq!(a.stats.evaluations, b.stats.evaluations);
 }
 
 #[test]

@@ -626,3 +626,118 @@ fn mesacga_checkpoint_fixtures_resume_onto_the_golden() {
         check_golden("mesacga_schaffer_seed42.txt", &render_front(&r.front));
     }
 }
+
+/// The checkpoint texts the parsers are probed with: every committed
+/// fixture, plus a steady and a cellular checkpoint (formats no fixture
+/// covers) taken from short runs.
+fn checkpoint_corpus() -> &'static [String] {
+    use analog_dse::sacga::cellular::{CellularConfig, CellularGa};
+    use analog_dse::sacga::topology::Topology;
+    static CORPUS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let dir = common::golden_path("");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|e| e == "checkpoint"))
+            .collect();
+        paths.sort();
+        assert!(
+            paths.len() >= 5,
+            "checkpoint fixtures missing in {}",
+            dir.display()
+        );
+        let mut corpus: Vec<String> = paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).unwrap())
+            .collect();
+        let RunStatus::Suspended(steady) = SteadySacga::new(Schaffer::new(), steady_config())
+            .run_until(SEED, 3)
+            .unwrap()
+        else {
+            panic!("steady run should suspend at gen 3");
+        };
+        assert!(!steady.pending.is_empty());
+        corpus.push(steady.to_text());
+        let cellular = CellularConfig::builder()
+            .population_size(24)
+            .generations(6)
+            .topology(Topology::Ring {
+                cells: 3,
+                radius: 1,
+            })
+            .build()
+            .unwrap();
+        let RunStatus::Suspended(cellular) = CellularGa::new(Schaffer::new(), cellular)
+            .run_until(SEED, 3)
+            .unwrap()
+        else {
+            panic!("cellular run should suspend at gen 3");
+        };
+        corpus.push(cellular.to_text());
+        corpus
+    })
+}
+
+/// Whether any of the four checkpoint parsers accepts `text`.
+fn any_parser_accepts(text: &str) -> bool {
+    use analog_dse::sacga::{
+        CellularCheckpoint, MesacgaCheckpoint, SacgaCheckpoint, SteadyCheckpoint,
+    };
+    SacgaCheckpoint::from_text(text).is_ok()
+        || MesacgaCheckpoint::from_text(text).is_ok()
+        || SteadyCheckpoint::from_text(text).is_ok()
+        || CellularCheckpoint::from_text(text).is_ok()
+}
+
+/// `(line, token)` of every count in a checkpoint text: the record
+/// counts after `phase_fronts`, `pending`, `cells`, `partitions` and
+/// `history`, the member counts of `f`, `c` and `p` records, the gene,
+/// objective and violation counts of `i` records, and the `grid`
+/// record's partition count.
+fn count_tokens(text: &str) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (l, line) in text.lines().enumerate() {
+        let tokens: &[usize] = match line.split_whitespace().next() {
+            Some("phase_fronts" | "pending" | "cells" | "partitions" | "history") => &[1],
+            Some("f" | "c" | "p") => &[2],
+            Some("i") => &[3, 4, 5],
+            Some("grid") => &[4],
+            _ => &[],
+        };
+        out.extend(tokens.iter().map(|&t| (l, t)));
+    }
+    out
+}
+
+proptest::proptest! {
+    #[test]
+    fn truncated_and_miscounted_checkpoints_are_errors(
+        which in 0usize..1 << 16,
+        cut in 0usize..1 << 16,
+        count in 0usize..1 << 16,
+        huge in 0usize..2,
+    ) {
+        let corpus = checkpoint_corpus();
+        let text = &corpus[which % corpus.len()];
+        let lines: Vec<&str> = text.lines().collect();
+        proptest::prop_assert!(any_parser_accepts(text));
+        // A proper prefix cut at a line boundary.
+        let cut = cut % lines.len();
+        let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+        proptest::prop_assert!(!any_parser_accepts(&prefix), "prefix of {cut} lines:\n{prefix}");
+        // One count replaced by a value no allocation can hold.
+        let counts = count_tokens(text);
+        let (at, token) = counts[count % counts.len()];
+        let value = ["18446744073709551615", "4611686018427387904"][huge];
+        let mut tokens: Vec<&str> = lines[at].split_whitespace().collect();
+        proptest::prop_assert_eq!(tokens.join(" "), lines[at]);
+        tokens[token] = value;
+        let corrupt: String = lines
+            .iter()
+            .enumerate()
+            .map(|(l, line)| if l == at { tokens.join(" ") } else { (*line).to_string() } + "\n")
+            .collect();
+        proptest::prop_assert!(!any_parser_accepts(&corrupt), "line {at} token {token} = {value}");
+    }
+}

@@ -757,6 +757,65 @@ fn stored_undersized_zdt_job_is_skipped_on_reopen() {
 }
 
 #[test]
+fn a_job_that_panics_fails_alone_and_the_drain_returns() {
+    // Suspend a job, then give every member of its stored checkpoint one
+    // gene more than the problem has: variation indexes the bounds per
+    // parent gene, so the resumed slice panics.
+    let root = scratch_dir("panic");
+    let server = Server::open(&root, config(2)).unwrap();
+    let id = server.submit(sacga_spec("panics").slice(2)).unwrap();
+    assert!(!server.run_slices_at_most(1).unwrap());
+    drop(server);
+    let path = JobStore::open(&root).unwrap().checkpoint_path(id);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let widened: String = text
+        .lines()
+        .map(|line| {
+            let mut tokens: Vec<String> = line.split_whitespace().map(String::from).collect();
+            if tokens.first().is_some_and(|t| t == "i") {
+                let genes: usize = tokens[3].parse().unwrap();
+                tokens[3] = (genes + 1).to_string();
+                let gene = tokens[6].clone();
+                tokens.insert(6 + genes, gene);
+            }
+            tokens.join(" ") + "\n"
+        })
+        .collect();
+    assert_ne!(widened, text);
+    std::fs::write(&path, widened).unwrap();
+
+    // Drain on a thread, so that a wedged pool fails the test instead
+    // of hanging it.
+    let server = std::sync::Arc::new(Server::open(&root, config(2)).unwrap());
+    let healthy = server.submit(sacga_spec("healthy")).unwrap();
+    let (done, drained) = std::sync::mpsc::channel();
+    let draining = std::sync::Arc::clone(&server);
+    let drain = std::thread::spawn(move || {
+        let _ = done.send(draining.run_until_idle());
+    });
+    drained
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the drain must return after a job panics")
+        .unwrap();
+    drain.join().unwrap();
+    let failed = server.status(id).unwrap();
+    assert_eq!(failed.status, JobStatus::Failed);
+    assert!(
+        failed
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("panicked")),
+        "{:?}",
+        failed.error
+    );
+    assert_eq!(server.status(healthy).unwrap().status, JobStatus::Done);
+    assert!(server
+        .metrics_text()
+        .contains("dse_server_jobs_failed_total 1"));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn tcp_protocol_end_to_end() {
     let root = scratch_dir("tcp");
     let server = Server::open(&root, config(1)).unwrap();

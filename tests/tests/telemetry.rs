@@ -94,7 +94,12 @@ fn check_stream_invariants<O: Optimizer>(ga: &O) -> (RunOutcome, Vec<RunEvent>) 
         ga.algorithm()
     );
     assert_eq!(bare.history, watched.history, "{}", ga.algorithm());
-    assert_eq!(bare.evaluations, watched.evaluations, "{}", ga.algorithm());
+    assert_eq!(
+        bare.stats.evaluations,
+        watched.stats.evaluations,
+        "{}",
+        ga.algorithm()
+    );
     let ends = generation_ends(sink.events());
     assert_eq!(
         ends,
@@ -495,7 +500,7 @@ fn stage_timing_follows_its_generation_end_and_balances_engine_counters() {
     }
     assert_eq!(timed, outcome.generations);
     // Timing deltas cover everything after the initial population.
-    assert!(replayed_evals > 0 && replayed_evals <= outcome.evaluations as u64);
+    assert!(replayed_evals > 0 && replayed_evals <= outcome.stats.evaluations);
 }
 
 #[test]
