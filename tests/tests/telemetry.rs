@@ -7,7 +7,7 @@
 
 use analog_dse::engine::EvaluatorKind;
 use analog_dse::moea::nsga2::{Nsga2, Nsga2Config};
-use analog_dse::moea::problems::{Schaffer, Tanaka};
+use analog_dse::moea::problems::{NarrowingCorridor, Schaffer, Tanaka};
 use analog_dse::moea::{EngineSetup, RunOutcome, RunStatus};
 use analog_dse::sacga::cellular::{CellularConfig, CellularGa};
 use analog_dse::sacga::island::{IslandConfig, IslandGa};
@@ -16,7 +16,7 @@ use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
 use analog_dse::sacga::steady::{SteadyConfig, SteadySacga};
 use analog_dse::sacga::telemetry::{
-    EventKind, FaultRateAlarm, InfeasibilityAlarm, JsonlSink, MemorySink, MetricsSink, Optimizer,
+    CheckpointText, EventKind, FaultRateAlarm, InfeasibilityAlarm, JsonlSink, MemorySink, MetricsSink, Optimizer,
     RunEvent, Sink, StallDetector, Tee,
 };
 use analog_dse::sacga::topology::Topology;
@@ -672,4 +672,188 @@ fn promotion_precedes_its_generations_faults_end_and_timing() {
             "{name}: the injected faults must reach promoting generations"
         );
     }
+}
+
+/// The engine setup of the event-stream goldens: every evaluation with a
+/// non-finite injection is quarantined or retried, so fault episodes
+/// land at generation 0 and later.
+fn faulty_engine() -> EngineSetup {
+    use analog_dse::engine::{FaultPlan, FaultPolicy};
+    EngineSetup::new()
+        .fault_policy(FaultPolicy::tolerant(3))
+        .inject_faults(FaultPlan::seeded(5).nonfinite(0.08))
+}
+
+/// One JSONL line per event, every kind but the wall-clock
+/// `StageTiming`.
+fn render_stream(events: &[RunEvent]) -> String {
+    events
+        .iter()
+        .filter(|e| e.kind() != EventKind::StageTiming)
+        .map(|e| e.to_json() + "\n")
+        .collect()
+}
+
+/// Records `ga`'s complete event stream twice, uninterrupted and as two
+/// segments resumed from a text checkpoint at generation `split`, and
+/// compares each with its committed snapshot. Returns the uninterrupted
+/// stream.
+fn check_stream_golden<O>(name: &str, ga: &O, split: usize) -> Vec<RunEvent>
+where
+    O: Optimizer,
+    O::Checkpoint: CheckpointText,
+{
+    let mut whole = MemorySink::new();
+    ga.run_with(SEED, &mut whole).unwrap();
+    let mut segments = MemorySink::new();
+    let RunStatus::Suspended(cp) = ga.run_until_with(SEED, split, &mut segments).unwrap() else {
+        panic!("{name}: the run must suspend at generation {split}");
+    };
+    let restored = O::Checkpoint::from_checkpoint_text(&cp.to_checkpoint_text()).unwrap();
+    ga.resume_with(&restored, &mut segments).unwrap();
+    check_golden(
+        &format!("events_{name}.jsonl"),
+        &render_stream(whole.events()),
+    );
+    check_golden(
+        &format!("events_{name}_resumed.jsonl"),
+        &render_stream(segments.events()),
+    );
+    let events = whole.into_events();
+    let faults: Vec<usize> = events
+        .iter()
+        .filter(|e| e.kind() == EventKind::EvaluationFault)
+        .map(RunEvent::generation)
+        .collect();
+    assert!(faults.contains(&0), "{name}: no fault at generation 0");
+    assert!(
+        faults.iter().any(|&g| g > 0),
+        "{name}: no fault after generation 0"
+    );
+    events
+}
+
+#[test]
+fn every_arm_reproduces_its_event_stream_golden() {
+    // A constrained problem sliced over a fixed range, so phase I hunts
+    // for feasible partitions, under injected non-finite evaluations.
+    let corridor = || NarrowingCorridor::new(0.05);
+    let partitioned = [
+        check_stream_golden(
+            "sacga",
+            &Sacga::new(
+                corridor(),
+                SacgaConfig::builder()
+                    .population_size(16)
+                    .generations(10)
+                    .partitions(4)
+                    .phase1_max(4)
+                    .slice_range(-1.0, 0.0)
+                    .engine_setup(faulty_engine())
+                    .build()
+                    .unwrap(),
+            ),
+            5,
+        ),
+        check_stream_golden(
+            "local",
+            // Phase I is capped at a quarter of the budget here.
+            &LocalCompetitionGaBuilder::new()
+                .population_size(16)
+                .generations(16)
+                .partitions(4)
+                .slice_range(-1.0, 0.0)
+                .engine_setup(faulty_engine())
+                .build(corridor())
+                .unwrap(),
+            8,
+        ),
+        check_stream_golden(
+            "mesacga",
+            &Mesacga::new(
+                corridor(),
+                MesacgaConfig::builder()
+                    .population_size(16)
+                    .phase1_max(4)
+                    .phases(vec![PhaseSpec::new(4, 3), PhaseSpec::new(2, 3)])
+                    .slice_range(-1.0, 0.0)
+                    .engine_setup(faulty_engine())
+                    .build()
+                    .unwrap(),
+            ),
+            5,
+        ),
+        check_stream_golden(
+            "steady",
+            &SteadySacga::new(
+                corridor(),
+                SteadyConfig::builder()
+                    .population_size(16)
+                    .generations(10)
+                    .partitions(4)
+                    .phase1_max(4)
+                    .slice_range(-1.0, 0.0)
+                    .window(24)
+                    .quantum(4)
+                    .engine_setup(faulty_engine())
+                    .build()
+                    .unwrap(),
+            ),
+            5,
+        ),
+    ];
+    for events in &partitioned {
+        assert!(events
+            .iter()
+            .any(|e| e.kind() == EventKind::PartitionFeasible));
+    }
+    check_stream_golden(
+        "nsga2",
+        &Nsga2::new(
+            corridor(),
+            Nsga2Config::builder()
+                .population_size(16)
+                .generations(10)
+                .engine_setup(faulty_engine())
+                .build()
+                .unwrap(),
+        ),
+        5,
+    );
+    check_stream_golden(
+        "island",
+        &IslandGa::new(
+            corridor(),
+            IslandConfig::builder()
+                .population_size(16)
+                .generations(10)
+                .islands(2)
+                .migration_interval(3)
+                .migrants(1)
+                .engine_setup(faulty_engine())
+                .build()
+                .unwrap(),
+        ),
+        5,
+    );
+    check_stream_golden(
+        "cellular",
+        &CellularGa::new(
+            corridor(),
+            CellularConfig::builder()
+                .population_size(16)
+                .generations(10)
+                .topology(Topology::Ring {
+                    cells: 4,
+                    radius: 1,
+                })
+                .migration_interval(3)
+                .migrants(1)
+                .openness(0.3)
+                .engine_setup(faulty_engine())
+                .build()
+                .unwrap(),
+        ),
+        5,
+    );
 }
