@@ -53,11 +53,12 @@
 //! bit-identical to an uninterrupted one.
 
 use crate::checkpoint::{CellularCheckpoint, SavedIndividual};
-use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
+use crate::frame::{self, Frame, Ranks};
+use crate::telemetry::{EventKind, Optimizer, RunEvent, Sink};
 use crate::topology::Topology;
-use engine::{EvaluationSession, Stage, StageTimer};
+use engine::{EvaluationSession, Stage};
 use moea::individual::Individual;
-use moea::operators::{random_vector, Variation};
+use moea::operators::Variation;
 use moea::problem::Problem;
 use moea::selection::binary_tournament;
 use moea::setup::EngineSetup;
@@ -328,8 +329,7 @@ impl<P: Problem> CellularGa<P> {
     where
         P: Sync,
     {
-        self.drive(CellularLaunch::Seed(seed), None, &mut NullSink)
-            .map(expect_complete)
+        self.run(seed)
     }
 }
 
@@ -340,15 +340,11 @@ impl<P: Problem + Sync> CellularGa<P> {
     fn drive(
         &self,
         launch: CellularLaunch<'_>,
-        stop_after: Option<usize>,
+        stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError> {
         let problem = &self.problem;
-        if problem.num_objectives() == 0 {
-            return Err(OptimizeError::invalid_problem(
-                "problem must declare at least one objective",
-            ));
-        }
+        frame::check_problem(problem)?;
         if let CellularLaunch::Checkpoint(cp) = &launch {
             let k = self.config.topology.cells();
             let per_cell = self.config.per_cell();
@@ -382,7 +378,7 @@ impl<P: Problem + Sync> CellularGa<P> {
     fn run_loop<F>(
         &self,
         launch: CellularLaunch<'_>,
-        stop_after: Option<usize>,
+        stop_after: usize,
         sink: &mut dyn Sink,
         session: &mut EvaluationSession<'_, Evaluation, F>,
         bounds: Bounds,
@@ -400,34 +396,18 @@ impl<P: Problem + Sync> CellularGa<P> {
         let adjacency: Vec<Vec<usize>> = (0..k).map(|i| topo.neighbors(i)).collect();
         let oriented: Vec<(Vec<usize>, Vec<usize>)> = (0..k).map(|i| topo.orientation(i)).collect();
 
-        let fresh = matches!(launch, CellularLaunch::Seed(_));
-        let (mut rng, mut cells, mut history, mut gen, mut migrations): (
-            StdRng,
-            Vec<Vec<Individual>>,
-            Vec<GenerationStats>,
-            usize,
-            usize,
-        );
+        let (mut rng, mut cells, mut history, mut gen, mut migrations);
         match launch {
             CellularLaunch::Seed(seed) => {
                 rng = StdRng::seed_from_u64(seed);
                 // Draw every cell's genes first (sole RNG consumer), then
                 // evaluate the whole lattice through the shared session.
-                let init_genes: Vec<Vec<f64>> = (0..k * per_cell)
-                    .map(|_| random_vector(&mut rng, &bounds))
-                    .collect();
-                for genes in &init_genes {
-                    session.submit(genes);
-                }
-                let init_evals = session.drain_all()?;
-                let mut members = init_genes
-                    .into_iter()
-                    .zip(init_evals)
-                    .map(|(genes, ev)| Individual::new(genes, ev));
+                let mut members =
+                    frame::initial_population(&self.problem, session, &mut rng, k * per_cell)?
+                        .into_iter();
                 cells = (0..k)
                     .map(|_| members.by_ref().take(per_cell).collect())
-                    .collect();
-                self.problem.check_evaluation(&cells[0][0].evaluation)?;
+                    .collect::<Vec<Vec<Individual>>>();
                 for cell in &mut cells {
                     rank_and_crowd(cell);
                 }
@@ -440,58 +420,34 @@ impl<P: Problem + Sync> CellularGa<P> {
                 cells = cp
                     .cells
                     .iter()
-                    .map(|cell| cell.iter().map(SavedIndividual::to_individual).collect())
-                    .collect();
+                    .map(|cell| frame::restore(&self.problem, cell))
+                    .collect::<Result<_, _>>()?;
                 history = cp.history.clone();
                 gen = cp.gen;
                 migrations = cp.migrations;
             }
         }
-
-        let want_fault = sink.wants(EventKind::EvaluationFault);
-        let want_generation = sink.wants(EventKind::GenerationEnd);
+        let mut frame = Frame::open(sink, session, gen);
+        // One cell's ranks are already the global ranks: environmental
+        // selection keeps whole fronts in order, so no survivor's rank
+        // changes.
+        let ranks = if k == 1 { Ranks::Global } else { Ranks::Local };
         let want_promotion = sink.wants(EventKind::Promotion);
-        let mut timer = StageTimer::new(sink.wants(EventKind::StageTiming));
-        let mut stats_mark = session.stats().clone();
-        // Faults from the initial-population evaluation surface as
-        // generation-0 events; a resumed segment replays completed
-        // evaluations without re-reporting their faults.
-        let init_faults = session.take_fault_events();
-        if fresh && want_fault {
-            for fault in init_faults {
-                sink.record(&RunEvent::EvaluationFault {
-                    generation: 0,
-                    kind: fault.kind,
-                    failures: fault.failures,
-                    resolution: fault.resolution,
-                });
-            }
-        }
 
         loop {
             if gen >= cfg.generations {
-                let mut population: Vec<Individual> = cells.into_iter().flatten().collect();
-                rank_and_crowd(&mut population);
-                let front = population
-                    .iter()
-                    .filter(|m| m.rank == 0 && m.is_feasible())
-                    .cloned()
-                    .collect();
                 return Ok(RunStatus::Complete(Box::new(RunOutcome {
-                    population,
-                    front,
-                    generations: gen,
-                    gen_t: 0,
-                    history,
-                    phase_fronts: Vec::new(),
                     migrations,
-                    stats: session.stats().clone(),
+                    ..frame::finish(
+                        cells.into_iter().flatten().collect(),
+                        gen,
+                        history,
+                        session.stats(),
+                    )
                 })));
             }
-            if stop_after.is_some_and(|cap| gen >= cap) {
-                if sink.wants(EventKind::CheckpointWritten) {
-                    sink.record(&RunEvent::CheckpointWritten { generation: gen });
-                }
+            if gen >= stop_after {
+                frame.suspend(sink, gen);
                 return Ok(RunStatus::Suspended(Box::new(CellularCheckpoint {
                     rng: rng.state(),
                     gen,
@@ -510,7 +466,7 @@ impl<P: Problem + Sync> CellularGa<P> {
             // through the shared session as they are produced
             let mut queues: Vec<Vec<Vec<f64>>> = Vec::with_capacity(k);
             for i in 0..k {
-                timer.start(Stage::Variation);
+                frame.timer.start(Stage::Variation);
                 let cell = &cells[i];
                 let mut child_genes: Vec<Vec<f64>> = Vec::with_capacity(per_cell);
                 while child_genes.len() < per_cell {
@@ -545,9 +501,9 @@ impl<P: Problem + Sync> CellularGa<P> {
             // order (worker interleaving invisible), then per-cell
             // survivor selection
             for (i, child_genes) in queues.into_iter().enumerate() {
-                timer.start(Stage::Evaluation);
+                frame.timer.start(Stage::Evaluation);
                 let evals = session.drain(per_cell)?;
-                timer.start(Stage::Selection);
+                frame.timer.start(Stage::Selection);
                 let offspring: Vec<Individual> = child_genes
                     .into_iter()
                     .zip(evals)
@@ -556,11 +512,11 @@ impl<P: Problem + Sync> CellularGa<P> {
                 let mut combined = std::mem::take(&mut cells[i]);
                 combined.extend(offspring);
                 cells[i] = environmental_selection(combined, per_cell);
-                timer.stop();
+                frame.timer.stop();
             }
 
             // --- neighborhood migration
-            timer.start(Stage::Promotion);
+            frame.timer.start(Stage::Promotion);
             let mut migrated = 0usize;
             if gen % cfg.migration_interval == 0 && k > 1 {
                 migrations += 1;
@@ -575,53 +531,12 @@ impl<P: Problem + Sync> CellularGa<P> {
                     });
                 }
             }
-            timer.stop();
+            frame.timer.stop();
 
             // --- generation boundary: history row and events
             let row = generation_row(gen, migrated, &cells);
             history.push(row);
-            let faults = session.take_fault_events();
-            if want_fault {
-                for fault in faults {
-                    sink.record(&RunEvent::EvaluationFault {
-                        generation: gen,
-                        kind: fault.kind,
-                        failures: fault.failures,
-                        resolution: fault.resolution,
-                    });
-                }
-            }
-            if want_generation {
-                sink.record(&RunEvent::GenerationEnd {
-                    generation: gen,
-                    phase: 2,
-                    temperature: 1.0,
-                    promoted: migrated,
-                    feasible: row.feasible,
-                    population: row.population,
-                    evaluations: session.stats().evaluations,
-                    // One cell's ranks are already the global ranks:
-                    // environmental selection keeps whole fronts in
-                    // order, so no survivor's rank changes.
-                    front: if k == 1 {
-                        front_objectives(&cells[0])
-                    } else {
-                        merged_front_objectives(&cells)
-                    },
-                });
-            }
-            if timer.is_enabled() {
-                let stages = timer.take();
-                let delta = session.stats().since(&stats_mark);
-                stats_mark = session.stats().clone();
-                sink.record(&RunEvent::StageTiming {
-                    generation: gen,
-                    stages,
-                    candidates: delta.candidates,
-                    evaluations: delta.evaluations,
-                    cache_hits: delta.cache_hits,
-                });
-            }
+            frame.end_generation(sink, session, &row, cells.iter().flatten(), ranks);
         }
     }
 }
@@ -693,22 +608,6 @@ fn generation_row(
     }
 }
 
-/// Objectives of the feasible rank-0 members of a ranked population.
-fn front_objectives(pop: &[Individual]) -> Vec<Vec<f64>> {
-    pop.iter()
-        .filter(|m| m.rank == 0 && m.is_feasible())
-        .map(|m| m.objectives().to_vec())
-        .collect()
-}
-
-/// Feasible globally non-dominated front of the merged cells, computed
-/// on a clone so ranking never disturbs the cells.
-fn merged_front_objectives(cells: &[Vec<Individual>]) -> Vec<Vec<f64>> {
-    let mut pop: Vec<Individual> = cells.iter().flatten().cloned().collect();
-    rank_and_crowd(&mut pop);
-    front_objectives(&pop)
-}
-
 /// Picks the neighbor cell an open mating draws its second parent from:
 /// a forward/backward coin weighted by `anisotropy`, then a uniform pick
 /// within the chosen half (falling back to the non-empty half when the
@@ -732,27 +631,13 @@ impl<P: Problem + Sync> Optimizer for CellularGa<P> {
         "cellular"
     }
 
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.drive(CellularLaunch::Seed(seed), None, sink)
-            .map(expect_complete)
-    }
-
     fn run_until_with(
         &self,
         seed: u64,
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError> {
-        self.drive(CellularLaunch::Seed(seed), Some(stop_after), sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &CellularCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.drive(CellularLaunch::Checkpoint(checkpoint), None, sink)
-            .map(expect_complete)
+        self.drive(CellularLaunch::Seed(seed), stop_after, sink)
     }
 
     fn resume_until_with(
@@ -761,11 +646,7 @@ impl<P: Problem + Sync> Optimizer for CellularGa<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError> {
-        self.drive(
-            CellularLaunch::Checkpoint(checkpoint),
-            Some(stop_after),
-            sink,
-        )
+        self.drive(CellularLaunch::Checkpoint(checkpoint), stop_after, sink)
     }
 }
 

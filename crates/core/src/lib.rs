@@ -85,6 +85,7 @@
 pub mod anneal;
 pub mod cellular;
 pub mod checkpoint;
+mod frame;
 pub mod island;
 pub mod local;
 pub mod mesacga;
@@ -109,7 +110,7 @@ pub use sacga::{Sacga, SacgaConfig};
 pub use steady::{SteadyConfig, SteadySacga};
 pub use telemetry::{
     CheckpointText, DynOptimizer, DynRunStatus, EventKind, FaultRateAlarm, HealthWarning,
-    InfeasibilityAlarm, JsonlSink, MemorySink, MetricsRow, MetricsSink, NullSink, Optimizer,
-    RunEvent, Sink, StallDetector, Tee, EVENT_SCHEMA_VERSION,
+    JsonlSink, MemorySink, NullSink, Optimizer, RunEvent, Sink, StallDetector, Tee,
+    EVENT_SCHEMA_VERSION,
 };
 pub use topology::Topology;

@@ -25,7 +25,7 @@ use crate::anneal::ProbabilityShaper;
 use crate::checkpoint::MesacgaCheckpoint;
 use crate::sacga::SacgaConfig;
 use crate::steady::{self, Launch, Phases, Plan, Resume};
-use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
+use crate::telemetry::{Optimizer, Sink};
 use moea::problem::Problem;
 use moea::setup::EngineSetup;
 use moea::{OptimizeError, RunOutcome, RunStatus};
@@ -258,7 +258,7 @@ impl<P: Problem> Mesacga<P> {
     where
         P: Sync,
     {
-        self.run_with(seed, &mut NullSink)
+        self.run(seed)
     }
 }
 
@@ -268,7 +268,7 @@ impl<P: Problem + Sync> Mesacga<P> {
     fn execute(
         &self,
         launch: Launch<'_>,
-        stop_after: Option<usize>,
+        stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
         let plan = Plan::generational(&self.config.base, Phases::List(&self.config.phases));
@@ -299,27 +299,13 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         "mesacga"
     }
 
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.execute(Launch::Seed(seed), None, sink)
-            .map(expect_complete)
-    }
-
     fn run_until_with(
         &self,
         seed: u64,
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.execute(Launch::Seed(seed), Some(stop_after), sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &MesacgaCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.execute(Self::resume_from(checkpoint), None, sink)
-            .map(expect_complete)
+        self.execute(Launch::Seed(seed), stop_after, sink)
     }
 
     fn resume_until_with(
@@ -328,7 +314,7 @@ impl<P: Problem + Sync> Optimizer for Mesacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<MesacgaCheckpoint>, OptimizeError> {
-        self.execute(Self::resume_from(checkpoint), Some(stop_after), sink)
+        self.execute(Self::resume_from(checkpoint), stop_after, sink)
     }
 }
 

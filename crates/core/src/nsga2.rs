@@ -23,7 +23,7 @@ use crate::telemetry::{Optimizer, Sink};
 use crate::topology::Topology;
 use moea::nsga2::{Nsga2, Nsga2Config};
 use moea::problem::Problem;
-use moea::{OptimizeError, RunOutcome, RunStatus};
+use moea::{OptimizeError, RunStatus};
 
 /// The one-cell preset of an NSGA-II configuration: the whole
 /// population in one fully-connected cell, closed mating, and the
@@ -80,10 +80,6 @@ impl<P: Problem + Sync> Optimizer for Nsga2<P> {
         "nsga2"
     }
 
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        one_cell(self)?.run_with(seed, sink)
-    }
-
     fn run_until_with(
         &self,
         seed: u64,
@@ -91,14 +87,6 @@ impl<P: Problem + Sync> Optimizer for Nsga2<P> {
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<CellularCheckpoint>, OptimizeError> {
         one_cell(self)?.run_until_with(seed, stop_after, sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &CellularCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        one_cell(self)?.resume_with(checkpoint, sink)
     }
 
     fn resume_until_with(
@@ -116,7 +104,7 @@ mod tests {
     use super::*;
     use crate::telemetry::{MemorySink, RunEvent};
     use moea::problems::{Schaffer, Zdt1};
-    use moea::EngineSetup;
+    use moea::{EngineSetup, RunOutcome};
 
     fn config(population: usize, generations: usize) -> Nsga2Config {
         Nsga2Config::builder()

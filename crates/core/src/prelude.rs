@@ -31,9 +31,8 @@ pub use crate::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 pub use crate::sacga::{CompetitionMode, Sacga, SacgaConfig};
 pub use crate::steady::{SteadyConfig, SteadyConfigBuilder, SteadySacga};
 pub use crate::telemetry::{
-    DynOptimizer, EventKind, EventParseError, FaultRateAlarm, HealthWarning, InfeasibilityAlarm,
-    JsonlSink, MemorySink, MetricsRow, MetricsSink, NullSink, Optimizer, RunEvent, Sink,
-    StallDetector, Tee, EVENT_SCHEMA_VERSION,
+    DynOptimizer, EventKind, EventParseError, FaultRateAlarm, HealthWarning, JsonlSink, MemorySink,
+    NullSink, Optimizer, RunEvent, Sink, StallDetector, Tee, EVENT_SCHEMA_VERSION,
 };
 pub use crate::topology::Topology;
 pub use moea::nsga2::Nsga2;

@@ -30,7 +30,7 @@
 use crate::anneal::ProbabilityShaper;
 use crate::checkpoint::SacgaCheckpoint;
 use crate::steady::{self, Launch, Phases, Plan, Resume};
-use crate::telemetry::{expect_complete, NullSink, Optimizer, Sink};
+use crate::telemetry::{Optimizer, Sink};
 use engine::EngineConfig;
 use moea::operators::Variation;
 use moea::problem::Problem;
@@ -298,7 +298,7 @@ impl<P: Problem> Sacga<P> {
     where
         P: Sync,
     {
-        self.run_with(seed, &mut NullSink)
+        self.run(seed)
     }
 }
 
@@ -311,7 +311,7 @@ impl<P: Problem + Sync> Sacga<P> {
     fn execute(
         &self,
         launch: Launch<'_>,
-        stop_after: Option<usize>,
+        stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
         let plan = Plan::generational(&self.config, Phases::Rest);
@@ -340,27 +340,13 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         }
     }
 
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.execute(Launch::Seed(seed), None, sink)
-            .map(expect_complete)
-    }
-
     fn run_until_with(
         &self,
         seed: u64,
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.execute(Launch::Seed(seed), Some(stop_after), sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &SacgaCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.execute(Self::resume_from(checkpoint), None, sink)
-            .map(expect_complete)
+        self.execute(Launch::Seed(seed), stop_after, sink)
     }
 
     fn resume_until_with(
@@ -369,7 +355,7 @@ impl<P: Problem + Sync> Optimizer for Sacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SacgaCheckpoint>, OptimizeError> {
-        self.execute(Self::resume_from(checkpoint), Some(stop_after), sink)
+        self.execute(Self::resume_from(checkpoint), stop_after, sink)
     }
 }
 

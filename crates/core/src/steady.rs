@@ -50,11 +50,12 @@ use std::collections::VecDeque;
 
 use crate::anneal::{AnnealingSchedule, ProbabilityShaper, PromotionPolicy};
 use crate::checkpoint::{EngineState, SavedIndividual, SteadyCheckpoint};
+use crate::frame::{self, feasible_front, ranked_copy, Frame, Ranks};
 use crate::mesacga::PhaseSpec;
 use crate::partition::{PartitionGrid, PartitionedPopulation};
 use crate::sacga::{CompetitionMode, GenerationStats, SacgaConfig, SacgaConfigBuilder};
-use crate::telemetry::{expect_complete, EventKind, NullSink, Optimizer, RunEvent, Sink};
-use engine::{EngineConfig, EngineStats, EvaluationSession, Stage, StageTimer};
+use crate::telemetry::{EventKind, Optimizer, RunEvent, Sink};
+use engine::{EngineConfig, EvaluationSession, Stage};
 use moea::individual::Individual;
 use moea::operators::{random_vector, Variation};
 use moea::problem::Problem;
@@ -376,8 +377,7 @@ impl<P: Problem> SteadySacga<P> {
     where
         P: Sync,
     {
-        self.execute(Launch::Seed(seed), None, &mut NullSink)
-            .map(expect_complete)
+        self.run(seed)
     }
 }
 
@@ -385,7 +385,7 @@ impl<P: Problem + Sync> SteadySacga<P> {
     fn execute(
         &self,
         launch: Launch<'_>,
-        stop_after: Option<usize>,
+        stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
         let plan = Plan {
@@ -419,27 +419,13 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         "steady"
     }
 
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
-        self.execute(Launch::Seed(seed), None, sink)
-            .map(expect_complete)
-    }
-
     fn run_until_with(
         &self,
         seed: u64,
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.execute(Launch::Seed(seed), Some(stop_after), sink)
-    }
-
-    fn resume_with(
-        &self,
-        checkpoint: &SteadyCheckpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError> {
-        self.execute(Self::resume_from(checkpoint), None, sink)
-            .map(expect_complete)
+        self.execute(Launch::Seed(seed), stop_after, sink)
     }
 
     fn resume_until_with(
@@ -448,7 +434,7 @@ impl<P: Problem + Sync> Optimizer for SteadySacga<P> {
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<SteadyCheckpoint>, OptimizeError> {
-        self.execute(Self::resume_from(checkpoint), Some(stop_after), sink)
+        self.execute(Self::resume_from(checkpoint), stop_after, sink)
     }
 }
 
@@ -461,16 +447,12 @@ pub(crate) fn drive<P: Problem + Sync, C>(
     problem: &P,
     plan: Plan<'_>,
     launch: Launch<'_>,
-    stop_after: Option<usize>,
+    stop_after: usize,
     sink: &mut dyn Sink,
     checkpoint: impl FnOnce(Suspension) -> C,
 ) -> Result<RunStatus<C>, OptimizeError> {
     let base = plan.base;
-    if problem.num_objectives() == 0 {
-        return Err(OptimizeError::invalid_problem(
-            "problem must declare at least one objective",
-        ));
-    }
+    frame::check_problem(problem)?;
     match &launch {
         Launch::Seed(_) => {
             if base.slice_objective >= problem.num_objectives() {
@@ -514,7 +496,7 @@ fn run_loop<P, F>(
     problem: &P,
     plan: Plan<'_>,
     launch: Launch<'_>,
-    stop_after: Option<usize>,
+    stop_after: usize,
     sink: &mut dyn Sink,
     session: &mut EvaluationSession<'_, Evaluation, F>,
 ) -> Result<RunStatus<Suspension>, OptimizeError>
@@ -525,22 +507,10 @@ where
     let base = plan.base;
     let n = base.population_size;
     let bounds = problem.bounds().clone();
-    let fresh = matches!(launch, Launch::Seed(_));
     let mut flow = match launch {
         Launch::Seed(seed) => {
             let mut rng = StdRng::seed_from_u64(seed);
-            let init_genes: Vec<Vec<f64>> =
-                (0..n).map(|_| random_vector(&mut rng, &bounds)).collect();
-            for genes in &init_genes {
-                session.submit(genes);
-            }
-            let init_evals = session.drain_all()?;
-            let initial: Vec<Individual> = init_genes
-                .into_iter()
-                .zip(init_evals)
-                .map(|(genes, ev)| Individual::new(genes, ev))
-                .collect();
-            problem.check_evaluation(&initial[0].evaluation)?;
+            let initial = frame::initial_population(problem, session, &mut rng, n)?;
             let grid = match base.slice_range {
                 Some((lo, hi)) => {
                     PartitionGrid::new(base.slice_objective, lo, hi, base.partitions)?
@@ -561,7 +531,8 @@ where
                 feasible,
                 population: flat_cache.len(),
             }];
-            Flow::new(plan, bounds, rng, pop, history, flat_cache)
+            let frame = Frame::open(sink, session, 0);
+            Flow::new(plan, bounds, rng, pop, history, flat_cache, frame)
         }
         Launch::Resume(resume) => {
             let state = resume.state;
@@ -574,13 +545,20 @@ where
             .map_err(|e| {
                 OptimizeError::invalid_checkpoint(format!("stored grid is invalid: {e}"))
             })?;
-            let members: Vec<Vec<Individual>> = state
+            let members = state
                 .partitions
                 .iter()
-                .map(|part| part.iter().map(SavedIndividual::to_individual).collect())
-                .collect();
+                .map(|part| frame::restore(problem, part))
+                .collect::<Result<Vec<_>, _>>()?;
+            let pending = frame::restore(problem, resume.pending)?;
+            let phase_fronts = resume
+                .phase_fronts
+                .iter()
+                .map(|f| frame::restore(problem, f))
+                .collect::<Result<Vec<_>, _>>()?;
             let pop = PartitionedPopulation::from_parts(grid, members, state.alive.clone())?;
             let flat_cache = pop.flatten();
+            let frame = Frame::open(sink, session, state.gen);
             let mut flow = Flow::new(
                 plan,
                 bounds,
@@ -588,21 +566,18 @@ where
                 pop,
                 state.history.clone(),
                 flat_cache,
+                frame,
             );
             flow.gen = state.gen;
             flow.merged = state.gen * n;
-            flow.produced = flow.merged + resume.pending.len();
-            flow.phase_fronts = resume
-                .phase_fronts
-                .iter()
-                .map(|f| f.iter().map(SavedIndividual::to_individual).collect())
-                .collect();
+            flow.produced = flow.merged + pending.len();
+            flow.phase_fronts = phase_fronts;
             // Replay the look-ahead: primed completions occupy the
             // session's first submission indices with no stats impact,
             // exactly as the killed run left them.
-            for p in resume.pending {
-                session.prime(Evaluation::new(p.objectives.clone(), p.violations.clone()));
-                flow.queue.push_back(p.genes.clone());
+            for p in pending {
+                session.prime(p.evaluation);
+                flow.queue.push_back(p.genes);
             }
             if state.phase1_done {
                 // A checkpoint is taken inside a phase, after its start:
@@ -621,19 +596,6 @@ where
             flow
         }
     };
-    if sink.wants(EventKind::StageTiming) {
-        flow.timer.set_enabled(true);
-    }
-    flow.stats_mark = session.stats().clone();
-    // Faults from the initial-population evaluation surface as
-    // generation-0 events; a resumed segment emits nothing for the
-    // checkpoint generation, whose events belong to the segment that
-    // executed it.
-    if fresh {
-        flow.emit_boundary(session, sink);
-    } else {
-        let _ = session.take_fault_events();
-    }
     let mut feasibility = (sink.wants(EventKind::PartitionFeasible) && !flow.phase1_done)
         .then(|| flow.partition_feasibility());
 
@@ -645,7 +607,7 @@ where
         if flow.finished() {
             return Ok(RunStatus::Complete(Box::new(flow.finish(session))));
         }
-        if stop_after.is_some_and(|cap| flow.gen >= cap) {
+        if flow.gen >= stop_after {
             return flow.suspend(session, sink);
         }
 
@@ -663,7 +625,7 @@ where
         // --- generation boundary
         flow.gen += 1;
         flow.flat_cache = flow.pop.flatten();
-        flow.record();
+        let row = flow.record();
         if let Some(before) = &mut feasibility {
             let now = flow.partition_feasibility();
             for (p, (was, is)) in before.iter().zip(&now).enumerate() {
@@ -683,18 +645,9 @@ where
                 candidates: flow.window_candidates,
             });
         }
-        flow.emit_boundary(session, sink);
+        flow.frame
+            .end_generation(sink, session, &row, &flow.flat_cache, Ranks::Local);
     }
-}
-
-/// Feasible, globally non-dominated front of a population snapshot
-/// (clone + one global competition; used for event payloads and phase
-/// fronts).
-fn population_front(snapshot: &[Individual]) -> Vec<Individual> {
-    let mut arena = snapshot.to_vec();
-    rank_and_crowd(&mut arena);
-    arena.retain(|m| m.rank == 0 && m.is_feasible());
-    arena
 }
 
 /// Mutable state of one partitioned drive. Everything algorithmic lives
@@ -734,8 +687,7 @@ struct Flow<'a> {
     flat_cache: Vec<Individual>,
     variation: Variation,
     roulette: RankRoulette,
-    timer: StageTimer,
-    stats_mark: EngineStats,
+    frame: Frame,
     /// The active phase's promotion policy and cooling schedule, set
     /// only in annealed mode.
     annealing: Option<(PromotionPolicy, AnnealingSchedule)>,
@@ -752,6 +704,7 @@ impl<'a> Flow<'a> {
         pop: PartitionedPopulation,
         history: Vec<GenerationStats>,
         flat_cache: Vec<Individual>,
+        frame: Frame,
     ) -> Self {
         let base = plan.base;
         let variation = base
@@ -779,8 +732,7 @@ impl<'a> Flow<'a> {
             flat_cache,
             variation,
             roulette: RankRoulette::new(base.roulette_decay),
-            timer: StageTimer::disabled(),
-            stats_mark: EngineStats::default(),
+            frame,
             annealing: None,
             window_temperature: f64::INFINITY,
             window_promoted: 0,
@@ -896,7 +848,9 @@ impl<'a> Flow<'a> {
         while !self.finished() && self.gen >= self.phase_start + self.phases[self.phase_index].span
         {
             if matches!(self.plan.phases, Phases::List(_)) {
-                self.phase_fronts.push(population_front(&self.flat_cache));
+                let ranked = ranked_copy(&self.flat_cache);
+                self.phase_fronts
+                    .push(feasible_front(&ranked).cloned().collect());
             }
             self.phase_index += 1;
             if !self.finished() {
@@ -931,7 +885,7 @@ impl<'a> Flow<'a> {
     /// members have their rank revised by a global non-dominated sort.
     /// The roulette wheel is rebuilt over the new basis.
     fn refresh_selection(&mut self) {
-        self.timer.start(Stage::Promotion);
+        self.frame.timer.start(Stage::Promotion);
         let mut flat = self.pop.flatten();
         if let Some((policy, _)) = self.annealing {
             let temperature = self.window_temperature;
@@ -964,7 +918,7 @@ impl<'a> Flow<'a> {
             self.window_promoted += promoted.len();
         }
         self.wheel = self.roulette.wheel(&flat);
-        self.timer.stop();
+        self.frame.timer.stop();
         self.selection = flat;
     }
 
@@ -980,7 +934,7 @@ impl<'a> Flow<'a> {
     {
         let budget = self.last_generation() * self.plan.base.population_size;
         let bred = self.queue.len();
-        self.timer.start(Stage::Variation);
+        self.frame.timer.start(Stage::Variation);
         while self.produced < budget && self.produced - self.merged + 2 <= self.plan.window {
             let (c1, c2) = if self.selection.is_empty() {
                 // Degenerate: reseed randomly.
@@ -1005,7 +959,7 @@ impl<'a> Flow<'a> {
         for genes in self.queue.range(bred..) {
             session.submit(genes);
         }
-        self.timer.stop();
+        self.frame.timer.stop();
     }
 
     /// Drains the next merge quantum — in submission order, blocking
@@ -1025,9 +979,9 @@ impl<'a> Flow<'a> {
             .quantum
             .min(target - self.merged)
             .min(self.produced - self.merged);
-        self.timer.start(Stage::Evaluation);
+        self.frame.timer.start(Stage::Evaluation);
         let values = session.drain(want)?;
-        self.timer.start(Stage::Selection);
+        self.frame.timer.start(Stage::Selection);
         let offspring: Vec<Individual> = self
             .queue
             .drain(..want)
@@ -1037,79 +991,28 @@ impl<'a> Flow<'a> {
         let capacity = self.capacity();
         self.pop.absorb(offspring);
         self.pop.truncate_to(capacity, &mut self.rng);
-        self.timer.start(Stage::Ranking);
+        self.frame.timer.start(Stage::Ranking);
         self.pop.rank_locally();
-        self.timer.stop();
+        self.frame.timer.stop();
         self.merged += want;
         Ok(())
     }
 
-    /// Appends the history row for the generation just completed.
-    fn record(&mut self) {
+    /// Appends and returns the history row for the generation just
+    /// completed.
+    fn record(&mut self) -> GenerationStats {
         let feasible = self.flat_cache.iter().filter(|m| m.is_feasible()).count();
         let phase = if self.phase2() { 2 } else { 1 };
-        self.history.push(GenerationStats {
+        let row = GenerationStats {
             generation: self.gen,
             phase,
             temperature: self.window_temperature,
             promoted: self.window_promoted,
             feasible,
             population: self.flat_cache.len(),
-        });
-    }
-
-    /// Drains resolved fault episodes and, for executed generations,
-    /// emits the [`RunEvent::GenerationEnd`] (and stage-timing) records.
-    fn emit_boundary<F>(
-        &mut self,
-        session: &mut EvaluationSession<'_, Evaluation, F>,
-        sink: &mut dyn Sink,
-    ) where
-        F: Fn(&[f64]) -> Evaluation + Sync,
-    {
-        let faults = session.take_fault_events();
-        if sink.wants(EventKind::EvaluationFault) {
-            for fault in &faults {
-                sink.record(&RunEvent::EvaluationFault {
-                    generation: self.gen,
-                    kind: fault.kind,
-                    failures: fault.failures,
-                    resolution: fault.resolution,
-                });
-            }
-        }
-        if self.gen > 0 && sink.wants(EventKind::GenerationEnd) {
-            let row = *self
-                .history
-                .last()
-                .expect("every generation records a history row");
-            let front = population_front(&self.flat_cache)
-                .iter()
-                .map(|m| m.objectives().to_vec())
-                .collect();
-            sink.record(&RunEvent::GenerationEnd {
-                generation: self.gen,
-                phase: row.phase,
-                temperature: row.temperature,
-                promoted: row.promoted,
-                feasible: row.feasible,
-                population: row.population,
-                evaluations: session.stats().evaluations,
-                front,
-            });
-        }
-        if self.gen > 0 && self.timer.is_enabled() {
-            let stages = self.timer.take();
-            let delta = session.stats().since(&self.stats_mark);
-            self.stats_mark = session.stats().clone();
-            sink.record(&RunEvent::StageTiming {
-                generation: self.gen,
-                stages,
-                candidates: delta.candidates,
-                evaluations: delta.evaluations,
-                cache_hits: delta.cache_hits,
-            });
-        }
+        };
+        self.history.push(row);
+        row
     }
 
     /// Suspends at the current generation boundary. The look-ahead's
@@ -1124,11 +1027,7 @@ impl<'a> Flow<'a> {
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
-        if sink.wants(EventKind::CheckpointWritten) {
-            sink.record(&RunEvent::CheckpointWritten {
-                generation: self.gen,
-            });
-        }
+        self.frame.suspend(sink, self.gen);
         let mut values = Vec::new();
         let mut stats = session.stats().clone();
         if session.in_flight() > 0 {
@@ -1187,29 +1086,16 @@ impl<'a> Flow<'a> {
         })))
     }
 
-    /// Final global competition and result assembly: per the paper, the
-    /// Global Pareto Front is found by one global competition over the
-    /// entire final population.
+    /// The outcome: the frame's final global competition over the whole
+    /// population, with phase I's length and the phase fronts.
     fn finish<F>(self, session: &mut EvaluationSession<'_, Evaluation, F>) -> RunOutcome
     where
         F: Fn(&[f64]) -> Evaluation + Sync,
     {
-        let mut population = self.pop.flatten();
-        rank_and_crowd(&mut population);
-        let front: Vec<Individual> = population
-            .iter()
-            .filter(|m| m.rank == 0 && m.is_feasible())
-            .cloned()
-            .collect();
         RunOutcome {
-            population,
-            front,
-            generations: self.gen,
             gen_t: self.gen_t,
-            history: self.history,
             phase_fronts: self.phase_fronts,
-            migrations: 0,
-            stats: session.stats().clone(),
+            ..frame::finish(self.pop.flatten(), self.gen, self.history, session.stats())
         }
     }
 }
@@ -1219,7 +1105,7 @@ mod tests {
     use super::*;
     use crate::sacga::Sacga;
     use crate::telemetry::MemorySink;
-    use engine::{EvaluatorKind, FaultPlan, FaultPolicy};
+    use engine::{EngineStats, EvaluatorKind, FaultPlan, FaultPolicy};
     use moea::problems::{NarrowingCorridor, Schaffer};
 
     fn config(generations: usize, partitions: usize) -> SteadyConfig {

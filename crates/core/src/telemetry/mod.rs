@@ -44,7 +44,6 @@
 
 mod event;
 mod json;
-mod metrics;
 mod optimizer;
 mod registry;
 mod sink;
@@ -52,9 +51,7 @@ mod watchdog;
 
 pub use event::{EventKind, RunEvent, EVENT_SCHEMA_VERSION};
 pub use json::{EventParseError, LossyReplay};
-pub use metrics::{MetricsRow, MetricsSink};
-pub(crate) use optimizer::expect_complete;
 pub use optimizer::{CheckpointText, DynOptimizer, DynRunStatus, Optimizer};
 pub use registry::RegistrySink;
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink, Tee};
-pub use watchdog::{FaultRateAlarm, HealthWarning, InfeasibilityAlarm, StallDetector};
+pub use watchdog::{FaultRateAlarm, HealthWarning, StallDetector};

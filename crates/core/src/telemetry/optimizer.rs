@@ -20,6 +20,12 @@ use super::sink::{NullSink, Sink};
 /// run suspends at a generation boundary into its
 /// [`Checkpoint`](Optimizer::Checkpoint), and resuming it is
 /// bit-identical to never having stopped.
+///
+/// An arm implements two methods, the bounded
+/// [`run_until_with`](Optimizer::run_until_with) and
+/// [`resume_until_with`](Optimizer::resume_until_with); every other
+/// entry point is provided on top of them, the unbounded ones with a
+/// stop bound of `usize::MAX`, which no run reaches.
 pub trait Optimizer {
     /// Suspension checkpoint produced by bounded runs.
     type Checkpoint;
@@ -28,21 +34,14 @@ pub trait Optimizer {
     /// for labeling streams and tables.
     fn algorithm(&self) -> &'static str;
 
-    /// Runs to completion, emitting events into `sink`.
+    /// Runs from `seed`, suspending once `stop_after` generations have
+    /// completed, emitting events into `sink`.
     ///
     /// # Errors
     ///
     /// Propagates problem-definition errors discovered at start-up and
     /// [`OptimizeError::EvaluationFailed`] when a candidate evaluation
     /// exhausts an aborting fault policy's retry budget.
-    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError>;
-
-    /// Runs from `seed`, suspending once `stop_after` generations have
-    /// completed, emitting events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with`](Optimizer::run_with).
     fn run_until_with(
         &self,
         seed: u64,
@@ -50,32 +49,45 @@ pub trait Optimizer {
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<Self::Checkpoint>, OptimizeError>;
 
-    /// Resumes a suspended run to completion, emitting events into
-    /// `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with`](Optimizer::run_with), plus
-    /// [`OptimizeError::InvalidCheckpoint`] when the checkpoint is
-    /// inconsistent with this configuration.
-    fn resume_with(
-        &self,
-        checkpoint: &Self::Checkpoint,
-        sink: &mut dyn Sink,
-    ) -> Result<RunOutcome, OptimizeError>;
-
     /// Resumes a suspended run, suspending again once `stop_after`
     /// total generations have completed, emitting events into `sink`.
     ///
     /// # Errors
     ///
-    /// Same as [`resume_with`](Optimizer::resume_with).
+    /// Same as [`run_until_with`](Optimizer::run_until_with), plus
+    /// [`OptimizeError::InvalidCheckpoint`] when the checkpoint is
+    /// inconsistent with this configuration or the problem.
     fn resume_until_with(
         &self,
         checkpoint: &Self::Checkpoint,
         stop_after: usize,
         sink: &mut dyn Sink,
     ) -> Result<RunStatus<Self::Checkpoint>, OptimizeError>;
+
+    /// Runs to completion, emitting events into `sink`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run_until_with`](Optimizer::run_until_with).
+    fn run_with(&self, seed: u64, sink: &mut dyn Sink) -> Result<RunOutcome, OptimizeError> {
+        self.run_until_with(seed, usize::MAX, sink)
+            .map(expect_complete)
+    }
+
+    /// Resumes a suspended run to completion, emitting events into
+    /// `sink`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`resume_until_with`](Optimizer::resume_until_with).
+    fn resume_with(
+        &self,
+        checkpoint: &Self::Checkpoint,
+        sink: &mut dyn Sink,
+    ) -> Result<RunOutcome, OptimizeError> {
+        self.resume_until_with(checkpoint, usize::MAX, sink)
+            .map(expect_complete)
+    }
 
     /// Runs to completion without instrumentation.
     ///
@@ -323,7 +335,7 @@ fn dyn_status<C: CheckpointText>(status: RunStatus<C>) -> DynRunStatus {
 }
 
 /// Unwraps an unbounded drive, which by construction never suspends.
-pub(crate) fn expect_complete<C>(status: RunStatus<C>) -> RunOutcome {
+fn expect_complete<C>(status: RunStatus<C>) -> RunOutcome {
     match status {
         RunStatus::Complete(outcome) => *outcome,
         RunStatus::Suspended(_) => unreachable!("unbounded runs never suspend"),

@@ -1,7 +1,6 @@
 //! Run-health watchdogs: sinks that watch the event stream for
-//! pathological run shapes — convergence stalls, partitions stuck
-//! infeasible as phase I runs out of road, evaluation fault storms —
-//! and emit structured [`HealthWarning`]s.
+//! pathological run shapes — convergence stalls and evaluation fault
+//! storms — and emit structured [`HealthWarning`]s.
 //!
 //! Watchdogs are ordinary [`Sink`]s, so they compose with byte-stream
 //! or metrics sinks through [`Tee`](super::sink::Tee) and obey the same
@@ -20,7 +19,7 @@ use super::sink::Sink;
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthWarning {
     /// Stable identifier of the watchdog that fired (`"stall"`,
-    /// `"infeasibility"`, `"fault_rate"`).
+    /// `"fault_rate"`).
     pub watchdog: &'static str,
     /// Generation at which the condition was detected.
     pub generation: usize,
@@ -96,11 +95,12 @@ impl Sink for StallDetector {
         };
         self.history.push_back((hv, *feasible));
         // A window of W generations needs W+1 samples: the base plus W
-        // generations that failed to move it.
-        if self.history.len() > self.window + 1 {
+        // generations that failed to move it. Counting the generations
+        // after the base keeps a window of `usize::MAX` from wrapping.
+        let after_base = self.history.len() - 1;
+        if after_base > self.window {
             self.history.pop_front();
-        }
-        if self.history.len() < self.window + 1 {
+        } else if after_base < self.window {
             return;
         }
         let (base_hv, base_feasible) = self.history[0];
@@ -126,96 +126,6 @@ impl Sink for StallDetector {
 
     fn wants(&self, kind: EventKind) -> bool {
         kind == EventKind::GenerationEnd
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Warns when phase I (the feasibility hunt) approaches its generation
-/// cap with the run still in phase 1 — i.e. some partition has yet to
-/// produce a constraint-satisfying member, so the phase is about to be
-/// cut off by the cap rather than by success.
-///
-/// The trigger is the phase marker on [`RunEvent::GenerationEnd`], not
-/// [`RunEvent::PartitionFeasible`] counting: partitions that start out
-/// feasible emit no event, so event counts alone cannot prove
-/// infeasibility. Feasibility events observed so far are still reported
-/// in the warning for context. Fires at most once per run.
-#[derive(Debug, Clone)]
-pub struct InfeasibilityAlarm {
-    phase1_cap: usize,
-    warn_at: usize,
-    feasible_events: usize,
-    fired: bool,
-    warnings: Vec<HealthWarning>,
-}
-
-impl InfeasibilityAlarm {
-    /// Creates an alarm for a run whose phase I is capped at
-    /// `phase1_cap` generations, warning once 80% of the cap has been
-    /// spent without leaving phase 1.
-    pub fn new(phase1_cap: usize) -> Self {
-        InfeasibilityAlarm::with_warn_fraction(phase1_cap, 0.8)
-    }
-
-    /// Creates an alarm warning once `fraction` (clamped to `(0, 1]`)
-    /// of `phase1_cap` has been spent without leaving phase 1.
-    pub fn with_warn_fraction(phase1_cap: usize, fraction: f64) -> Self {
-        let fraction = fraction.clamp(f64::EPSILON, 1.0);
-        // Round up so a fraction of e.g. 0.8 over a cap of 10 arms at
-        // generation 8, and a cap of 1 arms at generation 1.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let warn_at = (phase1_cap as f64 * fraction).ceil().max(1.0) as usize;
-        InfeasibilityAlarm {
-            phase1_cap,
-            warn_at,
-            feasible_events: 0,
-            fired: false,
-            warnings: Vec::new(),
-        }
-    }
-
-    /// Warnings emitted so far.
-    pub fn warnings(&self) -> &[HealthWarning] {
-        &self.warnings
-    }
-
-    /// Consumes the alarm, returning its warnings.
-    pub fn into_warnings(self) -> Vec<HealthWarning> {
-        self.warnings
-    }
-}
-
-impl Sink for InfeasibilityAlarm {
-    fn record(&mut self, event: &RunEvent) {
-        match event {
-            RunEvent::PartitionFeasible { .. } => self.feasible_events += 1,
-            RunEvent::GenerationEnd {
-                generation, phase, ..
-            } if *phase == 1 && *generation >= self.warn_at && !self.fired => {
-                self.fired = true;
-                self.warnings.push(HealthWarning {
-                    watchdog: "infeasibility",
-                    generation: *generation,
-                    message: format!(
-                        "still in phase I at generation {} of a {}-generation cap \
-                         ({} partition-feasibility events so far); some partitions \
-                         may never satisfy their constraints",
-                        generation, self.phase1_cap, self.feasible_events
-                    ),
-                });
-            }
-            _ => {}
-        }
-    }
-
-    fn wants(&self, kind: EventKind) -> bool {
-        matches!(
-            kind,
-            EventKind::GenerationEnd | EventKind::PartitionFeasible
-        )
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -381,44 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn stall_detector_silent_on_short_runs() {
-        let mut dog = StallDetector::new(vec![10.0, 10.0], 5);
-        for g in 1..=5 {
+    fn stall_detector_with_the_widest_window_never_fires() {
+        let mut dog = StallDetector::new(vec![10.0, 10.0], usize::MAX);
+        for g in 1..=20 {
             dog.record(&gen_end(g, 2, 40, vec![vec![2.0, 2.0]]));
         }
         assert!(dog.warnings().is_empty());
     }
 
     #[test]
-    fn infeasibility_alarm_fires_near_cap_only_in_phase_one() {
-        let mut alarm = InfeasibilityAlarm::new(10);
-        alarm.record(&RunEvent::PartitionFeasible {
-            generation: 2,
-            partition: 0,
-        });
-        for g in 1..=7 {
-            alarm.record(&gen_end(g, 1, 40, vec![]));
+    fn stall_detector_silent_on_short_runs() {
+        let mut dog = StallDetector::new(vec![10.0, 10.0], 5);
+        for g in 1..=5 {
+            dog.record(&gen_end(g, 2, 40, vec![vec![2.0, 2.0]]));
         }
-        assert!(alarm.warnings().is_empty());
-        alarm.record(&gen_end(8, 1, 40, vec![]));
-        alarm.record(&gen_end(9, 1, 40, vec![]));
-        let warnings = alarm.warnings();
-        assert_eq!(warnings.len(), 1, "fires once, not per generation");
-        assert_eq!(warnings[0].watchdog, "infeasibility");
-        assert_eq!(warnings[0].generation, 8);
-        assert!(warnings[0].message.contains("1 partition-feasibility"));
-    }
-
-    #[test]
-    fn infeasibility_alarm_silent_when_phase_two_reached_in_time() {
-        let mut alarm = InfeasibilityAlarm::new(10);
-        for g in 1..=4 {
-            alarm.record(&gen_end(g, 1, 40, vec![]));
-        }
-        for g in 5..=20 {
-            alarm.record(&gen_end(g, 2, 40, vec![vec![1.0, 1.0]]));
-        }
-        assert!(alarm.warnings().is_empty());
+        assert!(dog.warnings().is_empty());
     }
 
     #[test]
@@ -456,11 +343,6 @@ mod tests {
         assert!(stall.wants(EventKind::GenerationEnd));
         assert!(!stall.wants(EventKind::StageTiming));
         assert!(!stall.wants(EventKind::EvaluationFault));
-
-        let infeasible = InfeasibilityAlarm::new(10);
-        assert!(infeasible.wants(EventKind::GenerationEnd));
-        assert!(infeasible.wants(EventKind::PartitionFeasible));
-        assert!(!infeasible.wants(EventKind::Promotion));
 
         let faults = FaultRateAlarm::new(0.5);
         assert!(faults.wants(EventKind::EvaluationFault));

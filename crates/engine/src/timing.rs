@@ -6,9 +6,8 @@
 //! selection. [`StageTimer`] measures wall-clock per stage so a run's
 //! telemetry stream can report where each generation's time goes.
 //!
-//! The timer is built disabled by default and a disabled timer never
-//! reads the clock, so un-instrumented runs pay only a branch per stage
-//! boundary. Timing never touches the optimizer's RNG or state — a run
+//! A timer built disabled never reads the clock, so un-instrumented
+//! runs pay only a branch per stage boundary. Timing never touches the optimizer's RNG or state — a run
 //! with timing enabled produces bit-identical results to one without.
 
 use std::time::Instant;
@@ -118,38 +117,22 @@ impl StageNanos {
 
 /// Accumulates per-stage wall-clock across one generation.
 ///
-/// A disabled timer (the default) never reads the clock: [`time`],
-/// [`start`], [`stop`] and [`take`] all reduce to a branch, so loops
-/// can leave the calls in place unconditionally and enable the timer
-/// only when a sink actually wants timing events.
+/// A disabled timer (the default) never reads the clock: [`start`],
+/// [`stop`] and [`take`] all reduce to a branch, so loops can leave the
+/// calls in place unconditionally and enable the timer only when a sink
+/// actually wants timing events.
 ///
-/// [`time`]: StageTimer::time
 /// [`start`]: StageTimer::start
 /// [`stop`]: StageTimer::stop
 /// [`take`]: StageTimer::take
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StageTimer {
     enabled: bool,
     open: Option<(Stage, Instant)>,
     acc: StageNanos,
 }
 
-impl Default for StageTimer {
-    fn default() -> Self {
-        StageTimer::disabled()
-    }
-}
-
 impl StageTimer {
-    /// A timer that records nothing (the default for bare runs).
-    pub fn disabled() -> Self {
-        StageTimer {
-            enabled: false,
-            open: None,
-            acc: StageNanos::default(),
-        }
-    }
-
     /// A timer with recording switched on or off.
     pub fn new(enabled: bool) -> Self {
         StageTimer {
@@ -162,33 +145,6 @@ impl StageTimer {
     /// Whether the timer records spans.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Switches recording on or off. Disabling closes any open span
-    /// without recording it.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.open = None;
-        }
-    }
-
-    /// Times `f` under `stage`, returning its result. Any span open via
-    /// [`start`](StageTimer::start) is paused for the duration and
-    /// resumed afterwards.
-    pub fn time<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
-        let resume = self.open.map(|(s, _)| s);
-        self.stop();
-        let t0 = Instant::now();
-        let out = f();
-        self.acc.add(stage, t0.elapsed().as_nanos() as u64);
-        if let Some(s) = resume {
-            self.start(s);
-        }
-        out
     }
 
     /// Opens a span for `stage`, closing (and recording) any span that
@@ -223,24 +179,23 @@ mod tests {
 
     #[test]
     fn disabled_timer_records_nothing() {
-        let mut t = StageTimer::disabled();
-        let out = t.time(Stage::Evaluation, || 7);
-        assert_eq!(out, 7);
-        t.start(Stage::Variation);
-        t.stop();
-        assert!(t.take().is_zero());
-        assert!(!t.is_enabled());
+        for mut t in [StageTimer::new(false), StageTimer::default()] {
+            t.start(Stage::Variation);
+            std::hint::black_box((0..1000).sum::<u64>());
+            t.stop();
+            assert!(t.take().is_zero());
+            assert!(!t.is_enabled());
+        }
     }
 
     #[test]
     fn enabled_timer_accumulates_per_stage() {
         let mut t = StageTimer::new(true);
-        t.time(Stage::Variation, || {
-            std::hint::black_box((0..1000).sum::<u64>())
-        });
-        t.time(Stage::Evaluation, || {
-            std::hint::black_box((0..1000).sum::<u64>())
-        });
+        t.start(Stage::Variation);
+        std::hint::black_box((0..1000).sum::<u64>());
+        t.start(Stage::Evaluation);
+        std::hint::black_box((0..1000).sum::<u64>());
+        t.stop();
         let n = t.take();
         assert!(n.variation > 0);
         assert!(n.evaluation > 0);
@@ -261,27 +216,6 @@ mod tests {
         let n = t.take();
         assert!(n.promotion > 0);
         assert!(n.selection > 0);
-    }
-
-    #[test]
-    fn time_pauses_and_resumes_open_span() {
-        let mut t = StageTimer::new(true);
-        t.start(Stage::Promotion);
-        t.time(Stage::Evaluation, || {
-            std::hint::black_box((0..1000).sum::<u64>())
-        });
-        std::hint::black_box((0..1000).sum::<u64>());
-        let n = t.take();
-        assert!(n.promotion > 0);
-        assert!(n.evaluation > 0);
-    }
-
-    #[test]
-    fn disabling_discards_open_span() {
-        let mut t = StageTimer::new(true);
-        t.start(Stage::Ranking);
-        t.set_enabled(false);
-        assert!(t.take().is_zero());
     }
 
     #[test]

@@ -861,6 +861,7 @@ impl Server {
                         s.error = Some(e.to_string());
                     });
                     rt.hub.finish();
+                    self.metrics.jobs_failed.inc();
                     return;
                 }
                 Ok(DynRunStatus::Complete(outcome)) => {
@@ -1083,6 +1084,50 @@ mod tests {
         assert!(server
             .debug_report(JobId::parse("00000000deadbeef").unwrap())
             .is_err());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_job_that_panics_fails_alone_and_the_pool_serves_on() {
+        // Poison the job's flight-recorder lock: the first event its run
+        // records unwraps the poisoned lock and panics mid-slice.
+        let root = tmp_root("panic");
+        let server = Arc::new(Server::open(&root, ServerConfig::new()).unwrap());
+        let id = server.submit(quick_spec("panics")).unwrap();
+        let healthy = server.submit(quick_spec("healthy")).unwrap();
+        let rt = server.runtime(id).unwrap();
+        let poisoned = std::thread::spawn(move || {
+            let _held = rt.flight.lock().unwrap();
+            panic!("poisoning the flight recorder");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        // Drain on a thread, so that a wedged pool fails the test instead
+        // of hanging it.
+        let (done, drained) = std::sync::mpsc::channel();
+        let draining = Arc::clone(&server);
+        let drain = std::thread::spawn(move || {
+            let _ = done.send(draining.run_until_idle());
+        });
+        drained
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the drain must return after a job panics")
+            .unwrap();
+        drain.join().unwrap();
+        let failed = server.status(id).unwrap();
+        assert_eq!(failed.status, JobStatus::Failed);
+        assert!(
+            failed
+                .error
+                .as_deref()
+                .is_some_and(|e| e.starts_with("job panicked:")),
+            "{:?}",
+            failed.error
+        );
+        assert_eq!(server.status(healthy).unwrap().status, JobStatus::Done);
+        assert!(server
+            .metrics_text()
+            .contains("dse_server_jobs_failed_total 1"));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -636,7 +636,8 @@ pub struct JobSpec {
     /// job to completion in one slice. Every arm checkpoints at each
     /// slice boundary.
     pub slice: usize,
-    /// Stall-detector window in generations; `0` disables the detector.
+    /// Stall-detector window in generations, at most
+    /// [`MAX_GENERATIONS`]; `0` disables the detector.
     pub stall_window: usize,
     /// Fault-rate alarm threshold (faults per candidate per generation);
     /// `None` disables the alarm.
@@ -745,6 +746,12 @@ impl JobSpec {
             return Err(ServerError::InvalidSpec(format!(
                 "priority {} out of range 0-9",
                 self.priority
+            )));
+        }
+        if self.stall_window > MAX_GENERATIONS {
+            return Err(ServerError::InvalidSpec(format!(
+                "stall window {} may not exceed {MAX_GENERATIONS}",
+                self.stall_window
             )));
         }
         if let Some(rate) = self.fault_alarm {
@@ -1282,8 +1289,15 @@ mod tests {
             );
             assert!(JobSpec::parse(&spec.canonical()).is_err(), "{token}");
         }
+        let stall = "job v1 name=stall problem=schaffer algo=sacga:pop=16,gens=6,parts=4 \
+                     seed=7 stall=18446744073709551615";
+        assert!(matches!(
+            JobSpec::parse(stall),
+            Err(ServerError::InvalidSpec(_))
+        ));
         let at_limit = AlgoSpec::parse("steady:pop=10000,gens=100000,parts=10000,window=10000");
-        let spec = JobSpec::new("max", ProblemSpec::Zdt1(100), at_limit.unwrap(), 0);
+        let spec = JobSpec::new("max", ProblemSpec::Zdt1(100), at_limit.unwrap(), 0)
+            .stall_window(MAX_GENERATIONS);
         assert!(spec.validate().is_ok());
     }
 

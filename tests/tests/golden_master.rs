@@ -514,20 +514,17 @@ fn local_island_nsga2_fronts_are_unchanged_by_an_attached_registry() {
 
 #[test]
 fn mesacga_front_with_watchdogs_attached_matches_snapshot() {
-    use analog_dse::sacga::telemetry::{FaultRateAlarm, InfeasibilityAlarm, StallDetector, Tee};
+    use analog_dse::sacga::telemetry::{FaultRateAlarm, StallDetector, Tee};
 
     let stall = StallDetector::new(vec![16.0, 16.0], 100);
-    let infeasible = InfeasibilityAlarm::new(5);
     let faults = FaultRateAlarm::new(0.01);
-    let mut tee = Tee::new(stall, Tee::new(infeasible, faults));
+    let mut tee = Tee::new(stall, faults);
     let r = Mesacga::new(Schaffer::new(), mesacga_config())
         .run_with(SEED, &mut tee)
         .unwrap();
     check_golden("mesacga_schaffer_seed42.txt", &render_front(&r.front));
-    let (stall, rest) = tee.into_inner();
-    let (infeasible, faults) = rest.into_inner();
+    let (stall, faults) = tee.into_inner();
     assert!(stall.warnings().is_empty());
-    assert!(infeasible.warnings().is_empty());
     assert!(faults.warnings().is_empty());
 }
 

@@ -757,13 +757,14 @@ fn stored_undersized_zdt_job_is_skipped_on_reopen() {
 }
 
 #[test]
-fn a_job_that_panics_fails_alone_and_the_drain_returns() {
+fn a_widened_checkpoint_fails_its_job_alone_and_the_drain_returns() {
     // Suspend a job, then give every member of its stored checkpoint one
-    // gene more than the problem has: variation indexes the bounds per
-    // parent gene, so the resumed slice panics.
-    let root = scratch_dir("panic");
+    // gene more than the problem has: the resumed slice refuses the
+    // checkpoint with the typed error before variation can index the
+    // bounds with the extra gene.
+    let root = scratch_dir("widened");
     let server = Server::open(&root, config(2)).unwrap();
-    let id = server.submit(sacga_spec("panics").slice(2)).unwrap();
+    let id = server.submit(sacga_spec("widened").slice(2)).unwrap();
     assert!(!server.run_slices_at_most(1).unwrap());
     drop(server);
     let path = JobStore::open(&root).unwrap().checkpoint_path(id);
@@ -795,16 +796,15 @@ fn a_job_that_panics_fails_alone_and_the_drain_returns() {
     });
     drained
         .recv_timeout(Duration::from_secs(60))
-        .expect("the drain must return after a job panics")
+        .expect("the drain must return after a job fails")
         .unwrap();
     drain.join().unwrap();
     let failed = server.status(id).unwrap();
     assert_eq!(failed.status, JobStatus::Failed);
     assert!(
-        failed
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("panicked")),
+        failed.error.as_deref().is_some_and(
+            |e| e.starts_with("invalid checkpoint: stored member has 2 genes, expected 1")
+        ),
         "{:?}",
         failed.error
     );

@@ -16,8 +16,8 @@ use analog_dse::sacga::mesacga::{Mesacga, MesacgaConfig, PhaseSpec};
 use analog_dse::sacga::sacga::{Sacga, SacgaConfig};
 use analog_dse::sacga::steady::{SteadyConfig, SteadySacga};
 use analog_dse::sacga::telemetry::{
-    CheckpointText, EventKind, FaultRateAlarm, InfeasibilityAlarm, JsonlSink, MemorySink, MetricsSink, Optimizer,
-    RunEvent, Sink, StallDetector, Tee,
+    CheckpointText, EventKind, FaultRateAlarm, JsonlSink, MemorySink, Optimizer, RunEvent, Sink,
+    StallDetector, Tee,
 };
 use analog_dse::sacga::topology::Topology;
 use analog_dse::sacga::CellularCheckpoint;
@@ -348,28 +348,6 @@ fn resumed_runs_emit_events_only_for_generations_they_execute() {
     );
 }
 
-#[test]
-fn metrics_sink_computes_one_row_per_generation() {
-    let ga = Mesacga::new(
-        Schaffer::new(),
-        MesacgaConfig::builder()
-            .population_size(24)
-            .phase1_max(5)
-            .phases(vec![PhaseSpec::new(4, 6), PhaseSpec::new(1, 6)])
-            .build()
-            .unwrap(),
-    );
-    let mut metrics = MetricsSink::new(vec![16.0, 16.0]).with_occupancy(0, 0.0, 4.0, 8);
-    let outcome = ga.run_with(SEED, &mut metrics).unwrap();
-    let rows = metrics.rows();
-    assert_eq!(rows.len(), outcome.generations);
-    let last = rows.last().unwrap();
-    assert!(last.hypervolume > 0.0);
-    assert!(last.front_size > 0);
-    assert!(last.occupancy.unwrap() > 0.0);
-    assert!(!metrics.wants(EventKind::Promotion));
-}
-
 /// Runs `ga` with a sink wanting only `StageTiming` (record panics on
 /// any other kind) and with a sink wanting nothing (record panics on
 /// everything), checking the short-circuit contract and the
@@ -516,18 +494,11 @@ fn watchdogs_stay_silent_on_a_healthy_run() {
             .unwrap(),
     );
     let stall = StallDetector::new(vec![16.0, 16.0], 50);
-    let infeasible = InfeasibilityAlarm::new(8);
     let faults = FaultRateAlarm::new(0.01);
-    let mut tee = Tee::new(stall, Tee::new(infeasible, faults));
+    let mut tee = Tee::new(stall, faults);
     ga.run_with(SEED, &mut tee).unwrap();
-    let (stall, rest) = tee.into_inner();
-    let (infeasible, faults) = rest.into_inner();
+    let (stall, faults) = tee.into_inner();
     assert!(stall.warnings().is_empty(), "{:?}", stall.warnings());
-    assert!(
-        infeasible.warnings().is_empty(),
-        "{:?}",
-        infeasible.warnings()
-    );
     assert!(faults.warnings().is_empty(), "{:?}", faults.warnings());
 }
 
