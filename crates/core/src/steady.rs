@@ -605,7 +605,11 @@ where
             feasibility = None;
         }
         if flow.finished() {
-            return Ok(RunStatus::Complete(Box::new(flow.finish(session))));
+            return Ok(RunStatus::Complete(Box::new(RunOutcome {
+                gen_t: flow.gen_t,
+                phase_fronts: flow.phase_fronts,
+                ..frame::finish(flow.pop.flatten(), flow.gen, flow.history, session.stats())
+            })));
         }
         if flow.gen >= stop_after {
             return flow.suspend(session, sink);
@@ -1084,19 +1088,6 @@ impl<'a> Flow<'a> {
                 .map(|f| f.iter().map(SavedIndividual::from_individual).collect())
                 .collect(),
         })))
-    }
-
-    /// The outcome: the frame's final global competition over the whole
-    /// population, with phase I's length and the phase fronts.
-    fn finish<F>(self, session: &mut EvaluationSession<'_, Evaluation, F>) -> RunOutcome
-    where
-        F: Fn(&[f64]) -> Evaluation + Sync,
-    {
-        RunOutcome {
-            gen_t: self.gen_t,
-            phase_fronts: self.phase_fronts,
-            ..frame::finish(self.pop.flatten(), self.gen, self.history, session.stats())
-        }
     }
 }
 
