@@ -171,6 +171,24 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
+    /// Writes one event line that is already encoded (as
+    /// [`RunEvent::to_json`] returns it, without the newline), so a caller
+    /// that also keeps the line elsewhere encodes each event once. Errors
+    /// are deferred as in [`record`](Sink::record).
+    pub fn write_line(&mut self, line: &str) {
+        if self.error.is_some() {
+            return;
+        }
+        let written = self
+            .writer
+            .write_all(line.as_bytes())
+            .and_then(|()| self.writer.write_all(b"\n"));
+        match written {
+            Ok(()) => self.lines += 1,
+            Err(e) => self.error = Some(e),
+        }
+    }
+
     /// Flushes and returns the underlying writer.
     ///
     /// # Errors
@@ -184,14 +202,8 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Sink for JsonlSink<W> {
     fn record(&mut self, event: &RunEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = event.to_json();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
+        if self.error.is_none() {
+            self.write_line(&event.to_json());
         }
     }
 
@@ -289,6 +301,21 @@ mod tests {
             .collect();
         assert_eq!(events[0], sample(1));
         assert_eq!(events.len(), 2);
+    }
+
+    #[test]
+    fn write_line_writes_what_record_writes() {
+        let mut recorded = JsonlSink::new(Vec::new());
+        let mut written = JsonlSink::new(Vec::new());
+        for g in 0..3 {
+            recorded.record(&sample(g));
+            written.write_line(&sample(g).to_json());
+        }
+        assert_eq!(written.lines_written(), 3);
+        assert_eq!(
+            written.into_inner().unwrap(),
+            recorded.into_inner().unwrap()
+        );
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   atomically-rewritten spec/state/checkpoint files plus an
 //!   append-healed `events.jsonl`, so a killed daemon restarts, rescans
 //!   and resumes every in-flight job bit-identically;
-//! * [`hub`] — the per-job [`ProgressHub`] ring that late subscribers
-//!   replay and live subscribers follow;
+//! * [`hub`] — the per-job [`ProgressHub`] ring that subscribers replay
+//!   and follow while the job can run; a finished job's stream is served
+//!   from its `events.jsonl`;
 //! * [`server`] — the [`Server`] tying it together: cooperative
 //!   preemption at generation-slice boundaries,
 //!   [`SharedCache`](engine::SharedCache) pools per tenant and problem

@@ -2,8 +2,12 @@
 //!
 //! Requests are single lines of at most [`MAX_REQUEST_LINE`] bytes, on
 //! at most [`MAX_CONNECTIONS`] connections at once; responses are
-//! `ok ...` or `err <message>` lines, with two multi-line forms (`list`,
-//! `stream`) terminated by an `end` line:
+//! `ok ...` or `err <message>` lines, with multi-line forms (`list`,
+//! `stream`, `metrics`, `debug`) terminated by an `end` line. Each reply,
+//! and each streamed `event` line, leaves in one write with its newline:
+//! a newline written on its own waits, under Nagle's algorithm, for the
+//! client's delayed ACK (~40 ms) whenever requests on one connection
+//! follow each other closely.
 //!
 //! ```text
 //! ping                      -> ok pong
@@ -31,6 +35,12 @@
 //! shutdown                  -> ok shutting-down
 //! ```
 //!
+//! `stream` serves a job that can still run from its in-memory hub and
+//! follows it live; once the job has finished, `stream` and `debug`
+//! read its `events.jsonl` (`stream` from where it got to, `debug` for
+//! its newest [`FLIGHT_CAPACITY`] lines), each in one pass that holds
+//! one line, or `debug`'s tail, at a time.
+//!
 //! A `submit` whose spec [`JobSpec::parse`] refuses — an unknown or
 //! repeated key, or a size past [`MAX_ZDT_DIMENSION`],
 //! [`MAX_POPULATION`] or [`MAX_GENERATIONS`] — gets one `err` line and
@@ -39,9 +49,11 @@
 //! [`MAX_ZDT_DIMENSION`]: crate::spec::MAX_ZDT_DIMENSION
 //! [`MAX_POPULATION`]: crate::spec::MAX_POPULATION
 //! [`MAX_GENERATIONS`]: crate::spec::MAX_GENERATIONS
+//! [`FLIGHT_CAPACITY`]: crate::server::FLIGHT_CAPACITY
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 use crate::server::Server;
@@ -66,12 +78,19 @@ fn one_line(msg: &str) -> String {
     msg.replace(['\n', '\r'], " ")
 }
 
+/// Writes `reply` and its newline in one write (see module docs);
+/// returns whether the write succeeded.
+fn send(out: &mut dyn Write, mut reply: String) -> bool {
+    reply.push('\n');
+    out.write_all(reply.as_bytes()).is_ok()
+}
+
 /// Answers a connection over [`MAX_CONNECTIONS`] with one `err` line;
 /// dropping the stream then closes it.
 pub(crate) fn refuse_busy(mut stream: TcpStream) {
-    let _ = writeln!(
-        stream,
-        "err server busy: {MAX_CONNECTIONS} connections open, retry later"
+    send(
+        &mut stream,
+        format!("err server busy: {MAX_CONNECTIONS} connections open, retry later"),
     );
 }
 
@@ -105,7 +124,10 @@ pub fn handle_connection(server: &Server, stream: TcpStream) {
         }
         scanned = buf.len();
         if buf.len() > MAX_REQUEST_LINE {
-            let _ = writeln!(out, "err request line longer than {MAX_REQUEST_LINE} bytes");
+            send(
+                &mut out,
+                format!("err request line longer than {MAX_REQUEST_LINE} bytes"),
+            );
             return;
         }
         if server.is_shutting_down() {
@@ -210,7 +232,7 @@ fn handle_line(server: &Server, line: &str, out: &mut dyn Write) -> bool {
                 body
             }),
         "shutdown" => {
-            let _ = writeln!(out, "ok shutting-down");
+            send(out, "ok shutting-down".to_string());
             server.request_shutdown();
             return false;
         }
@@ -218,47 +240,60 @@ fn handle_line(server: &Server, line: &str, out: &mut dyn Write) -> bool {
             "unknown command {other:?}"
         ))),
     };
-    let line = match reply {
-        Ok(ok) => ok,
-        Err(e) => format!("err {}", one_line(&e.to_string())),
-    };
-    writeln!(out, "{line}").is_ok()
+    send(
+        out,
+        match reply {
+            Ok(ok) => ok,
+            Err(e) => format!("err {}", one_line(&e.to_string())),
+        },
+    )
 }
 
-/// Streams a job's progress: replays retained history, then follows
-/// live until the job terminates or the server shuts down.
+/// Streams a job's progress from its start: what the job's hub holds,
+/// then live lines until the job terminates or the server shuts down;
+/// once the job has finished, the rest of its `events.jsonl` in one
+/// pass.
 fn stream_job(server: &Server, rest: &str, out: &mut dyn Write) -> bool {
-    let id = match JobId::parse(rest) {
+    let id = match JobId::parse(rest).and_then(|id| server.status(id).map(|_| id)) {
         Ok(id) => id,
-        Err(e) => return writeln!(out, "err {}", one_line(&e.to_string())).is_ok(),
+        Err(e) => return send(out, format!("err {}", one_line(&e.to_string()))),
     };
-    if let Err(e) = server.status(id) {
-        return writeln!(out, "err {}", one_line(&e.to_string())).is_ok();
-    }
-    if writeln!(out, "ok streaming").is_err() {
+    if !send(out, "ok streaming".to_string()) {
         return false;
     }
     let mut cursor = 0u64;
+    let mut frame = Vec::new();
+    let mut sent = true;
     loop {
-        let poll = match server.poll_progress(id, cursor, POLL_INTERVAL) {
-            Ok(poll) => poll,
-            Err(e) => return writeln!(out, "err {}", one_line(&e.to_string())).is_ok(),
-        };
-        for line in &poll.lines {
-            if writeln!(out, "event {line}").is_err() {
-                return false;
+        let read = server.read_stream(id, cursor, POLL_INTERVAL, |line| {
+            frame.clear();
+            frame.extend_from_slice(b"event ");
+            frame.extend_from_slice(line.as_bytes());
+            frame.push(b'\n');
+            sent = out.write_all(&frame).is_ok();
+            if sent {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
+        });
+        let (next, _skipped, done) = match read {
+            Ok(read) => read,
+            Err(e) => return send(out, format!("err {}", one_line(&e.to_string()))),
+        };
+        if !sent {
+            return false;
         }
-        cursor = poll.next;
-        if poll.done {
+        cursor = next;
+        if done {
             let status = server
                 .status(id)
                 .map(|v| v.status.token())
                 .unwrap_or("unknown");
-            return writeln!(out, "end {status}").is_ok();
+            return send(out, format!("end {status}"));
         }
         if server.is_shutting_down() {
-            return writeln!(out, "end shutdown").is_ok();
+            return send(out, "end shutdown".to_string());
         }
     }
 }

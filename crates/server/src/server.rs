@@ -13,32 +13,43 @@
 //! otherwise it continues inline. Every arm checkpoints, so every job
 //! can be preempted at a slice boundary and resumed after a crash.
 //!
+//! # Event streams
+//!
+//! A job's `events.jsonl` is the only lasting copy of its event stream.
+//! Each event is encoded once, and the file, the job's [`ProgressHub`]
+//! and the `debug` tail share that line. The hub holds lines only while
+//! the job can still run; when the job ends, after its JSONL sink is
+//! flushed, the hub releases them, and [`Server::poll_progress`],
+//! `stream` and [`Server::debug_report`] read the finished history from
+//! `events.jsonl` in one pass per request.
+//!
 //! # Crash safety
 //!
-//! [`Server::open`] rescans the store: terminal jobs are left alone;
-//! anything else — including a job whose `state.job` is torn because
-//! the previous daemon died mid-write — is re-enqueued. The event
-//! stream is trimmed back to the persisted checkpoint's generation so
-//! a resumed run appends exactly the events the killed run would have
-//! produced, and the final front is bit-identical to an uninterrupted
-//! run of the same spec.
+//! [`Server::open`] rescans the store: terminal jobs are registered
+//! without reading their streams; anything else — including a job whose
+//! `state.job` is torn because the previous daemon died mid-write — is
+//! re-enqueued. The event stream is trimmed back to the persisted
+//! checkpoint's generation so a resumed run appends exactly the events
+//! the killed run would have produced, and the final front is
+//! bit-identical to an uninterrupted run of the same spec.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::BufWriter;
 use std::net::TcpListener;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::ServerError;
-use crate::hub::ProgressHub;
+use crate::hub::{HubPoll, ProgressHub, HUB_BYTES, HUB_CAPACITY};
 use crate::protocol::MAX_CONNECTIONS;
 use crate::queue::{JobQueue, PopMode};
 use crate::spec::{JobId, JobSpec, ProblemSpec};
-use crate::store::{JobHealth, JobState, JobStatus, JobStore};
+use crate::store::{partial_path, JobHealth, JobState, JobStatus, JobStore};
 use campaign::CellResult;
 use engine::{
     CacheConfig, Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, SharedCache, StageNanos,
@@ -55,8 +66,9 @@ use sacga::RunEvent;
 /// point, so the scraped trajectory matches what the detector sees.
 const STALL_REF: f64 = 1e3;
 
-/// Event lines each job's flight recorder retains (a deliberately small
-/// tail — the full stream lives in `events.jsonl` and the hub).
+/// Event lines `debug` returns: the newest of the job's stream, taken
+/// from its hub while the job can run and from `events.jsonl` once it
+/// has finished.
 pub const FLIGHT_CAPACITY: usize = 256;
 
 /// Tuning of a [`Server`].
@@ -126,6 +138,7 @@ struct ServerMetrics {
     slices: Histogram,
     queue_depth: Gauge,
     jobs_running: Gauge,
+    hub_retained_bytes: Gauge,
 }
 
 impl ServerMetrics {
@@ -142,6 +155,7 @@ impl ServerMetrics {
             ),
             queue_depth: registry.gauge("dse_server_queue_depth", &[]),
             jobs_running: registry.gauge("dse_server_jobs_running", &[]),
+            hub_retained_bytes: registry.gauge("dse_hub_retained_bytes", &[]),
         }
     }
 }
@@ -156,25 +170,17 @@ impl Drop for CountGuard<'_> {
     }
 }
 
-/// One job's flight recorder: a bounded tail of its most recent event
-/// lines plus cumulative per-stage nanoseconds, kept in memory for the
-/// `debug` endpoint (post-incident triage without replaying the full
-/// `events.jsonl`).
+/// One job's flight recorder: cumulative per-stage nanoseconds over the
+/// `StageTiming` events its runs recorded in this process, served by the
+/// `debug` endpoint beside the newest lines of the job's stream.
 #[derive(Debug, Default)]
 struct FlightRecorder {
-    lines: VecDeque<String>,
-    dropped: u64,
     stages: StageNanos,
     timed_generations: u64,
 }
 
 impl FlightRecorder {
-    fn record(&mut self, event: &RunEvent, line: &str) {
-        if self.lines.len() == FLIGHT_CAPACITY {
-            self.lines.pop_front();
-            self.dropped += 1;
-        }
-        self.lines.push_back(line.to_string());
+    fn record(&mut self, event: &RunEvent) {
         if let RunEvent::StageTiming { stages, .. } = event {
             self.stages.merge(stages);
             self.timed_generations += 1;
@@ -182,16 +188,17 @@ impl FlightRecorder {
     }
 }
 
-/// A point-in-time copy of one job's flight recorder, as served by the
-/// `debug` protocol command.
+/// A point-in-time copy of one job's flight recorder and the newest
+/// lines of its stream, as served by the `debug` protocol command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightReport {
-    /// Event lines currently retained (at most [`FLIGHT_CAPACITY`]).
-    pub lines: Vec<String>,
-    /// Older lines the recorder ring overwrote.
+    /// The newest lines of the job's stream (at most
+    /// [`FLIGHT_CAPACITY`]).
+    pub lines: Vec<Arc<str>>,
+    /// Older lines of the stream, before `lines`.
     pub dropped: u64,
-    /// Lines the job's progress hub ring overwrote (see
-    /// [`ProgressHub::dropped`]).
+    /// Lines the job's progress hub dropped to stay within its bounds
+    /// (see [`ProgressHub::dropped`]).
     pub hub_dropped: u64,
     /// Cumulative per-stage nanoseconds across all recorded
     /// `StageTiming` events.
@@ -214,12 +221,6 @@ impl WatchdogSet {
             stall: (spec.stall_window > 0)
                 .then(|| StallDetector::new(vec![STALL_REF; nobj], spec.stall_window)),
             faults: spec.fault_alarm.map(FaultRateAlarm::new),
-        }
-    }
-
-    fn replay(&mut self, events: &[RunEvent]) {
-        for event in events {
-            self.record(event);
         }
     }
 
@@ -254,7 +255,8 @@ impl WatchdogSet {
 }
 
 /// Per-slice composite sink: disk JSONL + progress hub + watchdogs +
-/// flight recorder + registry bridge.
+/// flight recorder + registry bridge. Each event is encoded once; the
+/// file and the hub share the line.
 struct SegmentSink<'a> {
     jsonl: &'a mut JsonlSink<BufWriter<fs::File>>,
     hub: &'a ProgressHub,
@@ -265,10 +267,13 @@ struct SegmentSink<'a> {
 
 impl Sink for SegmentSink<'_> {
     fn record(&mut self, event: &RunEvent) {
-        self.jsonl.record(event);
-        let line = event.to_json();
-        self.flight.lock().unwrap().record(event, &line);
+        let line: Arc<str> = event.to_json().into();
+        self.jsonl.write_line(&line);
         self.hub.publish(line);
+        self.flight
+            .lock()
+            .expect("flight recorder lock poisoned")
+            .record(event);
         self.watch.record(event);
         self.run_metrics.record(event);
     }
@@ -337,8 +342,9 @@ pub struct Server {
 
 impl Server {
     /// Opens a server over `store_root`, rescanning any persisted jobs:
-    /// terminal jobs are registered as-is, everything else is
-    /// re-enqueued to resume from its last checkpoint.
+    /// terminal jobs are registered as-is, without reading their event
+    /// streams, and everything else is re-enqueued to resume from its
+    /// last checkpoint.
     ///
     /// # Errors
     ///
@@ -377,13 +383,9 @@ impl Server {
         let state = self.store.read_state(id);
         match state {
             Some(state) if state.status.is_terminal() => {
+                // A finished hub holds no lines: the job's history is
+                // read from `events.jsonl` when a client asks for it.
                 let rt = Arc::new(JobRuntime::new(spec, state));
-                // Make the historical stream replayable for subscribers.
-                if let Ok(text) = fs::read_to_string(self.store.events_path(id)) {
-                    for event in RunEvent::parse_jsonl_lossy(&text).events {
-                        rt.hub.publish(event.to_json());
-                    }
-                }
                 rt.hub.finish();
                 self.jobs.lock().unwrap().insert(id, rt);
             }
@@ -391,7 +393,8 @@ impl Server {
                 // Queued, running, suspended, or a torn/missing state
                 // file: the job is in flight and must be resumed. Trim
                 // the event stream back to the checkpoint so the resumed
-                // run appends without duplicating generations.
+                // run appends without duplicating generations; the kept
+                // events rebuild the job's watchdogs.
                 let generations = self
                     .store
                     .read_checkpoint(id)
@@ -406,7 +409,9 @@ impl Server {
                         ..other.unwrap_or_else(JobState::queued)
                     },
                 ));
-                self.trim_events(id, generations, &rt.hub)?;
+                let mut watch = WatchdogSet::build(&spec);
+                self.trim_events(id, generations, &rt.hub, &mut watch)?;
+                *rt.watch.lock().unwrap() = Some(watch);
                 self.store.write_state(id, &rt.state.lock().unwrap())?;
                 self.jobs.lock().unwrap().insert(id, rt);
                 self.queue.requeue(id, spec.priority);
@@ -417,42 +422,43 @@ impl Server {
 
     /// Rewrites `events.jsonl` keeping only the prefix up to (and
     /// including) the `generations`-th `GenerationEnd`, dropping events
-    /// a killed daemon emitted past its last persisted checkpoint, and
-    /// replays the kept events into the hub.
+    /// a killed daemon emitted past its last persisted checkpoint. Each
+    /// kept event is encoded once, into the rewritten file and the hub,
+    /// and replayed into `watch`. The rewrite goes to a `.partial` file
+    /// renamed over the stream, so a crash mid-trim keeps the old one.
     fn trim_events(
         &self,
         id: JobId,
         generations: usize,
         hub: &ProgressHub,
+        watch: &mut WatchdogSet,
     ) -> Result<(), ServerError> {
         let path = self.store.events_path(id);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => return Ok(()), // no stream yet
-        };
+        if !path.exists() {
+            return Ok(()); // no stream yet
+        }
         if generations == 0 {
             fs::remove_file(&path)?;
             return Ok(());
         }
-        let replay = RunEvent::parse_jsonl_lossy(&text);
-        let mut kept = Vec::new();
+        let partial = partial_path(&path);
+        let mut sink = JsonlSink::create(&partial)?;
         let mut ends = 0usize;
-        for event in replay.events {
-            let is_end = event.kind() == EventKind::GenerationEnd;
-            kept.push(event);
-            if is_end {
+        self.store.for_each_event(id, |event| {
+            let line: Arc<str> = event.to_json().into();
+            sink.write_line(&line);
+            hub.publish(line);
+            watch.record(&event);
+            if event.kind() == EventKind::GenerationEnd {
                 ends += 1;
                 if ends == generations {
-                    break;
+                    return ControlFlow::Break(());
                 }
             }
-        }
-        let mut sink = JsonlSink::create(&path)?;
-        for event in &kept {
-            sink.record(event);
-            hub.publish(event.to_json());
-        }
+            ControlFlow::Continue(())
+        })?;
         sink.flush()?;
+        fs::rename(&partial, &path)?;
         Ok(())
     }
 
@@ -560,18 +566,82 @@ impl Server {
         Ok(())
     }
 
-    /// Polls a job's progress stream (see [`ProgressHub::poll`]).
+    /// Polls a job's progress stream from offset `cursor`: a job that
+    /// can still run from its hub (see [`ProgressHub::poll`]), a finished
+    /// job from its `events.jsonl`, in one pass that returns at most
+    /// [`HUB_CAPACITY`] lines and [`HUB_BYTES`] bytes (but at least one
+    /// line); `done` is set once a poll reaches the end of the stream.
     ///
     /// # Errors
     ///
-    /// [`ServerError::UnknownJob`] for ids never submitted here.
+    /// [`ServerError::UnknownJob`] for ids never submitted here, and
+    /// read failures of a finished job's stream.
     pub fn poll_progress(
         &self,
         id: JobId,
         cursor: u64,
         timeout: Duration,
-    ) -> Result<crate::hub::HubPoll, ServerError> {
-        Ok(self.runtime(id)?.hub.poll(cursor, timeout))
+    ) -> Result<HubPoll, ServerError> {
+        let mut lines: Vec<Arc<str>> = Vec::new();
+        let mut bytes = 0usize;
+        let (next, skipped, done) = self.read_stream(id, cursor, timeout, |line| {
+            let full = lines.len() == HUB_CAPACITY || bytes + line.len() > HUB_BYTES;
+            if full && !lines.is_empty() {
+                return ControlFlow::Break(());
+            }
+            bytes += line.len();
+            lines.push(line);
+            ControlFlow::Continue(())
+        })?;
+        Ok(HubPoll {
+            lines,
+            next,
+            skipped,
+            done,
+        })
+    }
+
+    /// Feeds `emit` the lines of a job's stream from offset `cursor` on,
+    /// until it breaks: a job that can still run gives what its hub holds
+    /// (waiting up to `timeout` for a first line), a finished job the
+    /// rest of its `events.jsonl`, each line re-encoded through the lossy
+    /// parser as it is read. Returns the cursor after the last line
+    /// `emit` took, the lines the hub had dropped before `cursor`, and
+    /// whether the stream ended there.
+    pub(crate) fn read_stream(
+        &self,
+        id: JobId,
+        cursor: u64,
+        timeout: Duration,
+        mut emit: impl FnMut(Arc<str>) -> ControlFlow<()>,
+    ) -> Result<(u64, u64, bool), ServerError> {
+        let rt = self.runtime(id)?;
+        let poll = rt.hub.poll(cursor, timeout);
+        let mut next = poll.next - poll.lines.len() as u64;
+        if !poll.done {
+            for line in poll.lines {
+                if emit(line).is_break() {
+                    break;
+                }
+                next += 1;
+            }
+            return Ok((next, poll.skipped, false));
+        }
+        let mut index = 0u64;
+        let mut done = true;
+        self.store.for_each_event(id, |event| {
+            index += 1;
+            if index <= cursor {
+                return ControlFlow::Continue(());
+            }
+            if emit(event.to_json().into()).is_break() {
+                done = false;
+                return ControlFlow::Break(());
+            }
+            next += 1;
+            ControlFlow::Continue(())
+        })?;
+        Ok((next, 0, done))
     }
 
     /// The process-wide metrics registry every job records into.
@@ -579,9 +649,9 @@ impl Server {
         &self.registry
     }
 
-    /// Pulls the scrape-time gauges (queue depth, running jobs, per-job
-    /// hub drops) up to date; counters and histograms are maintained on
-    /// the hot paths and need no refresh.
+    /// Pulls the scrape-time gauges (queue depth, running jobs, bytes
+    /// the hubs hold, per-job hub drops) up to date; counters and
+    /// histograms are maintained on the hot paths and need no refresh.
     fn refresh_gauges(&self) {
         #[allow(clippy::cast_precision_loss)]
         self.metrics.queue_depth.set(self.queue.len() as f64);
@@ -590,6 +660,9 @@ impl Server {
             .jobs_running
             .set(self.running.load(Ordering::SeqCst) as f64);
         let jobs = self.jobs.lock().unwrap();
+        let retained: usize = jobs.values().map(|rt| rt.hub.retained_bytes()).sum();
+        #[allow(clippy::cast_precision_loss)]
+        self.metrics.hub_retained_bytes.set(retained as f64);
         for (id, rt) in jobs.iter() {
             let job = id.to_string();
             let tenant = rt.spec.tenant.as_deref().unwrap_or("none");
@@ -615,21 +688,46 @@ impl Server {
         self.registry.render_json()
     }
 
-    /// A copy of one job's flight recorder (see [`FlightReport`]).
+    /// A copy of one job's flight recorder with the newest lines of its
+    /// stream (see [`FlightReport`]).
     ///
     /// # Errors
     ///
-    /// [`ServerError::UnknownJob`] for ids never submitted here.
+    /// [`ServerError::UnknownJob`] for ids never submitted here, and
+    /// read failures of a finished job's stream.
     pub fn debug_report(&self, id: JobId) -> Result<FlightReport, ServerError> {
         let rt = self.runtime(id)?;
-        let flight = rt.flight.lock().unwrap();
+        let (lines, total) = match rt.hub.tail(FLIGHT_CAPACITY) {
+            Some(tail) => tail,
+            None => self.stored_tail(id)?,
+        };
+        // A run that panicked while holding the recorder left its totals
+        // valid: each update is one merge.
+        let flight = rt.flight.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(FlightReport {
-            lines: flight.lines.iter().cloned().collect(),
-            dropped: flight.dropped,
+            dropped: total - lines.len() as u64,
+            lines,
             hub_dropped: rt.hub.dropped(),
             stages: flight.stages,
             timed_generations: flight.timed_generations,
         })
+    }
+
+    /// The newest [`FLIGHT_CAPACITY`] lines of a finished job's
+    /// `events.jsonl` and the stream's length, read in one pass.
+    fn stored_tail(&self, id: JobId) -> Result<(Vec<Arc<str>>, u64), ServerError> {
+        let mut newest = VecDeque::with_capacity(FLIGHT_CAPACITY);
+        let mut total = 0u64;
+        self.store.for_each_event(id, |event| {
+            if newest.len() == FLIGHT_CAPACITY {
+                newest.pop_front();
+            }
+            newest.push_back(event);
+            total += 1;
+            ControlFlow::Continue(())
+        })?;
+        let lines = newest.iter().map(|e| e.to_json().into()).collect();
+        Ok((lines, total))
     }
 
     /// Whether a shutdown was requested.
@@ -748,13 +846,22 @@ impl Server {
         let _ = self.store.write_state(id, &state);
     }
 
+    /// Moves a job to a terminal state and releases its hub's lines.
+    /// Every terminal path comes here once the job's JSONL sink is
+    /// flushed (a panicked run's sink is flushed as the panic unwinds
+    /// past it), so a reader the released hub sends to `events.jsonl`
+    /// finds the whole stream.
+    fn end_job(&self, id: JobId, rt: &JobRuntime, f: impl FnOnce(&mut JobState)) {
+        self.update_state(id, rt, f);
+        rt.hub.finish();
+    }
+
     fn fail_job(&self, id: JobId, message: &str) {
         if let Ok(rt) = self.runtime(id) {
-            self.update_state(id, &rt, |s| {
+            self.end_job(id, &rt, |s| {
                 s.status = JobStatus::Failed;
                 s.error = Some(message.to_string());
             });
-            rt.hub.finish();
             self.metrics.jobs_failed.inc();
         }
     }
@@ -767,8 +874,7 @@ impl Server {
             return;
         };
         if rt.cancel.load(Ordering::SeqCst) {
-            self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
-            rt.hub.finish();
+            self.end_job(id, &rt, |s| s.status = JobStatus::Cancelled);
             return;
         }
         let spec = rt.spec.clone();
@@ -801,15 +907,15 @@ impl Server {
         };
         self.running.fetch_add(1, Ordering::SeqCst);
         let _running = CountGuard(&self.running);
-        // Watchdogs persist across requeues in memory; after a daemon
-        // restart they are rebuilt by replaying the (trimmed) stream.
-        let mut watch = rt.watch.lock().unwrap().take().unwrap_or_else(|| {
-            let mut fresh = WatchdogSet::build(&spec);
-            if let Ok(text) = fs::read_to_string(self.store.events_path(id)) {
-                fresh.replay(&RunEvent::parse_jsonl_lossy(&text).events);
-            }
-            fresh
-        });
+        // Watchdogs persist across requeues in memory (a terminal job
+        // drops them); after a daemon restart the rescan rebuilt them
+        // from the trimmed stream.
+        let mut watch = rt
+            .watch
+            .lock()
+            .unwrap()
+            .take()
+            .unwrap_or_else(|| WatchdogSet::build(&spec));
         let mut jsonl = match JsonlSink::append(self.store.events_path(id)) {
             Ok(sink) => sink,
             Err(e) => {
@@ -854,20 +960,17 @@ impl Server {
                 Err(e) => {
                     let _ = jsonl.flush();
                     let health = watch.health();
-                    *rt.watch.lock().unwrap() = Some(watch);
-                    self.update_state(id, &rt, |s| {
+                    self.end_job(id, &rt, |s| {
                         s.status = JobStatus::Failed;
                         s.health = health;
                         s.error = Some(e.to_string());
                     });
-                    rt.hub.finish();
                     self.metrics.jobs_failed.inc();
                     return;
                 }
                 Ok(DynRunStatus::Complete(outcome)) => {
                     let _ = jsonl.flush();
                     self.complete_job(id, &rt, &spec, &outcome, &watch);
-                    *rt.watch.lock().unwrap() = Some(watch);
                     return;
                 }
                 Ok(DynRunStatus::Suspended {
@@ -877,7 +980,6 @@ impl Server {
                     let _ = jsonl.flush();
                     if let Err(e) = self.store.write_checkpoint(id, &checkpoint) {
                         self.fail_job(id, &format!("cannot persist checkpoint: {e}"));
-                        *rt.watch.lock().unwrap() = Some(watch);
                         return;
                     }
                     done_gens = generations;
@@ -888,9 +990,7 @@ impl Server {
                         s.health = health;
                     });
                     if rt.cancel.load(Ordering::SeqCst) {
-                        self.update_state(id, &rt, |s| s.status = JobStatus::Cancelled);
-                        rt.hub.finish();
-                        *rt.watch.lock().unwrap() = Some(watch);
+                        self.end_job(id, &rt, |s| s.status = JobStatus::Cancelled);
                         return;
                     }
                     if self.is_shutting_down() {
@@ -926,7 +1026,7 @@ impl Server {
             return;
         }
         let health = watch.health();
-        self.update_state(id, rt, |s| {
+        self.end_job(id, rt, |s| {
             s.status = JobStatus::Done;
             s.generations = outcome.generations;
             s.candidates = outcome.stats.candidates;
@@ -935,7 +1035,6 @@ impl Server {
             s.screened = outcome.stats.screened;
             s.health = health;
         });
-        rt.hub.finish();
         self.metrics.jobs_completed.inc();
     }
 }
@@ -949,6 +1048,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dse-server-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The lossy replay of a job's `events.jsonl`, each event re-encoded.
+    fn stored_lines(server: &Server, id: JobId) -> Vec<Arc<str>> {
+        let text = fs::read_to_string(server.store().events_path(id)).unwrap_or_default();
+        RunEvent::parse_jsonl_lossy(&text)
+            .events
+            .iter()
+            .map(|event| event.to_json().into())
+            .collect()
     }
 
     fn quick_spec(name: &str) -> JobSpec {
@@ -1009,6 +1118,7 @@ mod tests {
         server.run_until_idle().unwrap();
         let poll = server.poll_progress(id, 0, Duration::ZERO).unwrap();
         assert!(poll.done);
+        assert_eq!(poll.lines, stored_lines(&server, id));
         let replay = RunEvent::parse_jsonl_lossy(&poll.lines.join("\n"));
         let ends = replay
             .events
@@ -1016,6 +1126,38 @@ mod tests {
             .filter(|e| e.kind() == EventKind::GenerationEnd)
             .count();
         assert_eq!(ends, 6);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_finished_job_hands_its_stream_over_to_disk() {
+        // Kill a job after one slice: its hub still holds the lines.
+        let root = tmp_root("handover");
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let id = server.submit(quick_spec("handover").slice(2)).unwrap();
+        assert!(!server.run_slices_at_most(1).unwrap());
+        let rt = server.runtime(id).unwrap();
+        let live = server.poll_progress(id, 0, Duration::ZERO).unwrap();
+        assert!(!live.done);
+        assert!(live.lines.len() > 2);
+        assert!(rt.hub.retained_bytes() > 0);
+        // Ending the job releases the lines; a subscriber two lines short
+        // of the end reads those two from `events.jsonl`.
+        server.end_job(id, &rt, |s| s.status = JobStatus::Cancelled);
+        assert_eq!(rt.hub.retained_bytes(), 0);
+        let rest = server
+            .poll_progress(id, live.next - 2, Duration::ZERO)
+            .unwrap();
+        assert_eq!(rest.lines, live.lines[live.lines.len() - 2..]);
+        assert_eq!((rest.next, rest.skipped, rest.done), (live.next, 0, true));
+        assert_eq!(live.lines, stored_lines(&server, id));
+        // A reopen registers the finished job without reading its stream.
+        drop((rt, server));
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        assert_eq!(server.runtime(id).unwrap().hub.retained_bytes(), 0);
+        let replayed = server.poll_progress(id, 0, Duration::ZERO).unwrap();
+        assert_eq!(replayed.lines, live.lines);
+        assert!(replayed.done);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1076,8 +1218,10 @@ mod tests {
         let report = server.debug_report(id).unwrap();
         assert!(!report.lines.is_empty());
         assert!(report.lines.len() <= FLIGHT_CAPACITY);
+        assert_eq!(report.lines, stored_lines(&server, id));
         assert_eq!(report.dropped, 0);
         assert_eq!(report.hub_dropped, 0);
+        assert_eq!(report.timed_generations, 6);
         // Every retained line is a replayable event.
         let replay = RunEvent::parse_jsonl_lossy(&report.lines.join("\n"));
         assert_eq!(replay.events.len(), report.lines.len());
@@ -1128,6 +1272,18 @@ mod tests {
         assert!(server
             .metrics_text()
             .contains("dse_server_jobs_failed_total 1"));
+        // Releasing the failed job's stream got past the poisoned lock:
+        // its hub holds no lines, and its stream (the line written before
+        // the panic) and `debug` are served from `events.jsonl`.
+        assert_eq!(server.runtime(id).unwrap().hub.retained_bytes(), 0);
+        let stored = stored_lines(&server, id);
+        assert_eq!(stored.len(), 1);
+        let poll = server.poll_progress(id, 0, Duration::ZERO).unwrap();
+        assert_eq!(
+            (poll.lines.as_slice(), poll.done),
+            (stored.as_slice(), true)
+        );
+        assert_eq!(server.debug_report(id).unwrap().lines, stored);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -20,12 +20,14 @@
 //! killed before its first state write.
 
 use std::fs;
-use std::io;
+use std::io::{self, BufRead, BufReader};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use crate::error::ServerError;
 use crate::spec::{JobId, JobSpec};
 use campaign::CellResult;
+use sacga::RunEvent;
 
 /// Lifecycle state of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,11 +263,16 @@ impl JobState {
 /// Atomic write: `<path>.partial` then rename, so readers (and a rescan
 /// after a crash) never observe a half-written file.
 pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".partial");
-    let tmp = PathBuf::from(tmp);
+    let tmp = partial_path(path);
     fs::write(&tmp, contents)?;
     fs::rename(&tmp, path)
+}
+
+/// `<path>.partial`, where a rewrite of `path` goes before its rename.
+pub(crate) fn partial_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".partial");
+    PathBuf::from(tmp)
 }
 
 /// The on-disk job store (see module docs for the layout).
@@ -395,6 +402,51 @@ impl JobStore {
         CellResult::from_text(&text).ok()
     }
 
+    /// Visits the events of the job's `events.jsonl` in stream order,
+    /// reading one line at a time, until `f` breaks. The events are those
+    /// [`RunEvent::parse_jsonl_lossy`] would return for the file: blank
+    /// and corrupt lines (a torn tail, a line that is not UTF-8) are
+    /// skipped. A missing file is an empty stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates open and read failures other than a missing file.
+    pub(crate) fn for_each_event(
+        &self,
+        id: JobId,
+        mut f: impl FnMut(RunEvent) -> ControlFlow<()>,
+    ) -> io::Result<()> {
+        let file = match fs::File::open(self.events_path(id)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        let mut reader = BufReader::new(file);
+        let mut raw = Vec::new();
+        loop {
+            raw.clear();
+            if reader.read_until(b'\n', &mut raw)? == 0 {
+                return Ok(());
+            }
+            // Line endings as `str::lines` strips them: `\n`, or `\r\n`.
+            let line = match raw.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => &raw,
+            };
+            let Ok(line) = std::str::from_utf8(line) else {
+                continue;
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            if let Ok(event) = RunEvent::from_json(line) {
+                if f(event).is_break() {
+                    return Ok(());
+                }
+            }
+        }
+    }
+
     /// All job ids with a directory in the store, sorted.
     ///
     /// # Errors
@@ -499,6 +551,45 @@ mod tests {
         assert_eq!(store.scan().unwrap(), vec![id]);
         assert!(store.read_checkpoint(id).is_none());
         assert!(store.read_outcome(id).is_none());
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn for_each_event_reads_what_the_lossy_parser_keeps() {
+        let store = tmp_store("events");
+        let id = demo_spec().id();
+        let collect = |limit: usize| {
+            let mut seen = Vec::new();
+            store
+                .for_each_event(id, |event| {
+                    seen.push(event);
+                    if seen.len() == limit {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .unwrap();
+            seen
+        };
+        assert!(collect(usize::MAX).is_empty(), "a missing file is empty");
+        let line = |g| RunEvent::CheckpointWritten { generation: g }.to_json();
+        // A blank line, a CRLF ending, a corrupt line and a torn tail.
+        let text = format!(
+            "{}\n\n{}\r\nnot json\n{}\n{}",
+            line(0),
+            line(1),
+            line(2),
+            &line(3)[..10]
+        );
+        let mut bytes = b"\xff\xfe\n".to_vec();
+        bytes.extend_from_slice(text.as_bytes());
+        store.create_job(id, &demo_spec()).unwrap();
+        fs::write(store.events_path(id), bytes).unwrap();
+        let all = collect(usize::MAX);
+        assert_eq!(all, RunEvent::parse_jsonl_lossy(&text).events);
+        assert_eq!(all.len(), 3);
+        assert_eq!(collect(2), all[..2]);
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -1,22 +1,25 @@
 //! Integration tests of the optimization service: crash-safe resume,
 //! cooperative-preemption determinism across every optimizer loop,
 //! exact per-job cache attribution under a shared tenant, watchdog-driven
-//! health transitions, and the TCP protocol end to end.
+//! health transitions, one event stream however it is read, and the TCP
+//! protocol end to end.
 //!
 //! The crash-safety golden snapshot lives in `tests/golden/` (re-record
 //! with `UPDATE_GOLDEN=1 cargo test -p integration-tests --test server`).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use dse_server::protocol::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
+use dse_server::server::FLIGHT_CAPACITY;
 use dse_server::spec::{MAX_GENERATIONS, MAX_POPULATION, MAX_ZDT_DIMENSION};
 use dse_server::{
-    AlgoSpec, JobHealth, JobSpec, JobState, JobStatus, JobStore, ProblemSpec, Server, ServerConfig,
-    ServerError,
+    AlgoSpec, JobHealth, JobId, JobSpec, JobState, JobStatus, JobStore, ProblemSpec, Server,
+    ServerConfig, ServerError,
 };
+use sacga::RunEvent;
 
 mod common;
 use common::check_golden;
@@ -991,6 +994,180 @@ fn connections_over_the_cap_get_err_until_one_closes() {
         last.as_ref().ok().map(String::as_str),
         Some("ok pong\n"),
         "no connection was served after one closed: {retried:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The lossy replay of a job's `events.jsonl`, each event re-encoded.
+fn stored_stream(root: &Path, id: JobId) -> Vec<String> {
+    let path = JobStore::open(root).unwrap().events_path(id);
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    RunEvent::parse_jsonl_lossy(&text)
+        .events
+        .iter()
+        .map(RunEvent::to_json)
+        .collect()
+}
+
+/// A job's stream from `cursor` to its end, polled cursor by cursor.
+fn poll_to_end(server: &Server, id: JobId, mut cursor: u64) -> Vec<String> {
+    let mut lines = Vec::new();
+    loop {
+        let poll = server
+            .poll_progress(id, cursor, Duration::from_millis(50))
+            .unwrap();
+        assert_eq!(poll.skipped, 0, "no line may be skipped");
+        assert_eq!(poll.next, cursor + poll.lines.len() as u64);
+        lines.extend(poll.lines.iter().map(|line| line.to_string()));
+        cursor = poll.next;
+        if poll.done {
+            return lines;
+        }
+    }
+}
+
+/// Drains `server` while a subscriber follows job `id` from cursor 0:
+/// the first poll reads the hub before the drain starts, and the
+/// subscriber then polls cursor by cursor until the stream ends, which
+/// only a read of the finished job's `events.jsonl` reports.
+fn follow_a_drain(server: &Server, id: JobId) -> Vec<String> {
+    let first = server.poll_progress(id, 0, Duration::ZERO).unwrap();
+    assert!(!first.done, "job {id} must not have ended before its drain");
+    let mut lines: Vec<String> = first.lines.iter().map(|line| line.to_string()).collect();
+    std::thread::scope(|scope| {
+        let subscriber = scope.spawn(|| poll_to_end(server, id, first.next));
+        server.run_until_idle().unwrap();
+        lines.extend(subscriber.join().unwrap());
+    });
+    lines
+}
+
+/// Checks the stream contract of a finished job on a server over `root`:
+/// the live subscriber's lines, a cursor-0 poll now and after a reopen of
+/// the store, and the lossy replay of `events.jsonl` are the same lines;
+/// no hub holds a line; and `debug` returns the newest lines, before and
+/// after the reopen.
+fn assert_one_stream(server: Server, root: &Path, id: JobId, live: &[String]) {
+    let stored = stored_stream(root, id);
+    assert!(!stored.is_empty(), "job {id} recorded no events");
+    assert_eq!(live, stored, "live subscriber of job {id}");
+    let newest = &stored[stored.len().saturating_sub(FLIGHT_CAPACITY)..];
+    let mut server = server;
+    for reopened in [false, true] {
+        if reopened {
+            drop(server);
+            server = Server::open(root, config(1)).unwrap();
+        }
+        assert!(server.status(id).unwrap().status.is_terminal());
+        assert_eq!(poll_to_end(&server, id, 0), stored, "reopened: {reopened}");
+        assert!(
+            server
+                .metrics_text()
+                .contains("\ndse_hub_retained_bytes 0\n"),
+            "a finished job's hub holds no lines (reopened: {reopened})"
+        );
+        let report = server.debug_report(id).unwrap();
+        let tail: Vec<String> = report.lines.iter().map(|l| l.to_string()).collect();
+        assert_eq!(tail, newest, "debug tail, reopened: {reopened}");
+        assert_eq!(report.dropped, (stored.len() - newest.len()) as u64);
+    }
+}
+
+#[test]
+fn every_view_of_a_job_stream_is_the_same() {
+    // A sliced job, followed from submission to its end. Long enough
+    // that `debug` returns only the newest FLIGHT_CAPACITY lines.
+    let root = scratch_dir("views-sliced");
+    let server = Server::open(&root, config(1)).unwrap();
+    let spec = JobSpec::new(
+        "views",
+        ProblemSpec::Schaffer,
+        AlgoSpec::Sacga {
+            pop: 16,
+            gens: 100,
+            parts: 4,
+        },
+        42,
+    )
+    .slice(7);
+    let id = server.submit(spec).unwrap();
+    let live = follow_a_drain(&server, id);
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+    assert!(live.len() > FLIGHT_CAPACITY, "{} lines", live.len());
+    assert_one_stream(server, &root, id, &live);
+    let _ = std::fs::remove_dir_all(&root);
+
+    // A job killed after two slices, whose stream the reopen trims, then
+    // resumed and followed from the trimmed history to its end.
+    let root = scratch_dir("views-resumed");
+    let server = Server::open(&root, config(1)).unwrap();
+    let id = server.submit(mesacga_spec("views").slice(3)).unwrap();
+    assert!(!server.run_slices_at_most(2).unwrap());
+    drop(server);
+    let server = Server::open(&root, config(1)).unwrap();
+    let live = follow_a_drain(&server, id);
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Done);
+    assert_one_stream(server, &root, id, &live);
+    let _ = std::fs::remove_dir_all(&root);
+
+    // A job that fails when it resumes: its checkpoint claims an
+    // impossible member count.
+    let root = scratch_dir("views-failed");
+    let server = Server::open(&root, config(1)).unwrap();
+    let id = server.submit(sacga_spec("views").slice(2)).unwrap();
+    assert!(!server.run_slices_at_most(2).unwrap());
+    drop(server);
+    let path = JobStore::open(&root).unwrap().checkpoint_path(id);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let corrupt: String = text
+        .lines()
+        .map(|line| match line.strip_prefix("p 0 ") {
+            Some(_) => "p 0 18446744073709551615\n".to_string(),
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(corrupt, text);
+    std::fs::write(&path, corrupt).unwrap();
+    let server = Server::open(&root, config(1)).unwrap();
+    let live = follow_a_drain(&server, id);
+    assert_eq!(server.status(id).unwrap().status, JobStatus::Failed);
+    assert_one_stream(server, &root, id, &live);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn twenty_back_to_back_pings_on_one_connection_are_quick() {
+    // Each reply leaves in one write. A reply written as the line and
+    // then its newline makes the newline wait for the client's delayed
+    // ACK, ~40 ms per request once requests follow each other closely.
+    let root = scratch_dir("tcp-pings");
+    let server = Server::open(&root, config(1)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (pongs, took) = std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| server.serve(listener));
+        let pings = (|| -> std::io::Result<(Vec<String>, Duration)> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+            let mut reader = BufReader::new(stream.try_clone()?);
+            let mut pongs = Vec::new();
+            let start = Instant::now();
+            for _ in 0..20 {
+                stream.write_all(b"ping\n")?;
+                let mut line = String::new();
+                reader.read_line(&mut line)?;
+                pongs.push(line);
+            }
+            Ok((pongs, start.elapsed()))
+        })();
+        server.request_shutdown();
+        daemon.join().unwrap().unwrap();
+        pings.expect("twenty pings")
+    });
+    assert!(pongs.iter().all(|p| p == "ok pong\n"), "{pongs:?}");
+    assert!(
+        took < Duration::from_millis(400),
+        "20 back-to-back pings took {took:?}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
