@@ -2,27 +2,30 @@
 //!
 //! Each op-amp analysis makes five [`Mosfet::vgs_for_current`] bias
 //! solves (m1, m5, m6, and the diode-connected m3 twice), and a circuit
-//! evaluation runs nine analyses: the nominal one and eight
-//! corner/mismatch points. Most of those solves repeat an input the
-//! process has already solved. Widths, lengths and the tail current are
-//! quantized, and the corners share one polarity's parameters: FF and FS
-//! have the same fast NMOS, SS and SF the same slow one, and the mismatch
-//! points pair up. [`BiasMemo`] stores the result of each solve under the
-//! bits of every value the solve reads, so a repeat returns the stored
-//! result of identical inputs, and every result stays bit-identical to
-//! the uncached solve.
+//! evaluation runs up to nine analyses: the nominal one and up to eight
+//! corner/mismatch points, fewer when the sweep stops at the robustness
+//! bound (see [`robustness_graded`]). Most of those solves repeat an
+//! input the process has already solved. Widths, lengths and the tail
+//! current are quantized, and the corners share one polarity's
+//! parameters: FF and FS have the same fast NMOS, SS and SF the same slow
+//! one, and the mismatch points pair up. [`BiasMemo`] stores the result
+//! of each solve under the bits of every value the solve reads, so a
+//! repeat returns the stored result of identical inputs, and every result
+//! stays bit-identical to the uncached solve.
 //!
 //! The circuit problems share one process-wide table,
 //! [`BiasMemo::shared`], of [`SLOTS`] direct-mapped entries behind one
 //! lock. An evicted or colliding entry costs only speed.
 //!
 //! A missed solve replays its bisection from a certified bracket and
-//! calls [`Mosfet::id`] only a handful of times (see
+//! calls [`Mosfet::id`] about three times (see
 //! [`Mosfet::vgs_for_current`]), so a hit saves less than it did against
 //! a full bisection, but the memo still pays. On the two arms of the
 //! Fig. 5 pair (seed 42, 60 generations, 2-core host), a drivable-load
 //! evaluation took 96–103 µs with the memo turned off and 50–55 µs with
 //! it, measured in a build instrumented with counters and timers.
+//!
+//! [`robustness_graded`]: crate::yield_est::robustness_graded
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -136,7 +139,7 @@ impl BiasMemo {
 
     /// `(lookups, hits)` since the table was made.
     #[cfg(test)]
-    fn counts(&self) -> (u64, u64) {
+    pub(crate) fn counts(&self) -> (u64, u64) {
         let table = self.lock();
         (table.lookups, table.hits)
     }

@@ -214,28 +214,29 @@ impl DrivableLoadProblem {
         (-CL_RANGE.1, 0.0)
     }
 
-    /// Evaluates one already-decoded, already-quantized design.
-    fn evaluate_quantized(&self, dv: &DesignVector) -> Evaluation {
+    /// Evaluates one already-decoded, already-quantized design, its bias
+    /// solves served by `memo`.
+    pub(crate) fn evaluate_quantized(&self, dv: &DesignVector, memo: &BiasMemo) -> Evaluation {
         let spec = &self.spec;
 
-        let (cl, report) = self.graded_load(&self.prepare(dv));
+        let stage = integrator::prepare_with(dv, &self.process, &self.clock, Some(memo));
+        let (cl, report) = self.graded_load(&stage);
         let drivable = cl > 0.0;
 
         // Robustness at the claimed operating point (full, unmargined
         // spec): corner headroom must come from the LOAD_MARGIN. `report`
         // is the nominal analysis at that load, so it stands in for the
-        // TT sample.
+        // TT sample; the sweep stops at the bound.
         let dv_at = dv.with_cl(report.cl);
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(
+            yield_est::robustness_graded(
                 &dv_at,
                 &self.plan,
                 &self.clock,
                 spec,
                 Some(&report),
-                Some(BiasMemo::shared()),
+                Some(memo),
             )
-            .0
         } else {
             0.0
         };
@@ -299,7 +300,7 @@ impl Problem for DrivableLoadProblem {
         // Designs are evaluated as they would be drawn: unit fingers, unit
         // capacitors, bias-DAC steps (see [`DesignVector::quantize`]).
         let dv = DesignVector::from_sizing_genes(x).quantize();
-        self.evaluate_quantized(&dv)
+        self.evaluate_quantized(&dv, BiasMemo::shared())
     }
 
     fn cache_canonicalizer(&self) -> Option<engine::CacheCanonicalizer> {

@@ -64,6 +64,7 @@ pub mod sizing;
 pub mod specs;
 pub mod surrogate;
 pub mod transient;
+mod work;
 pub mod yield_est;
 
 pub use drivable::DrivableLoadProblem;

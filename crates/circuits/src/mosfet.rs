@@ -24,6 +24,7 @@
 use std::cell::RefCell;
 
 use crate::process::{DeviceType, Process, TransistorParams};
+use crate::work::{self, Work};
 
 /// Thermal voltage `kT/q` at the nominal temperature (V).
 pub const V_THERMAL: f64 = 0.0259;
@@ -122,17 +123,27 @@ impl Mosfet {
     /// the velocity-saturation-reduced effective overdrive, floored at the
     /// weak-inversion saturation voltage `≈ 3V_T`.
     pub fn vdsat(&self, process: &Process, vov: f64) -> f64 {
-        let (vov_eff, velocity) = self.overdrive_terms(self.params(process), vov);
-        saturation_voltage(vov_eff, velocity)
+        self.overdrive(self.params(process), effective_overdrive(vov))
+            .vdsat
     }
 
-    /// The EKV effective overdrive at `vov` and the velocity-saturation
-    /// factor `1 + V_ov,eff/(E_sat·L)`, shared by the saturation voltage
-    /// and the drain current.
-    fn overdrive_terms(&self, p: &TransistorParams, vov: f64) -> (f64, f64) {
-        let vov_eff = effective_overdrive(vov);
+    /// The terms of the drain current that follow from the EKV effective
+    /// overdrive `vov_eff` alone, shared by the saturation voltage, the
+    /// drain current and the bounds of the bias solve.
+    fn overdrive(&self, p: &TransistorParams, vov_eff: f64) -> Overdrive {
         let esat_l = p.esat * self.l;
-        (vov_eff, 1.0 + vov_eff / esat_l)
+        let velocity = 1.0 + vov_eff / esat_l;
+        Overdrive {
+            vov_eff,
+            velocity,
+            strength: 0.5 * p.kp * (self.w / self.l) * vov_eff * vov_eff / velocity,
+            vdsat: saturation_voltage(vov_eff, velocity),
+        }
+    }
+
+    /// [`Mosfet::overdrive`] at `vgs`.
+    fn overdrive_at(&self, p: &TransistorParams, vgs: f64) -> Overdrive {
+        self.overdrive(p, effective_overdrive(vgs - p.vt0))
     }
 
     /// Effective channel-length-modulation coefficient (V⁻¹), scaled with
@@ -146,23 +157,12 @@ impl Mosfet {
     /// the current through [`GateTerms::current`], so they agree bit for
     /// bit.
     fn gate_terms(&self, p: &TransistorParams, lambda: f64, vgs: f64) -> GateTerms {
-        let (vov_eff, velocity) = self.overdrive_terms(p, vgs - p.vt0);
-        let strength = 0.5 * p.kp * (self.w / self.l) * vov_eff * vov_eff / velocity;
-        let mobility = mobility(p, self.device, vgs);
-        let core = if vov_eff <= 0.0 {
-            0.0
-        } else {
-            strength / mobility
-        };
-        GateTerms {
-            vov_eff,
-            velocity,
-            strength,
-            mobility,
-            core,
-            vdsat: saturation_voltage(vov_eff, velocity),
+        work::count(Work::GateTerms);
+        GateTerms::new(
+            self.overdrive_at(p, vgs),
+            mobility(p, self.device, vgs),
             lambda,
-        }
+        )
     }
 
     /// DC operating point at `(V_GS, V_DS)` magnitudes.
@@ -171,16 +171,35 @@ impl Mosfet {
     /// derivatives (`gm`, `gds`) are obtained by central differences of the
     /// analytical current, which keeps them consistent with `id` by
     /// construction. The V_GS-dependent terms are computed once for each of
-    /// the three gate voltages involved.
+    /// the three gate voltages involved: the DC part at `vgs`, and `gm`'s
+    /// two neighbours.
     pub fn operating_point(&self, process: &Process, vgs: f64, vds: f64) -> OperatingPoint {
+        let dc = self.dc_point(process, vgs, vds);
         let p = self.params(process);
         let lambda = self.lambda_eff(process);
-        let h = 1e-6;
-        let at = self.gate_terms(p, lambda, vgs);
+        let h = DIFFERENCE_STEP;
         let up = self.gate_terms(p, lambda, vgs + h);
         let down = self.gate_terms(p, lambda, vgs - h);
-        let id = at.current(vds);
-        let vdsat = at.vdsat;
+        let gm = (up.current(vds) - down.current(vds)) / (2.0 * h);
+        OperatingPoint {
+            id: dc.id,
+            gm: gm.max(0.0),
+            gds: dc.gds,
+            vdsat: dc.vdsat,
+            region: dc.region,
+            vgs,
+            vds,
+        }
+    }
+
+    /// The [`Mosfet::operating_point`] at `(V_GS, V_DS)` but for `gm`, from
+    /// the V_GS-dependent terms at `vgs` alone: a third of the work where
+    /// nothing reads `gm`.
+    pub(crate) fn dc_point(&self, process: &Process, vgs: f64, vds: f64) -> DcPoint {
+        let p = self.params(process);
+        let h = DIFFERENCE_STEP;
+        let at = self.gate_terms(p, self.lambda_eff(process), vgs);
+        let vdsat = at.overdrive.vdsat;
         let region = if vgs - p.vt0 <= 0.0 {
             Region::Cutoff
         } else if vds < vdsat {
@@ -188,16 +207,13 @@ impl Mosfet {
         } else {
             Region::Saturation
         };
-        let gm = (up.current(vds) - down.current(vds)) / (2.0 * h);
         let gds =
             (at.current(vds + h) - at.current((vds - h).max(0.0))) / (vds + h - (vds - h).max(0.0));
-        OperatingPoint {
-            id,
-            gm: gm.max(0.0),
+        DcPoint {
+            id: at.current(vds),
             gds: gds.max(0.0),
             vdsat,
             region,
-            vgs,
             vds,
         }
     }
@@ -247,16 +263,20 @@ impl Mosfet {
     ///
     /// The result is fixed by the sign of `f` at the 44 midpoints, so the
     /// solve runs the same loop but calls `id` only at midpoints inside a
-    /// certified bracket `(a, b)` around the root, typically 3–6 of them:
+    /// certified bracket `(a, b)` around the root, typically at most one:
     ///
     /// 1. Estimate the root `r`: the velocity-saturated square law solved
     ///    for `V_ov,eff` and the EKV softplus inverted give a start, and
     ///    Newton on the closed-form `∂I_D/∂V_GS` converges from it until a
-    ///    step is below 1e-10 V, in at most 20 steps. The estimate need not
-    ///    be exact: only the certificate decides.
-    /// 2. With `m = 1e-13·I`, take the first `δ` of 3e-13, 1e-11 and
-    ///    1e-9 V for which `a = r − δ ≥ 0.01 V`, `b = r + δ < vgs_max`,
-    ///    `f(a) < −m` and `f(b) > m`.
+    ///    step is below 1e-10 V, in at most 20 steps. A step computes one
+    ///    `exp`, one `ln_1p` and one `cbrt` and takes the current and its
+    ///    slope `s` from them. The estimate need not be exact: only the
+    ///    certificate decides.
+    /// 2. With `m = 1e-13·I`, take the first `δ` of `4m/s`, 3e-13, 1e-11
+    ///    and 1e-9 V for which `a = r − δ ≥ 0.01 V`, `b = r + δ < vgs_max`,
+    ///    `a < b`, `f(a) < −m` and `f(b) > m`. Where the current rises at
+    ///    `s`, the first gives `f(a) ≈ −4m` and `f(b) ≈ 4m`, and a bracket
+    ///    narrower than the bisection's last step.
     /// 3. Prove the sign of `f` outside `(a, b)`. Let `K = V_K − V_T0` be
     ///    the kink of the mobility term (see [`Mosfet::id`]), `c = K + 1 mV`,
     ///    `N` the saturation current before mobility degradation and
@@ -346,6 +366,7 @@ impl Mosfet {
             } else if mid >= above {
                 false
             } else {
+                work::count(Work::MidpointId);
                 f(mid) < 0.0
             };
             if short {
@@ -387,27 +408,32 @@ impl Mosfet {
         {
             return None;
         }
-        let root = self.newton_root(p, lambda, target_id, vds)?;
+        let (root, slope) = self.newton_root(p, lambda, target_id, vds)?;
         let f = |vgs: f64| self.id(process, vgs, vds) - target_id;
         let margin = CERTIFICATE_MARGIN * target_id;
-        let (a, b) = BRACKET_HALF_WIDTHS
-            .iter()
-            .map(|&delta| (root - delta, root + delta))
+        // Where `id` rises at `slope`, `f(r ± δ)` is about ±4m at the first
+        // half-width: room for the estimate's error, in a bracket that
+        // holds well under one midpoint of the 44 on average.
+        let fitted = SLOPE_HALF_WIDTH * margin / slope;
+        let (a, b) = std::iter::once(fitted)
+            .chain(BRACKET_HALF_WIDTHS)
+            .map(|delta| (root - delta, root + delta))
             .find(|&(a, b)| {
-                a >= BISECTION_FLOOR && b < vgs_max && f(a) < -margin && f(b) > margin
+                a < b && a >= BISECTION_FLOOR && b < vgs_max && f(a) < -margin && f(b) > margin
             })?;
         let outside_holds = if a > above_dip {
             // Root above the dip: bound id on [0.01 V, c] from above.
-            let top = self.gate_terms(p, lambda, above_dip);
-            let bottom = self.gate_terms(p, lambda, BISECTION_FLOOR);
-            top.strength * bottom.drain_factor(vds) < target_id - margin
+            let top = self.overdrive_at(p, above_dip);
+            let bottom = self.overdrive_at(p, BISECTION_FLOOR);
+            top.strength * bottom.drain_factor(lambda, vds) < target_id - margin
         } else if b < kink - BELOW_KINK {
             // Root below the kink: id stays above the target across the
             // dip.
-            let before = self.gate_terms(p, lambda, kink - BELOW_KINK);
+            let before = self.overdrive_at(p, kink - BELOW_KINK);
             let after = self.gate_terms(p, lambda, above_dip);
-            before.strength / after.mobility * after.drain_factor(vds) > target_id + margin
-                && f(above_dip) > margin
+            before.strength / after.mobility * after.overdrive.drain_factor(lambda, vds)
+                > target_id + margin
+                && after.current(vds) - target_id > margin
         } else {
             false
         };
@@ -416,29 +442,77 @@ impl Mosfet {
     }
 
     /// Newton's root of `id(V_GS, vds) = target_id` from
-    /// [`Mosfet::square_law_root`], or `None` unless a step falls below
-    /// 1e-10 V within 20 steps.
+    /// [`Mosfet::square_law_root`] and `∂I_D/∂V_GS` at the last step, or
+    /// `None` unless a step falls below 1e-10 V within 20 steps.
     fn newton_root(
         &self,
         p: &TransistorParams,
         lambda: f64,
         target_id: f64,
         vds: f64,
-    ) -> Option<f64> {
+    ) -> Option<(f64, f64)> {
         let mut vgs = self.square_law_root(p, target_id);
         for _ in 0..NEWTON_STEPS {
-            let terms = self.gate_terms(p, lambda, vgs);
-            let id = terms.current(vds);
-            let step = (id - target_id) / (id * terms.log_slope(self, p, vgs, vds));
+            work::count(Work::NewtonStep);
+            let (id, slope) = self.newton_point(p, lambda, vgs, vds);
+            let step = (id - target_id) / slope;
             vgs -= step;
             if !vgs.is_finite() {
                 return None;
             }
             if step.abs() < NEWTON_TOLERANCE {
-                return Some(vgs);
+                return Some((vgs, slope));
             }
         }
         None
+    }
+
+    /// The drain current at `(vgs, vds)` and `∂I_D/∂V_GS` there in closed
+    /// form, for the Newton estimate of [`Mosfet::vgs_for_current`]. One
+    /// `exp`, one `ln_1p` and one `cbrt` serve both: the softplus slope is
+    /// `e^u/(1 + e^u)` and the mobility power `x` or `x·x`. Only the
+    /// estimate uses them, so neither need agree with [`Mosfet::id`] to the
+    /// last bit.
+    fn newton_point(&self, p: &TransistorParams, lambda: f64, vgs: f64, vds: f64) -> (f64, f64) {
+        let scale = 2.0 * SLOPE_FACTOR * V_THERMAL;
+        let u = (vgs - p.vt0) / scale;
+        let (softplus, sigma) = if u > 30.0 {
+            (u, 1.0)
+        } else {
+            let e = u.exp();
+            let softplus = if u < -30.0 { e } else { e.ln_1p() };
+            (softplus, e / (1.0 + e))
+        };
+        let od = self.overdrive(p, scale * softplus);
+        let x = (vgs + p.vt0 - p.vk).max(0.0);
+        let root3 = x.cbrt();
+        // xⁿ and its derivative n·xⁿ⁻¹.
+        let (power, power_slope) = match self.device {
+            DeviceType::Nmos => (x, 1.0),
+            DeviceType::Pmos => (x * x, 2.0 * x),
+        };
+        let mobility = 1.0 + p.theta1 * root3 + p.theta2 * power;
+        let terms = GateTerms::new(od, mobility, lambda);
+        let id = terms.current(vds);
+
+        let strength = sigma * (2.0 / od.vov_eff - 1.0 / (p.esat * self.l * od.velocity));
+        let d_vdsat = if od.vov_eff / od.velocity > 3.0 * V_THERMAL {
+            sigma / (od.velocity * od.velocity)
+        } else {
+            0.0
+        };
+        let drain = if vds >= od.vdsat {
+            -lambda * d_vdsat / (1.0 + lambda * (vds - od.vdsat))
+        } else {
+            let u = vds / od.vdsat;
+            -(2.0 - 2.0 * u) / (2.0 - u) * d_vdsat / od.vdsat
+        };
+        let degradation = if x > 0.0 {
+            (p.theta1 * root3 / (3.0 * x) + p.theta2 * power_slope) / mobility
+        } else {
+            0.0
+        };
+        (id, id * (strength + drain - degradation))
     }
 
     /// A closed-form estimate of the V_GS that conducts `target_id`: the
@@ -492,12 +566,20 @@ const BELOW_KINK: f64 = 1e-9;
 /// The replay's margin `m`, relative to the target current.
 const CERTIFICATE_MARGIN: f64 = 1e-13;
 
+/// The replay's first half-width `δ` around the Newton root, in margins
+/// `m` per unit of `∂I_D/∂V_GS`.
+const SLOPE_HALF_WIDTH: f64 = 4.0;
+
 /// Half-widths `δ` of the replay's bracket around the Newton root, tried in
-/// turn (V).
+/// turn after the first (V).
 const BRACKET_HALF_WIDTHS: [f64; 3] = [3e-13, 1e-11, 1e-9];
 
+/// The step of the central differences that give `gm` and `gds` (V).
+const DIFFERENCE_STEP: f64 = 1e-6;
+
 /// Newton converges once a step is shorter than this (V): convergence is
-/// quadratic, so the root is then good to far below the bracket's 3e-13 V...
+/// quadratic, so the root is then good to far below the bracket's
+/// half-width...
 const NEWTON_TOLERANCE: f64 = 1e-10;
 
 /// ...within this many steps.
@@ -622,71 +704,90 @@ fn mobility(p: &TransistorParams, device: DeviceType, vgs: f64) -> f64 {
     1.0 + p.theta1 * x.cbrt() + p.theta2 * x.powf(device.mobility_exponent())
 }
 
-/// The V_GS-dependent terms of the drain current at one gate voltage (see
-/// [`Mosfet::gate_terms`]).
+/// The drain-current terms that follow from the effective overdrive alone
+/// (see [`Mosfet::overdrive`]).
 #[derive(Debug, Clone, Copy)]
-struct GateTerms {
+struct Overdrive {
     vov_eff: f64,
     velocity: f64,
     /// `½·k'·(W/L)·V_ov,eff²/(1 + V_ov,eff/(E_sat·L))`: the saturation
     /// current of eqn (1) before mobility degradation and channel-length
     /// modulation (A).
     strength: f64,
+    vdsat: f64,
+}
+
+impl Overdrive {
+    /// The V_DS factor of the current at `vds`, the current over
+    /// [`GateTerms::core`]; it falls as `vdsat` rises.
+    fn drain_factor(&self, lambda: f64, vds: f64) -> f64 {
+        drain_current(1.0, self.vdsat, lambda, vds)
+    }
+}
+
+/// The V_GS-dependent terms of the drain current at one gate voltage (see
+/// [`Mosfet::gate_terms`]).
+#[derive(Debug, Clone, Copy)]
+struct GateTerms {
+    overdrive: Overdrive,
     /// The mobility-degradation divisor, see [`mobility`].
     mobility: f64,
     /// Saturation current before channel-length modulation (A).
     core: f64,
-    vdsat: f64,
     lambda: f64,
 }
 
 impl GateTerms {
-    /// The drain current at `vds` (A): channel-length modulation in
-    /// saturation, the parabolic triode interpolation below `vdsat`, which
-    /// is current-continuous at `vdsat`.
+    fn new(overdrive: Overdrive, mobility: f64, lambda: f64) -> Self {
+        let core = if overdrive.vov_eff <= 0.0 {
+            0.0
+        } else {
+            overdrive.strength / mobility
+        };
+        GateTerms {
+            overdrive,
+            mobility,
+            core,
+            lambda,
+        }
+    }
+
+    /// The drain current at `vds` (A).
     fn current(&self, vds: f64) -> f64 {
-        if vds <= 0.0 {
-            return 0.0;
-        }
-        if vds >= self.vdsat {
-            self.core * (1.0 + self.lambda * (vds - self.vdsat))
-        } else {
-            let u = vds / self.vdsat;
-            self.core * u * (2.0 - u)
-        }
+        drain_current(self.core, self.overdrive.vdsat, self.lambda, vds)
     }
+}
 
-    /// The V_DS factor of the current at `vds`, the current over
-    /// [`GateTerms::core`]; it falls as `vdsat` rises.
-    fn drain_factor(&self, vds: f64) -> f64 {
-        GateTerms { core: 1.0, ..*self }.current(vds)
+/// The drain current at `vds` of a device whose saturation current before
+/// channel-length modulation is `core` (A): channel-length modulation in
+/// saturation, the parabolic triode interpolation below `vdsat`, which is
+/// current-continuous at `vdsat`.
+fn drain_current(core: f64, vdsat: f64, lambda: f64, vds: f64) -> f64 {
+    if vds <= 0.0 {
+        return 0.0;
     }
+    if vds >= vdsat {
+        core * (1.0 + lambda * (vds - vdsat))
+    } else {
+        let u = vds / vdsat;
+        core * u * (2.0 - u)
+    }
+}
 
-    /// `d ln I_D / dV_GS` at `vds` in closed form, for the Newton estimate
-    /// of [`Mosfet::vgs_for_current`]. Only the estimate uses it, so it need
-    /// not agree with [`GateTerms::current`] to the last bit.
-    fn log_slope(&self, m: &Mosfet, p: &TransistorParams, vgs: f64, vds: f64) -> f64 {
-        let sigma = softplus_slope(self.vov_eff);
-        let strength = sigma * (2.0 / self.vov_eff - 1.0 / (p.esat * m.l * self.velocity));
-        let d_vdsat = if self.vov_eff / self.velocity > 3.0 * V_THERMAL {
-            sigma / (self.velocity * self.velocity)
-        } else {
-            0.0
-        };
-        let drain = if vds >= self.vdsat {
-            -self.lambda * d_vdsat / (1.0 + self.lambda * (vds - self.vdsat))
-        } else {
-            let u = vds / self.vdsat;
-            -(2.0 - 2.0 * u) / (2.0 - u) * d_vdsat / self.vdsat
-        };
-        let x = (vgs + p.vt0 - p.vk).max(0.0);
-        let degradation = if x > 0.0 {
-            mobility_slope(p, m.device, x, x) / self.mobility
-        } else {
-            0.0
-        };
-        strength + drain - degradation
-    }
+/// The DC part of an [`OperatingPoint`]: everything but `gm` (see
+/// [`Mosfet::dc_point`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DcPoint {
+    /// Drain current magnitude (A).
+    pub id: f64,
+    /// Output conductance ∂I_D/∂V_DS (S).
+    pub gds: f64,
+    /// Saturation voltage (V).
+    pub vdsat: f64,
+    /// Region of operation.
+    pub region: Region,
+    /// Drain-source voltage magnitude used (V).
+    pub vds: f64,
 }
 
 /// `dV_ov,eff/dV_ov` of [`effective_overdrive`], from its value:

@@ -199,15 +199,16 @@ pub(crate) fn analyze_with(
     }
     // Sink check: M7 must conduct i2 with its mirrored gate voltage. Its
     // operating point carries that current.
-    let op7 = m7.operating_point(process, vgs5, vcm_out);
+    let op7 = m7.dc_point(process, vgs5, vcm_out);
     if op7.id <= 0.0 {
         return fault_report(DcFault::SinkCurrent);
     }
 
-    // --- Operating points.
+    // --- Operating points. Nothing reads the tail's or the sink's `gm`,
+    // so theirs are DC points.
     let op1 = m1.operating_point(process, vgs1, v1_actual - vs1);
     let op3 = m3.operating_point(process, vgs3, vdd - v1_actual);
-    let op5 = m5.operating_point(process, vgs5, vs1);
+    let op5 = m5.dc_point(process, vgs5, vs1);
     let op6 = m6.operating_point(process, vgs6_actual, vdd - vcm_out);
 
     // Saturation margins (V): vds − vdsat per device.

@@ -103,14 +103,20 @@ impl IntegratorProblem {
     /// Evaluates a decoded design (shared by [`Problem::evaluate`]). The
     /// process-wide [`BiasMemo`] serves every op-amp bias solve.
     pub fn evaluate_design(&self, dv: &DesignVector) -> Evaluation {
-        let memo = Some(BiasMemo::shared());
+        self.evaluate_with(dv, BiasMemo::shared())
+    }
+
+    /// [`evaluate_design`](Self::evaluate_design) with the bias solves
+    /// served by `memo`.
+    pub(crate) fn evaluate_with(&self, dv: &DesignVector, memo: &BiasMemo) -> Evaluation {
+        let memo = Some(memo);
         let report = integrator::prepare_with(dv, &self.process, &self.clock, memo).at_load(dv.cl);
 
         // Robustness: the nominal report stands in for the TT sample; skip
         // the 8 corner analyses when the nominal point is not even biased —
-        // it cannot pass anywhere.
+        // it cannot pass anywhere — and stop the sweep at the bound.
         let robustness = if report.is_biased() {
-            yield_est::robustness_prepared(
+            yield_est::robustness_graded(
                 dv,
                 &self.plan,
                 &self.clock,
@@ -118,7 +124,6 @@ impl IntegratorProblem {
                 Some(&report),
                 memo,
             )
-            .0
         } else {
             0.0
         };

@@ -15,6 +15,7 @@ use crate::integrator::{self, ClockContext, IntegratorReport};
 use crate::process::{Corner, Process};
 use crate::sizing::DesignVector;
 use crate::specs::Spec;
+use crate::work::{self, Work};
 
 /// One robustness sample point: a corner plus local mismatch offsets.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,6 +113,31 @@ pub fn prepared_plan(nominal: &Process) -> Vec<(SamplePoint, Process)> {
         .collect()
 }
 
+/// The verdict of `dv` at each point of `plan`, in plan order: the one
+/// sweep behind [`robustness_prepared`] and [`robustness_graded`]. Each
+/// analysis runs only when its verdict is read, so a reader that stops
+/// early skips the rest.
+fn verdicts<'a>(
+    dv: &'a DesignVector,
+    plan: &'a [(SamplePoint, Process)],
+    clock: &'a ClockContext,
+    spec: &'a Spec,
+    nominal: Option<&'a IntegratorReport>,
+    memo: Option<&'a BiasMemo>,
+) -> impl Iterator<Item = (SamplePoint, bool)> + 'a {
+    plan.iter().map(move |(sp, process)| {
+        let ok = match nominal {
+            Some(report) if sp.is_nominal() => passes_performance(report, spec),
+            _ => {
+                work::count(Work::CornerAnalysis);
+                let report = integrator::prepare_with(dv, process, clock, memo).at_load(dv.cl);
+                passes_performance(&report, spec)
+            }
+        };
+        (*sp, ok)
+    })
+}
+
 /// Robustness of a design against a pre-built sample table (see
 /// [`prepared_plan`]): the fraction of points at which all performance
 /// constraints of `spec` hold, plus the per-sample verdicts.
@@ -132,22 +158,47 @@ pub fn robustness_prepared(
     nominal: Option<&IntegratorReport>,
     memo: Option<&BiasMemo>,
 ) -> (f64, Vec<(SamplePoint, bool)>) {
-    let mut outcomes = Vec::with_capacity(plan.len());
-    let mut passed = 0usize;
-    for (sp, process) in plan {
-        let ok = match nominal {
-            Some(report) if sp.is_nominal() => passes_performance(report, spec),
-            _ => {
-                let report = integrator::prepare_with(dv, process, clock, memo).at_load(dv.cl);
-                passes_performance(&report, spec)
-            }
-        };
-        if ok {
-            passed += 1;
-        }
-        outcomes.push((*sp, ok));
-    }
+    let outcomes: Vec<(SamplePoint, bool)> =
+        verdicts(dv, plan, clock, spec, nominal, memo).collect();
+    let passed = outcomes.iter().filter(|(_, ok)| *ok).count();
     (passed as f64 / outcomes.len() as f64, outcomes)
+}
+
+/// Robustness as the circuit problems grade it, against
+/// `spec.robustness_min`: the sweep of [`robustness_prepared`], with the
+/// same arguments, stopped once the samples passed so far make up
+/// `spec.robustness_min` of the plan. The result is the fraction passed
+/// when the sweep stopped, still divided by the plan's length.
+///
+/// A constraint reads robustness only through
+/// [`relative_shortfall_at_least`](moea::evaluation::relative_shortfall_at_least)
+/// at that bound, which is 0.0 for any value at or above it. Passes only
+/// add up, so the full fraction is at or above the bound too, and both
+/// give the same violation bits. When the full fraction is below the bound
+/// the sweep never stops, and the two are equal. At the featured bound of
+/// 0.85 the sweep stops after eight passes of the nine samples.
+pub fn robustness_graded(
+    dv: &DesignVector,
+    plan: &[(SamplePoint, Process)],
+    clock: &ClockContext,
+    spec: &Spec,
+    nominal: Option<&IntegratorReport>,
+    memo: Option<&BiasMemo>,
+) -> f64 {
+    let total = plan.len() as f64;
+    let mut verdicts = verdicts(dv, plan, clock, spec, nominal, memo);
+    let mut passed = 0usize;
+    // Checked before each verdict is read; a NaN bound never stops it.
+    loop {
+        if passed as f64 / total >= spec.robustness_min {
+            break;
+        }
+        match verdicts.next() {
+            Some((_, ok)) => passed += usize::from(ok),
+            None => break,
+        }
+    }
+    passed as f64 / total
 }
 
 /// Robustness of a design: the fraction of [`sample_plan`] points at which
@@ -232,6 +283,39 @@ mod tests {
             robustness_detailed(&dv, &Process::nominal(), &ClockContext::standard(), &spec);
         let count = detail.iter().filter(|(_, ok)| *ok).count();
         assert!((frac - count as f64 / detail.len() as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn graded_sweep_stops_at_the_bound() {
+        let dv = DesignVector::reference();
+        let nominal = Process::nominal();
+        let clock = ClockContext::standard();
+        let plan = prepared_plan(&nominal);
+        let report = integrator::analyze(&dv, &nominal, &clock);
+        let mut spec = Spec::relaxed();
+        let (full, detail) = robustness_prepared(&dv, &plan, &clock, &spec, Some(&report), None);
+        assert!(detail[..5].iter().all(|&(_, ok)| ok), "{detail:?}");
+        assert!(full > 5.0 / 9.0);
+        // The sweep reads the free nominal verdict and four corner
+        // analyses, then stops: 5 of 9 passes reach 0.5.
+        spec.robustness_min = 0.5;
+        work::take();
+        let graded = robustness_graded(&dv, &plan, &clock, &spec, Some(&report), None);
+        assert_eq!(graded, 5.0 / 9.0);
+        assert_eq!(work::take().corner_analyses, 4);
+        // A bound of zero needs no sample, one above 1 every sample.
+        spec.robustness_min = 0.0;
+        assert_eq!(
+            robustness_graded(&dv, &plan, &clock, &spec, Some(&report), None),
+            0.0
+        );
+        assert_eq!(work::take().corner_analyses, 0);
+        spec.robustness_min = 1.01;
+        assert_eq!(
+            robustness_graded(&dv, &plan, &clock, &spec, Some(&report), None),
+            full
+        );
+        assert_eq!(work::take().corner_analyses, 8);
     }
 
     #[test]

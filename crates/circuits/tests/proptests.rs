@@ -7,6 +7,7 @@ use analog_circuits::process::{Corner, DeviceType, Process, TransistorParams};
 use analog_circuits::sizing::DesignVector;
 use analog_circuits::yield_est;
 use analog_circuits::{DrivableLoadProblem, IntegratorProblem, Spec};
+use moea::evaluation::relative_shortfall_at_least;
 use moea::Problem;
 use proptest::prelude::*;
 
@@ -76,6 +77,28 @@ fn design() -> impl Strategy<Value = DesignVector> {
         };
         DesignVector::from_sizing_genes(&genes).quantize()
     })
+}
+
+/// A specification whose robustness bound is anywhere in [0, 1.05] (0 and
+/// each multiple of 1/9 among the draws), or one of the graded suite's,
+/// whose bounds run from 0.70 to 0.90.
+fn robustness_bound() -> impl Strategy<Value = Spec> {
+    let bound = prop_oneof![
+        0.0f64..1.05,
+        (0u8..10).prop_map(|passes| f64::from(passes) / 9.0),
+    ];
+    prop_oneof![
+        (bound, 0u8..2).prop_map(|(bound, relaxed)| {
+            let mut spec = if relaxed == 1 {
+                Spec::relaxed()
+            } else {
+                Spec::featured()
+            };
+            spec.robustness_min = bound;
+            spec
+        }),
+        (0usize..20).prop_map(|grade| Spec::graded_suite().swap_remove(grade)),
+    ]
 }
 
 /// A process-wide memo so small that nearly every lookup collides with,
@@ -225,6 +248,36 @@ proptest! {
         let full = yield_est::robustness_detailed(&dv, &nominal, &clock, &spec);
         prop_assert_eq!(reused.0.to_bits(), full.0.to_bits());
         prop_assert_eq!(reused.1, full.1);
+    }
+
+    #[test]
+    fn the_graded_sweep_grades_like_the_full_sweep(
+        dv in design(),
+        cl in 0.02e-12f64..5e-12,
+        spec in robustness_bound(),
+    ) {
+        // The problems grade robustness only through the shortfall at the
+        // spec's bound, so a sweep stopped there must give the full
+        // sweep's violation bits, and its value whenever that is short.
+        let nominal = Process::nominal();
+        let clock = ClockContext::standard();
+        let dv = dv.with_cl(cl);
+        let report = analyze(&dv, &nominal, &clock);
+        let plan = yield_est::prepared_plan(&nominal);
+        let full =
+            yield_est::robustness_prepared(&dv, &plan, &clock, &spec, Some(&report), None).0;
+        let graded =
+            yield_est::robustness_graded(&dv, &plan, &clock, &spec, Some(&report), None);
+        let bound = spec.robustness_min;
+        prop_assert_eq!(
+            relative_shortfall_at_least(graded, bound).to_bits(),
+            relative_shortfall_at_least(full, bound).to_bits(),
+            "graded {} vs full {} at bound {}", graded, full, bound
+        );
+        if full < bound {
+            prop_assert_eq!(graded.to_bits(), full.to_bits());
+        }
+        prop_assert!(graded <= full);
     }
 
     #[test]

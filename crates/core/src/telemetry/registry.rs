@@ -41,7 +41,7 @@ pub struct RegistrySink {
 impl RegistrySink {
     /// Registers the run-trajectory metrics under `labels` in
     /// `registry`. Labels follow the registry's model (`tenant`, `job`,
-    /// `arm`, `stage`, `worker`).
+    /// `arm`, `stage`; see [`engine::metrics::LABEL_NAMES`]).
     pub fn register(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
         RegistrySink {
             generations: registry.counter("dse_run_generations_total", labels),
