@@ -91,12 +91,6 @@ impl DrivableLoadProblem {
         self
     }
 
-    /// Replaces the clock context.
-    pub fn with_clock(mut self, clock: ClockContext) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// The specification being targeted.
     pub fn spec(&self) -> &Spec {
         &self.spec

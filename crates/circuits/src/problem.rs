@@ -67,12 +67,6 @@ impl IntegratorProblem {
         self
     }
 
-    /// Replaces the clock context.
-    pub fn with_clock(mut self, clock: ClockContext) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// The specification being targeted.
     pub fn spec(&self) -> &Spec {
         &self.spec
@@ -150,19 +144,6 @@ impl IntegratorProblem {
     /// `(load capacitance in pF, power in W)`.
     pub fn to_paper_axes(objectives: &[f64]) -> (f64, f64) {
         (-objectives[0] * 1e12, objectives[1])
-    }
-
-    /// Front points in the paper's hypervolume coordinates
-    /// `(C_L in pF, P in units of 0.1 mW)` — ready for
-    /// [`moea::hypervolume::staircase_area`].
-    pub fn paper_front_points(front: &[Individual]) -> Vec<[f64; 2]> {
-        front
-            .iter()
-            .map(|m| {
-                let (cl_pf, power_w) = Self::to_paper_axes(m.objectives());
-                [cl_pf, power_w * 1e4]
-            })
-            .collect()
     }
 
     /// Power ceiling (in 0.1 mW units) charged for load ranges the front

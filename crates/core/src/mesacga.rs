@@ -63,11 +63,6 @@ impl MesacgaConfig {
     pub fn phases(&self) -> &[PhaseSpec] {
         &self.phases
     }
-
-    /// Total phase-II generations across all phases.
-    pub fn total_span(&self) -> usize {
-        self.phases.iter().map(|p| p.span).sum()
-    }
 }
 
 /// Builder for [`MesacgaConfig`].

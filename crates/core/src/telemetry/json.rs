@@ -376,15 +376,23 @@ fn get_front(obj: &[(String, Json)]) -> Result<Vec<Vec<f64>>, EventParseError> {
     }
 }
 
+/// Deepest nesting of arrays and objects the parser follows. An event
+/// line needs three (the object, its front, a point); the bound keeps a
+/// corrupt line from recursing through the whole stack.
+const MAX_DEPTH: usize = 16;
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 fn parse_json(text: &str) -> Result<Json, EventParseError> {
     let mut cur = Cursor {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = cur.value()?;
     cur.skip_ws();
@@ -424,8 +432,22 @@ impl Cursor<'_> {
     fn value(&mut self) -> Result<Json, EventParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(err(format!("unexpected character at byte {}", self.pos))),
@@ -664,5 +686,17 @@ mod tests {
                 .is_err()
         );
         assert!(RunEvent::from_json("{\"v\":1,\"event\":\"promotion\",\"generation\":0}").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            assert!(RunEvent::from_json(&open.repeat(100_000)).is_err());
+        }
+        let front = format!("{}1.0{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let line =
+            format!("{{\"v\":2,\"event\":\"checkpoint_written\",\"generation\":0,\"x\":{front}}}");
+        let error = RunEvent::from_json(&line).unwrap_err();
+        assert!(error.to_string().contains("nesting deeper than"), "{error}");
     }
 }

@@ -2,25 +2,25 @@
 //! [`engine::MetricsRegistry`].
 //!
 //! Where the engine's own [`engine::EngineMetrics`] bundle mirrors
-//! evaluation counters, this sink surfaces the *optimizer-level*
+//! evaluation counters, this sink counts the *optimizer-level*
 //! trajectory: generations completed, phase transitions, promotions,
-//! fault episodes, checkpoints, and gauges for the current front size,
-//! feasible count, population, cumulative evaluations, phase, and (when
-//! a reference point is supplied) the feasible-front hypervolume.
+//! fault episodes and checkpoints. It keeps no gauge: a run's current
+//! front, population, phase and hypervolume are facts of one run, read
+//! from its event stream, and counters are the only series that can add
+//! many runs into one cell.
 //!
 //! Like every sink, recording observes and never steers: events are
 //! derived purely from optimizer state and constructing them consumes no
 //! RNG, so attaching a `RegistrySink` leaves a seeded run bit-identical
 //! to a bare one (pinned by the golden-master variants).
 
-use engine::{Counter, Gauge, MetricsRegistry};
-use moea::hypervolume::hypervolume;
+use engine::{Counter, MetricsRegistry};
 
 use super::event::{EventKind, RunEvent};
 use super::sink::Sink;
 
-/// Bridges run events into counter/gauge handles registered under a
-/// shared label set.
+/// Bridges run events into counter handles registered under a shared
+/// label set.
 #[derive(Debug, Clone)]
 pub struct RegistrySink {
     generations: Counter,
@@ -29,19 +29,13 @@ pub struct RegistrySink {
     promoted: Counter,
     fault_events: Counter,
     checkpoints: Counter,
-    front_size: Gauge,
-    feasible: Gauge,
-    population: Gauge,
-    evaluations: Gauge,
-    phase: Gauge,
-    /// `(gauge, reference point)` when hypervolume tracking is enabled.
-    hv: Option<(Gauge, Vec<f64>)>,
 }
 
 impl RegistrySink {
-    /// Registers the run-trajectory metrics under `labels` in
-    /// `registry`. Labels follow the registry's model (`tenant`, `job`,
-    /// `arm`, `stage`; see [`engine::metrics::LABEL_NAMES`]).
+    /// Registers the six run-trajectory counters under `labels` in
+    /// `registry`. Labels follow the registry's model (`tenant` and
+    /// `arm`; see [`engine::metrics::LABEL_NAMES`]); every run recorded
+    /// under one label set adds into the same counters.
     pub fn register(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
         RegistrySink {
             generations: registry.counter("dse_run_generations_total", labels),
@@ -50,53 +44,14 @@ impl RegistrySink {
             promoted: registry.counter("dse_run_promoted_total", labels),
             fault_events: registry.counter("dse_run_fault_events_total", labels),
             checkpoints: registry.counter("dse_run_checkpoints_total", labels),
-            front_size: registry.gauge("dse_run_front_size", labels),
-            feasible: registry.gauge("dse_run_feasible", labels),
-            population: registry.gauge("dse_run_population", labels),
-            evaluations: registry.gauge("dse_run_evaluations", labels),
-            phase: registry.gauge("dse_run_phase", labels),
-            hv: None,
         }
-    }
-
-    /// Additionally tracks the feasible-front hypervolume against
-    /// `ref_point` as a `dse_run_hypervolume` gauge, updated on every
-    /// generation end. The same measure the
-    /// [`StallDetector`](super::watchdog::StallDetector) watches — a flat
-    /// trajectory here is the live view of a stalling run.
-    pub fn with_hypervolume(
-        mut self,
-        registry: &MetricsRegistry,
-        labels: &[(&str, &str)],
-        ref_point: Vec<f64>,
-    ) -> Self {
-        self.hv = Some((registry.gauge("dse_run_hypervolume", labels), ref_point));
-        self
     }
 }
 
-#[allow(clippy::cast_precision_loss)]
 impl Sink for RegistrySink {
     fn record(&mut self, event: &RunEvent) {
         match event {
-            RunEvent::GenerationEnd {
-                phase,
-                feasible,
-                population,
-                evaluations,
-                front,
-                ..
-            } => {
-                self.generations.inc();
-                self.front_size.set(front.len() as f64);
-                self.feasible.set(*feasible as f64);
-                self.population.set(*population as f64);
-                self.evaluations.set(*evaluations as f64);
-                self.phase.set(f64::from(*phase));
-                if let Some((gauge, ref_point)) = &self.hv {
-                    gauge.set(hypervolume(front, ref_point));
-                }
-            }
+            RunEvent::GenerationEnd { .. } => self.generations.inc(),
             RunEvent::PhaseTransition { .. } => self.phase_transitions.inc(),
             RunEvent::Promotion { promoted, .. } => {
                 self.promotions.inc();
@@ -127,11 +82,7 @@ mod tests {
     #[test]
     fn generation_events_drive_counters_and_gauges() {
         let registry = MetricsRegistry::new();
-        let mut sink = RegistrySink::register(&registry, &[("arm", "sacga")]).with_hypervolume(
-            &registry,
-            &[("arm", "sacga")],
-            vec![10.0, 10.0],
-        );
+        let mut sink = RegistrySink::register(&registry, &[("arm", "sacga")]);
         sink.record(&RunEvent::GenerationEnd {
             generation: 1,
             phase: 2,
@@ -159,10 +110,10 @@ mod tests {
         assert!(text.contains("dse_run_phase_transitions_total{arm=\"sacga\"} 1"));
         assert!(text.contains("dse_run_promoted_total{arm=\"sacga\"} 3"));
         assert!(text.contains("dse_run_checkpoints_total{arm=\"sacga\"} 1"));
-        assert!(text.contains("dse_run_front_size{arm=\"sacga\"} 2"));
-        assert!(text.contains("dse_run_population{arm=\"sacga\"} 32"));
-        // hv of {(1,2),(2,1)} against (10,10): 9*8 + (10-2)*(2-1) = 80.
-        assert!(text.contains("dse_run_hypervolume{arm=\"sacga\"} 80"));
+        // Six counters and no gauge.
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE")).collect();
+        assert_eq!(types.len(), 6, "{text}");
+        assert!(types.iter().all(|l| l.ends_with(" counter")), "{text}");
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub struct HealthWarning {
     pub message: String,
 }
 
+/// Relative hypervolume improvement below which a [`StallDetector`]
+/// window counts as flat.
+const STALL_TOLERANCE: f64 = 1e-9;
+
 /// Detects convergence stalls: fires when, over a sliding window of
 /// generations, the feasible-front hypervolume fails to improve *and*
 /// the feasible count fails to grow.
@@ -37,7 +41,6 @@ pub struct HealthWarning {
 pub struct StallDetector {
     ref_point: Vec<f64>,
     window: usize,
-    tolerance: f64,
     history: VecDeque<(f64, usize)>,
     armed: bool,
     warnings: Vec<HealthWarning>,
@@ -52,28 +55,15 @@ impl StallDetector {
         StallDetector {
             ref_point,
             window: window.max(1),
-            tolerance: 1e-9,
             history: VecDeque::new(),
             armed: true,
             warnings: Vec::new(),
         }
     }
 
-    /// Overrides the relative hypervolume-improvement tolerance below
-    /// which a window counts as flat (default `1e-9`).
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance.max(0.0);
-        self
-    }
-
     /// Warnings emitted so far.
     pub fn warnings(&self) -> &[HealthWarning] {
         &self.warnings
-    }
-
-    /// Consumes the detector, returning its warnings.
-    pub fn into_warnings(self) -> Vec<HealthWarning> {
-        self.warnings
     }
 }
 
@@ -104,7 +94,7 @@ impl Sink for StallDetector {
             return;
         }
         let (base_hv, base_feasible) = self.history[0];
-        let threshold = base_hv.abs().max(1.0) * self.tolerance;
+        let threshold = base_hv.abs().max(1.0) * STALL_TOLERANCE;
         let stalled = hv - base_hv <= threshold && *feasible <= base_feasible;
         if stalled {
             if self.armed {
@@ -166,11 +156,6 @@ impl FaultRateAlarm {
     /// Warnings emitted so far.
     pub fn warnings(&self) -> &[HealthWarning] {
         &self.warnings
-    }
-
-    /// Consumes the alarm, returning its warnings.
-    pub fn into_warnings(self) -> Vec<HealthWarning> {
-        self.warnings
     }
 }
 

@@ -7,10 +7,13 @@
 //! never takes the registry lock while recording — only registration and
 //! snapshotting do.
 //!
-//! Metrics carry a small label model: `tenant`, `job`, `arm` and
-//! `stage`. Registration is idempotent — asking for the same name,
-//! label set and type returns a handle to the same underlying cell, so a
-//! resumed job keeps incrementing the counters its first slice created.
+//! Metrics carry two labels at most: `tenant` and `arm`. A series is
+//! never keyed by a job, so a long-lived registry holds one set of series
+//! per tenant and arm however many jobs it has served; per-job facts live
+//! where each job's own record is kept. Registration is idempotent —
+//! asking for the same name, label set and type returns a handle to the
+//! same underlying cell, so a resumed job, and every later job of the
+//! same tenant and arm, adds into the cells the first one created.
 //!
 //! [`MetricsRegistry::render_text`] emits a deterministic, sorted
 //! Prometheus-style text exposition (`# TYPE` headers, cumulative
@@ -30,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Label names a metric may carry, in the canonical emission order.
-pub const LABEL_NAMES: [&str; 4] = ["tenant", "job", "arm", "stage"];
+pub const LABEL_NAMES: [&str; 2] = ["tenant", "arm"];
 
 /// A monotonic counter. Cloning shares the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -595,16 +598,16 @@ mod tests {
     #[test]
     fn histogram_exposition_has_inf_bucket_sum_and_count() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("dse_lat_seconds", &[("job", "j1")], &[0.5, 2.0]);
+        let h = reg.histogram("dse_lat_seconds", &[("tenant", "t1")], &[0.5, 2.0]);
         h.observe(0.25);
         h.observe(8.0);
         let text = reg.render_text();
         assert!(text.contains("# TYPE dse_lat_seconds histogram"));
-        assert!(text.contains("dse_lat_seconds_bucket{job=\"j1\",le=\"0.5\"} 1"));
-        assert!(text.contains("dse_lat_seconds_bucket{job=\"j1\",le=\"2\"} 1"));
-        assert!(text.contains("dse_lat_seconds_bucket{job=\"j1\",le=\"+Inf\"} 2"));
-        assert!(text.contains("dse_lat_seconds_sum{job=\"j1\"} 8.25"));
-        assert!(text.contains("dse_lat_seconds_count{job=\"j1\"} 2"));
+        assert!(text.contains("dse_lat_seconds_bucket{tenant=\"t1\",le=\"0.5\"} 1"));
+        assert!(text.contains("dse_lat_seconds_bucket{tenant=\"t1\",le=\"2\"} 1"));
+        assert!(text.contains("dse_lat_seconds_bucket{tenant=\"t1\",le=\"+Inf\"} 2"));
+        assert!(text.contains("dse_lat_seconds_sum{tenant=\"t1\"} 8.25"));
+        assert!(text.contains("dse_lat_seconds_count{tenant=\"t1\"} 2"));
     }
 
     #[test]
@@ -627,8 +630,8 @@ mod tests {
                 for name in names {
                     let reg = reg.clone();
                     s.spawn(move || {
-                        reg.counter(name, &[("stage", "eval")]).add(1);
-                        reg.counter(name, &[("stage", "eval")]).add(2);
+                        reg.counter(name, &[("arm", "sacga")]).add(1);
+                        reg.counter(name, &[("arm", "sacga")]).add(2);
                     });
                 }
             });
@@ -637,7 +640,7 @@ mod tests {
         let a = render(&["dse_m1_total", "dse_m2_total", "dse_m3_total"]);
         let b = render(&["dse_m3_total", "dse_m1_total", "dse_m2_total"]);
         assert_eq!(a, b);
-        assert!(a.contains("dse_m2_total{stage=\"eval\"} 3"));
+        assert!(a.contains("dse_m2_total{arm=\"sacga\"} 3"));
     }
 
     #[test]

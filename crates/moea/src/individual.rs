@@ -85,11 +85,6 @@ impl Population {
         }
     }
 
-    /// Wraps an existing vector of individuals.
-    pub fn from_members(members: Vec<Individual>) -> Self {
-        Population { members }
-    }
-
     /// Number of members.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -110,11 +105,6 @@ impl Population {
         &self.members
     }
 
-    /// Borrows the members mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [Individual] {
-        &mut self.members
-    }
-
     /// Iterates over members.
     pub fn iter(&self) -> std::slice::Iter<'_, Individual> {
         self.members.iter()
@@ -123,11 +113,6 @@ impl Population {
     /// Iterates mutably over members.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, Individual> {
         self.members.iter_mut()
-    }
-
-    /// Consumes the population, returning the member vector.
-    pub fn into_members(self) -> Vec<Individual> {
-        self.members
     }
 
     /// Count of feasible members.

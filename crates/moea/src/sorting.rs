@@ -40,11 +40,6 @@ impl Fronts {
     pub fn iter(&self) -> std::slice::Iter<'_, Vec<usize>> {
         self.fronts.iter()
     }
-
-    /// Consumes into the underlying `Vec<Vec<usize>>`.
-    pub fn into_vec(self) -> Vec<Vec<usize>> {
-        self.fronts
-    }
 }
 
 /// Fast non-dominated sort under **constrained dominance**, writing `rank`

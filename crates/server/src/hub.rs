@@ -32,8 +32,8 @@ struct Inner {
     bytes: usize,
     /// Lines the ring dropped to stay within its bounds since the hub
     /// was created (lines released by [`ProgressHub::finish`] are not
-    /// counted), so observability surfaces (the `dse_hub_dropped_lines`
-    /// gauge) read one field.
+    /// counted), so observability surfaces (`debug`'s `hub_dropped=` and
+    /// the server-wide `dse_hub_dropped_lines` sum) read one field.
     dropped: u64,
     done: bool,
 }

@@ -62,8 +62,8 @@ use sacga::RunEvent;
 
 /// Reference point used for the stall detector's hypervolume when a job
 /// enables `stall=`; generous enough to dominate every benchmark front
-/// in this workspace. The `dse_run_hypervolume` gauge uses the same
-/// point, so the scraped trajectory matches what the detector sees.
+/// in this workspace. The detector is the only code that computes a
+/// job's hypervolume.
 const STALL_REF: f64 = 1e3;
 
 /// Event lines `debug` returns: the newest of the job's stream, taken
@@ -129,7 +129,11 @@ pub struct JobView {
 }
 
 /// Process-level service metrics, registered once per server in the
-/// shared registry (label-free: per-job series carry the labels).
+/// shared registry. They carry no label; the engine and run series of
+/// `run_one` carry `tenant` and `arm` only, so the scrape holds one set
+/// of series per tenant and arm however many jobs the server has run.
+/// A job's own facts are read from `status`, `debug` and its
+/// `events.jsonl`.
 struct ServerMetrics {
     jobs_submitted: Counter,
     jobs_completed: Counter,
@@ -139,6 +143,7 @@ struct ServerMetrics {
     queue_depth: Gauge,
     jobs_running: Gauge,
     hub_retained_bytes: Gauge,
+    hub_dropped_lines: Gauge,
 }
 
 impl ServerMetrics {
@@ -156,6 +161,7 @@ impl ServerMetrics {
             queue_depth: registry.gauge("dse_server_queue_depth", &[]),
             jobs_running: registry.gauge("dse_server_jobs_running", &[]),
             hub_retained_bytes: registry.gauge("dse_hub_retained_bytes", &[]),
+            hub_dropped_lines: registry.gauge("dse_hub_dropped_lines", &[]),
         }
     }
 }
@@ -216,10 +222,11 @@ struct WatchdogSet {
 
 impl WatchdogSet {
     fn build(spec: &JobSpec) -> Self {
-        let nobj = spec.problem.build().num_objectives();
         WatchdogSet {
-            stall: (spec.stall_window > 0)
-                .then(|| StallDetector::new(vec![STALL_REF; nobj], spec.stall_window)),
+            stall: (spec.stall_window > 0).then(|| {
+                let nobj = spec.problem.build().num_objectives();
+                StallDetector::new(vec![STALL_REF; nobj], spec.stall_window)
+            }),
             faults: spec.fault_alarm.map(FaultRateAlarm::new),
         }
     }
@@ -649,31 +656,24 @@ impl Server {
         &self.registry
     }
 
-    /// Pulls the scrape-time gauges (queue depth, running jobs, bytes
-    /// the hubs hold, per-job hub drops) up to date; counters and
-    /// histograms are maintained on the hot paths and need no refresh.
+    /// Pulls the scrape-time gauges (queue depth, running jobs, and the
+    /// bytes the hubs hold and the lines they dropped, summed over every
+    /// job) up to date; counters and histograms are maintained on the hot
+    /// paths and need no refresh. A job's own drops are in its `debug`
+    /// report.
+    #[allow(clippy::cast_precision_loss)]
     fn refresh_gauges(&self) {
-        #[allow(clippy::cast_precision_loss)]
         self.metrics.queue_depth.set(self.queue.len() as f64);
-        #[allow(clippy::cast_precision_loss)]
         self.metrics
             .jobs_running
             .set(self.running.load(Ordering::SeqCst) as f64);
-        let jobs = self.jobs.lock().unwrap();
-        let retained: usize = jobs.values().map(|rt| rt.hub.retained_bytes()).sum();
-        #[allow(clippy::cast_precision_loss)]
-        self.metrics.hub_retained_bytes.set(retained as f64);
-        for (id, rt) in jobs.iter() {
-            let job = id.to_string();
-            let tenant = rt.spec.tenant.as_deref().unwrap_or("none");
-            #[allow(clippy::cast_precision_loss)]
-            self.registry
-                .gauge(
-                    "dse_hub_dropped_lines",
-                    &[("tenant", tenant), ("job", job.as_str())],
-                )
-                .set(rt.hub.dropped() as f64);
+        let (mut retained, mut dropped) = (0usize, 0u64);
+        for rt in self.jobs.lock().unwrap().values() {
+            retained += rt.hub.retained_bytes();
+            dropped += rt.hub.dropped();
         }
+        self.metrics.hub_retained_bytes.set(retained as f64);
+        self.metrics.hub_dropped_lines.set(dropped as f64);
     }
 
     /// A live snapshot in Prometheus text exposition format.
@@ -882,22 +882,15 @@ impl Server {
             .tenant
             .as_deref()
             .map(|t| self.tenant_cache(t, &spec.problem));
-        // Per-job labeled series in the shared registry. Registration is
-        // idempotent, so a requeued job keeps accumulating into the same
-        // handles.
-        let job_label = id.to_string();
+        // Series keyed by tenant and arm in the shared registry.
+        // Registration is idempotent, so a requeued job, and every job of
+        // the same tenant and arm, adds into the same handles.
         let labels = [
             ("tenant", spec.tenant.as_deref().unwrap_or("none")),
-            ("job", job_label.as_str()),
             ("arm", spec.algo.arm()),
         ];
         let engine_metrics = EngineMetrics::register(&self.registry, &labels);
-        let nobj = spec.problem.build().num_objectives();
-        let mut run_metrics = RegistrySink::register(&self.registry, &labels).with_hypervolume(
-            &self.registry,
-            &labels,
-            vec![STALL_REF; nobj],
-        );
+        let mut run_metrics = RegistrySink::register(&self.registry, &labels);
         let opt = match spec.build_optimizer(cache, Some(engine_metrics)) {
             Ok(opt) => opt,
             Err(e) => {
@@ -1179,7 +1172,7 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        let labels = format!("{{arm=\"sacga\",job=\"{id}\",tenant=\"acme\"}}");
+        let labels = "{arm=\"sacga\",tenant=\"acme\"}";
         let candidates = sample(&format!("dse_engine_candidates_total{labels}"));
         let evaluations = sample(&format!("dse_engine_evaluations_total{labels}"));
         let cache_hits = sample(&format!("dse_engine_cache_hits_total{labels}"));
@@ -1193,12 +1186,9 @@ mod tests {
             sample(&format!("dse_engine_eval_latency_seconds_count{labels}")),
             evaluations
         );
-        assert!(text.contains("dse_run_hypervolume"));
         assert!(text.contains("dse_server_jobs_submitted_total 1"));
         assert!(text.contains("dse_server_jobs_completed_total 1"));
-        assert!(text.contains(&format!(
-            "dse_hub_dropped_lines{{job=\"{id}\",tenant=\"acme\"}} 0"
-        )));
+        assert!(text.contains("\ndse_hub_dropped_lines 0\n"));
         // A second scrape with no new work is byte-identical (counters
         // monotone, gauges unchanged).
         assert_eq!(server.metrics_text(), text);
@@ -1206,6 +1196,113 @@ mod tests {
         let json = server.metrics_json();
         assert!(json.starts_with("{\"metrics\":["));
         assert!(!json.contains('\n'));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The sorted series (name and labels) of a scrape's sample lines.
+    fn series(text: &str) -> Vec<&str> {
+        let mut out: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.rsplit_once(' ').map(|(series, _)| series))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn the_scrape_does_not_grow_with_the_jobs_served() {
+        let root = tmp_root("bounded");
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let spec = |i: u64| {
+            JobSpec::new(
+                format!("b{i}"),
+                ProblemSpec::Schaffer,
+                AlgoSpec::Nsga2 { pop: 16, gens: 10 },
+                i,
+            )
+            .tenant("acme")
+        };
+        server.submit(spec(0)).unwrap();
+        server.run_until_idle().unwrap();
+        let first = server.metrics_text();
+        for i in 1..20 {
+            server.submit(spec(i)).unwrap();
+        }
+        server.run_until_idle().unwrap();
+        let later = server.metrics_text();
+        assert!(later.contains("dse_server_jobs_completed_total 20"));
+        assert_eq!(series(&first), series(&later));
+        assert!(!later.contains("job="), "{later}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn each_tenant_and_arm_series_sums_its_jobs() {
+        let root = tmp_root("aggregate");
+        let server = Server::open(&root, ServerConfig::new()).unwrap();
+        let sacga = AlgoSpec::Sacga {
+            pop: 16,
+            gens: 6,
+            parts: 4,
+        };
+        let nsga2 = AlgoSpec::Nsga2 { pop: 16, gens: 6 };
+        // (tenant, arm, slice): one sacga job suspends every 2
+        // generations and resumes from its checkpoint.
+        let plan = [
+            ("acme", &sacga, 0),
+            ("acme", &sacga, 2),
+            ("acme", &nsga2, 0),
+            ("beta", &sacga, 0),
+            ("beta", &nsga2, 0),
+            ("beta", &nsga2, 0),
+        ];
+        let mut jobs = Vec::new();
+        for (seed, (tenant, algo, slice)) in (0u64..).zip(plan) {
+            let spec = JobSpec::new(
+                format!("a{seed}"),
+                ProblemSpec::Schaffer,
+                algo.clone(),
+                seed,
+            )
+            .tenant(tenant)
+            .slice(slice);
+            jobs.push((tenant, algo.arm(), server.submit(spec).unwrap()));
+        }
+        server.run_until_idle().unwrap();
+        let text = server.metrics_text();
+        let sample = |name: &str, tenant: &str, arm: &str| -> u64 {
+            let series = format!("{name}{{arm=\"{arm}\",tenant=\"{tenant}\"}} ");
+            text.lines()
+                .find_map(|l| l.strip_prefix(series.as_str()))
+                .unwrap_or_else(|| panic!("{series} missing from scrape:\n{text}"))
+                .parse()
+                .unwrap()
+        };
+        assert_eq!(sample("dse_run_checkpoints_total", "acme", "sacga"), 2);
+        for tenant in ["acme", "beta"] {
+            for arm in ["sacga", "nsga2"] {
+                let views: Vec<JobView> = jobs
+                    .iter()
+                    .filter(|(t, a, _)| (*t, *a) == (tenant, arm))
+                    .map(|(_, _, id)| server.status(*id).unwrap())
+                    .collect();
+                assert!(views.iter().all(|v| v.status == JobStatus::Done));
+                let sum = |field: fn(&JobView) -> u64| views.iter().map(field).sum::<u64>();
+                assert_eq!(
+                    sample("dse_engine_candidates_total", tenant, arm),
+                    sum(|v| v.candidates)
+                );
+                assert_eq!(
+                    sample("dse_engine_evaluations_total", tenant, arm),
+                    sum(|v| v.evaluations)
+                );
+                assert_eq!(
+                    sample("dse_run_generations_total", tenant, arm),
+                    sum(|v| v.generations as u64)
+                );
+            }
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

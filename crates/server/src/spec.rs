@@ -67,11 +67,6 @@ impl JobId {
             .map(JobId)
             .map_err(|_| ServerError::InvalidSpec(format!("job id must be hex, got {s:?}")))
     }
-
-    /// The raw 64-bit value.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for JobId {
@@ -1387,7 +1382,7 @@ mod tests {
     fn metered_build_is_bit_identical_and_balances() {
         let registry = engine::MetricsRegistry::new();
         let spec = demo();
-        let labels = [("job", "demo"), ("arm", spec.algo.arm())];
+        let labels = [("tenant", "demo"), ("arm", spec.algo.arm())];
         let metrics = EngineMetrics::register(&registry, &labels);
         let bare = spec
             .build_optimizer(None, None)

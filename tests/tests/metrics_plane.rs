@@ -58,7 +58,7 @@ proptest! {
                 .map(|i| {
                     let arm = if i % 2 == 0 { "a" } else { "b" };
                     (
-                        registry.counter("dse_test_ops_total", &[("arm", arm), ("stage", "x")]),
+                        registry.counter("dse_test_ops_total", &[("arm", arm), ("tenant", "x")]),
                         registry.histogram("dse_test_size", &[("arm", arm)], &[1.0, 8.0, 64.0]),
                         increments[i],
                     )
@@ -168,16 +168,16 @@ fn parse_samples(text: &str) -> Vec<(String, f64)> {
 #[test]
 fn registry_handles_are_shared_not_copied() {
     // Re-registering the same (name, labels) returns handles over the
-    // same underlying cell — the property that makes per-job metrics
-    // survive requeues and daemon-side re-registration.
+    // same underlying cell — the property that lets a requeued job, and
+    // every job of one tenant and arm, add into the same series.
     let registry = MetricsRegistry::new();
-    let a = EngineMetrics::register(&registry, &[("job", "j1")]);
-    let b = EngineMetrics::register(&registry, &[("job", "j1")]);
+    let a = EngineMetrics::register(&registry, &[("tenant", "t1")]);
+    let b = EngineMetrics::register(&registry, &[("tenant", "t1")]);
     a.candidates.add(3);
     b.candidates.add(4);
     assert_eq!(a.candidates.get(), 7);
     assert_eq!(a, b);
-    let other = EngineMetrics::register(&registry, &[("job", "j2")]);
+    let other = EngineMetrics::register(&registry, &[("tenant", "t2")]);
     assert_eq!(other.candidates.get(), 0);
     assert_ne!(a, other);
 }
